@@ -205,14 +205,15 @@ class RunConfig:
         return tuple(specs)
 
     def schwarz_config(self, force_model=None, t_end=None, tol=None,
-                       max_iters=None):
+                       max_iters=None, steps_per_window=None):
         return SchwarzConfig(
             subdomains=self.subdomain_specs(force_model),
             dt=self.dt,
             t_end=self.t_end if t_end is None else t_end,
             tol=self.tol if tol is None else tol,
             max_iters=self.max_iters if max_iters is None else max_iters,
-            steps_per_window=self.steps_per_window,
+            steps_per_window=(self.steps_per_window if steps_per_window is None
+                              else steps_per_window),
             global_rect=GLOBAL_RECT)
 
     def resolved_field_times(self):

@@ -130,6 +130,11 @@ def hybrid_factory(params, trained):
                 f"subdomain {entry.index + 1} is reduced but has no "
                 f"trained operators; run training first")
         item = trained[entry.index]
+        if item.basis.r != spec.rom_dim:
+            raise ConfigurationError(
+                f"subdomain {entry.index + 1} asks for a reduced model of "
+                f"rank r = {spec.rom_dim}, but its trained operators have "
+                f"rank {item.basis.r}; retrain with the current config")
         return RomSubdomainSolver(spec, mesh, params, config.dt,
                                   entry.gamma_positions, item.basis,
                                   item.ops, t0=config.t_begin)
@@ -249,12 +254,16 @@ def cmd_train(cfg, out_dir=None):
 
     The training data come from an all-FE coupled run over the training
     horizon, so each subdomain's recorded boundary trace has exactly the
-    layout its reduced model sees online.
+    layout its reduced model sees online. The data run couples at every
+    time step whatever ``schwarz.steps_per_window`` says: a longer window
+    holds each interface trace constant across its substeps, and operators
+    fitted to such piecewise-constant inputs come out unstable.
     """
     params = cfg.params()
     specs = cfg.subdomain_specs()
     training_cfg = cfg.schwarz_config(force_model="fe",
-                                      t_end=cfg.training_t_end)
+                                      t_end=cfg.training_t_end,
+                                      steps_per_window=1)
     run = run_coupled(training_cfg, fe_factory(params))
     trained = {}
     t0 = time.perf_counter()
@@ -538,10 +547,19 @@ class ComparisonReport:
                 str(m.converged).lower() for m in self.models) + "\n")
 
 
+def _blas_threads_note():
+    """The BLAS thread setting in force, as OpenBLAS reads it."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value:
+            return f"BLAS threads: {name}={value}"
+    return "BLAS threads: library default"
+
+
 def _environment_note():
     return (f"environment: {platform.platform()}, python "
             f"{platform.python_version()}, numpy {np.__version__}, "
-            f"kernels {kernels.backend_name()}, single-threaded")
+            f"kernels {kernels.backend_name()}, {_blas_threads_note()}")
 
 
 def cmd_compare(cfg, out_dir=None, lambda_grid=None):

@@ -88,7 +88,9 @@ def csr_matvec_numpy(data, indices, indptr, x):
 
 def all_finite_numpy(x):
     """True when every entry of a 1-D array is finite."""
-    return bool(np.all(np.isfinite(x)))
+    # Array methods skip the Python-level wrappers of ``np.all``/``np.max``,
+    # which cost more than the reduction itself on interface-sized inputs.
+    return bool(np.isfinite(x).all())
 
 
 def relative_sup_change_numpy(new, prev):
@@ -100,7 +102,7 @@ def relative_sup_change_numpy(new, prev):
     """
     if new.shape[0] == 0:
         return 0.0
-    return float(np.max(np.abs(new - prev)) / (1.0 + np.max(np.abs(new))))
+    return float(np.abs(new - prev).max() / (1.0 + np.abs(new).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,42 @@ def test_train_rejects_rank_beyond_snapshots():
         cmd_train(small_cfg(training_r=500))
 
 
+def test_hybrid_rejects_operators_trained_at_another_rank(tmp_path):
+    cmd_train(small_cfg(), out_dir=str(tmp_path))
+    with pytest.raises(ConfigurationError,
+                       match=r"subdomain 1 .*r = 4.*rank 6.*retrain"):
+        cmd_run_hybrid(small_cfg(training_r=4), out_dir=str(tmp_path))
+
+
+def test_training_couples_every_step_when_windows_are_longer():
+    # Operators fitted to traces held constant over 2-step windows are
+    # unstable; the data run must couple at every step instead.
+    cfg = small_cfg(steps_per_window=2)
+    training = cmd_train(cfg)
+    assert training.run.config.steps_per_window == 1
+    assert training.run.times.shape == (21,)
+    for item in training.trained.values():
+        assert np.linalg.eigvals(item.ops.Khat).real.max() < 0.0
+    run = cmd_run_hybrid(cfg, trained=training.trained)
+    assert run.config.steps_per_window == 2
+    assert run.converged
+    assert all(np.all(np.isfinite(t.states)) for t in run.trajectories)
+
+
+def test_environment_note_reports_blas_threads(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    note = driver._environment_note()
+    assert note.endswith("BLAS threads: library default")
+    assert "single-threaded" not in note
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert driver._environment_note().endswith(
+        "BLAS threads: OMP_NUM_THREADS=3")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert driver._environment_note().endswith(
+        "BLAS threads: OPENBLAS_NUM_THREADS=1")
+
+
 def test_default_lambda_grid_shape():
     assert DEFAULT_LAMBDA_GRID[0] == 0.0
     assert len(DEFAULT_LAMBDA_GRID) == 14

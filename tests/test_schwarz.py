@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from cdrschwarz import kernels
 from cdrschwarz.errors import ConfigurationError, DivergenceError
 from cdrschwarz.fem import CdrParams, assemble
 from cdrschwarz.mesh import Rect, build_mesh
@@ -323,6 +324,16 @@ def test_unconverged_window_reports_flag():
     iters, ok = schwarz_window(solvers, table, 0.0, 1e6, tol=1e-14,
                                max_iters=1)
     assert iters == 1 and not ok
+
+
+def test_sweep_check_kernels():
+    x = np.array([1.0, -3.0, 0.5])
+    assert kernels.all_finite(x) and kernels.all_finite(np.zeros(0))
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not kernels.all_finite(np.array([1.0, bad, 2.0]))
+    prev = np.array([1.5, -3.0, 0.0])
+    assert kernels.relative_sup_change(x, prev) == 0.5 / 4.0
+    assert kernels.relative_sup_change(np.zeros(0), np.zeros(0)) == 0.0
 
 
 def test_divergent_state_raises():

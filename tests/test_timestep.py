@@ -1,5 +1,7 @@
 """Backward-Euler stepping: algebra, stability, convergence order."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -8,8 +10,12 @@ from scipy.sparse.linalg import spsolve
 from cdrschwarz.errors import ConfigurationError, FactorizationError
 from cdrschwarz.fem import CdrParams, SemiDiscreteSystem, assemble
 from cdrschwarz.mesh import Rect, build_mesh
+from cdrschwarz.schwarz import (FESubdomainSolver, SchwarzConfig,
+                                build_interfaces)
 from cdrschwarz.timestep import (factorize, integrate, n_steps_for,
                                  run_transient, step)
+
+from test_schwarz import strip_specs
 
 
 def scalar_system(m=1.0, a=0.5, load=None):
@@ -82,6 +88,68 @@ def test_steady_trace_drops_mass_coupling():
     stepper = factorize(system, dt)
     np.testing.assert_array_equal(stepper.step(v0, g, dt),
                                   stepper.step(v0, g, dt, g_prev=g))
+
+
+def test_steady_trace_step_without_boundary_mass():
+    # A system without M_IB builds its right-hand side from two blocks:
+    #   (M + dt A_II) v1 = M v0 + dt (F - A_IB g).
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 5, 4)
+    params = CdrParams(eps=0.05, sigma=0.2, b=(0.7, -0.3),
+                       forcing=lambda x, y, t: x * y + t)
+    system = replace(assemble(mesh, params), M_IB=None)
+    dt = 0.05
+    rng = np.random.default_rng(4)
+    v0 = rng.standard_normal(system.n_interior)
+    g = rng.standard_normal(system.n_boundary)
+    t1 = 0.35
+
+    m = system.M.toarray()
+    rhs = m @ v0 + dt * (system.load(t1) - system.A_IB.toarray() @ g)
+    expected = np.linalg.solve(m + dt * system.A_II.toarray(), rhs)
+
+    np.testing.assert_allclose(factorize(system, dt).step(v0, g, t1),
+                               expected, rtol=1e-11)
+
+
+def test_fe_window_matches_three_term_right_hand_side():
+    # Three substeps of an FE subdomain window against the three-term form
+    #   M v + dt (F - A_IB g) - M_IB (g - g_prev)
+    # with dense products, a moving physical trace and a Gamma jump.
+    config = SchwarzConfig(subdomains=strip_specs(), dt=0.05, t_end=0.3,
+                           steps_per_window=3)
+    table = build_interfaces(config)
+    params = CdrParams(eps=0.05, sigma=0.1, b=(1.0, 0.5),
+                       forcing=lambda x, y, t: x + y * t,
+                       dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+    solver = FESubdomainSolver(config.subdomains[0], table.meshes[0], params,
+                               config.dt, table.entries[0].gamma_positions)
+    rng = np.random.default_rng(5)
+    v0 = rng.standard_normal(solver.state.shape[0])
+    gamma = rng.standard_normal(table.entries[0].n_gamma)
+    g_prev = solver.boundary_trace().copy()
+    solver.state = v0.copy()
+    solver.set_interface_values(gamma)
+    solver.advance_window(0.0, config.window_dt)
+
+    system = solver.system
+    m, m_ib = system.M.toarray(), system.M_IB.toarray()
+    a_ib = system.A_IB.toarray()
+    lhs = m + config.dt * system.A_II.toarray()
+    coords = table.meshes[0].coords[solver.boundary_map]
+    v = v0
+    for j in range(3):
+        t_j = (j + 1) * config.dt
+        g = np.sin(3.0 * t_j) + coords[:, 0] * coords[:, 1]
+        g[solver.gamma_positions] = gamma
+        rhs = (m @ v + config.dt * (system.load(t_j) - a_ib @ g)
+               - m_ib @ (g - g_prev))
+        v = np.linalg.solve(lhs, rhs)
+        np.testing.assert_allclose(solver.last_states[:, j], v,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(solver.last_traces[:, j], g,
+                                   rtol=0, atol=1e-15)
+        g_prev = g
+    np.testing.assert_allclose(solver.state, v, rtol=0, atol=1e-13)
 
 
 def test_steady_state_is_fixed_point():
