@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, matio
+from . import matio
 from .config import GLOBAL_RECT, RunConfig
 from .errors import ConfigurationError, DivergenceError
 from .fem import assemble, boundary_values
@@ -86,26 +86,22 @@ def build_global_mesh(cfg):
     return build_mesh(GLOBAL_RECT, cfg.nx, cfg.ny)
 
 
-def nodal_history(system, trajectory):
-    """Merge interior states and boundary traces into full nodal columns."""
-    n_nodes = system.mesh.n_nodes
-    full = np.empty((n_nodes, trajectory.n_times))
-    full[system.interior_map] = trajectory.states
-    full[system.boundary_map] = trajectory.boundary_traces
-    return full
+def nodal_history(owner, trajectory):
+    """Merge interior states and boundary traces into full nodal columns.
 
-
-def solver_nodal_history(solver, trajectory):
-    full = np.empty((solver.mesh.n_nodes, trajectory.n_times))
-    full[solver.interior_map] = trajectory.states
-    full[solver.boundary_map] = trajectory.boundary_traces
+    ``owner`` is an assembled system or a subdomain solver; only its
+    ``mesh``, ``interior_map`` and ``boundary_map`` are read.
+    """
+    full = np.empty((owner.mesh.n_nodes, trajectory.n_times))
+    full[owner.interior_map] = trajectory.states
+    full[owner.boundary_map] = trajectory.boundary_traces
     return full
 
 
 def stitch_history(run, global_mesh):
     """Stitch a coupled run's per-subdomain histories onto a global mesh."""
     plan = StitchPlan(run.config, global_mesh, run.meshes)
-    fields = [solver_nodal_history(s, traj)
+    fields = [nodal_history(s, traj)
               for s, traj in zip(run.solvers, run.trajectories)]
     return plan.apply(fields)
 
@@ -116,6 +112,14 @@ def fe_factory(params):
         return FESubdomainSolver(spec, mesh, params, config.dt,
                                  entry.gamma_positions, t0=config.t_begin)
     return factory
+
+
+def _check_rank(index, spec, basis):
+    if basis.r != spec.rom_dim:
+        raise ConfigurationError(
+            f"subdomain {index + 1} asks for a reduced model of "
+            f"rank r = {spec.rom_dim}, but its trained operators have "
+            f"rank {basis.r}; retrain with the current config")
 
 
 def hybrid_factory(params, trained):
@@ -130,11 +134,7 @@ def hybrid_factory(params, trained):
                 f"subdomain {entry.index + 1} is reduced but has no "
                 f"trained operators; run training first")
         item = trained[entry.index]
-        if item.basis.r != spec.rom_dim:
-            raise ConfigurationError(
-                f"subdomain {entry.index + 1} asks for a reduced model of "
-                f"rank r = {spec.rom_dim}, but its trained operators have "
-                f"rank {item.basis.r}; retrain with the current config")
+        _check_rank(entry.index, spec, item.basis)
         return RomSubdomainSolver(spec, mesh, params, config.dt,
                                   entry.gamma_positions, item.basis,
                                   item.ops, t0=config.t_begin)
@@ -153,7 +153,7 @@ def _export_stitched_fields(cfg, run, global_mesh, out_dir, prefix):
     plan = StitchPlan(run.config, global_mesh, run.meshes)
     for t in cfg.resolved_field_times():
         j = _time_index(cfg, t)
-        fields = [solver_nodal_history(s, traj)[:, j]
+        fields = [nodal_history(s, traj)[:, j]
                   for s, traj in zip(run.solvers, run.trajectories)]
         stitched = plan.apply(fields)
         matio.export_field_csv(
@@ -242,6 +242,55 @@ class TrainingResult:
     timings: dict
 
 
+def _selector_tag(value):
+    """Forcing/Dirichlet data as text: a function by name, else its value."""
+    if value is None:
+        return "zero"
+    if callable(value):
+        return value.__name__
+    return str(float(value))
+
+
+def training_fingerprint(cfg, spec):
+    """``{key: text}`` of everything a subdomain's trained operators depend
+    on: the problem data, the time step, the training horizon and the
+    subdomain's rectangle, mesh, rank and lambda.
+    """
+    params = cfg.params()
+    rect = spec.rect
+    return {
+        "epsilon": str(float(params.eps)), "sigma": str(float(params.sigma)),
+        "bx": str(params.b[0]), "by": str(params.b[1]),
+        "forcing": _selector_tag(params.forcing),
+        "dirichlet": _selector_tag(params.dirichlet),
+        "dt": str(float(cfg.dt)),
+        "training_t_end": str(float(cfg.training_t_end)),
+        "rect": ",".join(str(float(v))
+                         for v in (rect.x0, rect.x1, rect.y0, rect.y1)),
+        "nx": str(spec.nx), "ny": str(spec.ny), "r": str(spec.rom_dim),
+        "lambda": str(float(spec.rom_lambda)),
+    }
+
+
+def _check_fingerprint(index, meta_path, stored, current):
+    """Raise unless ``stored`` (``key=text;...`` from a meta file) equals
+    the ``current`` fingerprint."""
+    if stored is None:
+        raise ConfigurationError(
+            f"subdomain {index + 1}: {meta_path} has no training "
+            f"fingerprint; retrain with the current config")
+    old = dict(item.split("=", 1) for item in stored.split(";"))
+    differ = sorted(k for k in current.keys() | old.keys()
+                    if old.get(k) != current.get(k))
+    if differ:
+        detail = ", ".join(f"{k} trained {old.get(k)}, now {current.get(k)}"
+                           for k in differ)
+        raise ConfigurationError(
+            f"subdomain {index + 1}: the operators in {meta_path} were "
+            f"trained for another problem ({detail}); retrain with the "
+            f"current config")
+
+
 def _retained_energy(svals, r):
     total = float(np.sum(svals ** 2))
     if total == 0.0:
@@ -300,12 +349,20 @@ def cmd_train(cfg, out_dir=None):
                 os.path.join(out_dir, f"{tag}_meta.txt"),
                 {"r": item.basis.r, "lambda": item.lam,
                  "retained_energy": item.energy,
-                 "snapshot_frobenius_sq": float(np.sum(item.basis.svals ** 2))})
+                 "snapshot_frobenius_sq": float(np.sum(item.basis.svals ** 2)),
+                 "fingerprint": ";".join(
+                     f"{k}={v}" for k, v in
+                     training_fingerprint(cfg, specs[i]).items())})
     return result
 
 
 def load_trained(cfg, out_dir):
-    """Load persisted reduced operators for every reduced subdomain."""
+    """Load persisted reduced operators for every reduced subdomain.
+
+    Operators whose training fingerprint (see :func:`training_fingerprint`)
+    is missing or differs from the current config raise
+    :class:`ConfigurationError` instead of being reused.
+    """
     trained = {}
     for i, spec in enumerate(cfg.subdomain_specs()):
         if spec.model != "rom":
@@ -313,13 +370,17 @@ def load_trained(cfg, out_dir):
         tag = f"sub{i + 1}"
         paths = {name: os.path.join(out_dir, f"{tag}_{name}.bin")
                  for name in ("basis", "svals", "khat", "bhat", "fhat")}
+        paths["meta"] = os.path.join(out_dir, f"{tag}_meta.txt")
         for name, p in paths.items():
             if not os.path.exists(p):
                 raise ConfigurationError(
                     f"missing trained operator file {p}; run training first")
         basis = PodBasis(Psi=matio.load_matrix(paths["basis"]),
                          svals=matio.load_matrix(paths["svals"]).ravel())
-        meta = matio.load_meta(os.path.join(out_dir, f"{tag}_meta.txt"))
+        _check_rank(i, spec, basis)
+        meta = matio.load_meta(paths["meta"])
+        _check_fingerprint(i, paths["meta"], meta.get("fingerprint"),
+                           training_fingerprint(cfg, spec))
         ops = OpInfOperators(Khat=matio.load_matrix(paths["khat"]),
                              Bhat=matio.load_matrix(paths["bhat"]),
                              fhat=matio.load_matrix(paths["fhat"]).ravel(),
@@ -488,6 +549,30 @@ class ModelReport:
     note: str = ""
 
 
+def _csv_number(value):
+    return f"{value:.17g}"
+
+
+def _csv_bool(value):
+    return str(value).lower()
+
+
+#: Rows of the comparison report: ``(text label, CSV key, ModelReport
+#: attribute, text format, CSV formatter)``. A row without a text label is
+#: written to the CSV only.
+_REPORT_ROWS = (
+    ("solve seconds", "solve_seconds", "solve_seconds", ".3f", _csv_number),
+    ("error vs reference", "error_vs_reference", "error", ".3e", _csv_number),
+    (None, "error_is_absolute", "error_is_absolute", None, _csv_bool),
+    ("setup seconds", "setup_seconds", "setup_seconds", ".3f", _csv_number),
+    ("training seconds", "train_seconds", "train_seconds", ".3f",
+     _csv_number),
+    ("iterations mean", "iterations_mean", "iters_mean", ".2f", _csv_number),
+    ("iterations max", "iterations_max", "iters_max", ".0f", _csv_number),
+    (None, "converged", "converged", None, _csv_bool),
+)
+
+
 @dataclass
 class ComparisonReport:
     """Three-model summary: solve-phase seconds and error vs the reference."""
@@ -498,53 +583,30 @@ class ComparisonReport:
     environment: str
 
     def to_text(self):
-        lines = []
         header = f"{'metric':<24}" + "".join(f"{m.name:>16}"
                                              for m in self.models)
-        lines.append(header)
-        lines.append("-" * len(header))
-        lines.append(f"{'solve seconds':<24}" + "".join(
-            f"{m.solve_seconds:>16.3f}" for m in self.models))
-        lines.append(f"{'error vs reference':<24}" + "".join(
-            f"{m.error:>16.3e}" for m in self.models))
-        lines.append(f"{'setup seconds':<24}" + "".join(
-            f"{m.setup_seconds:>16.3f}" for m in self.models))
-        lines.append(f"{'training seconds':<24}" + "".join(
-            f"{m.train_seconds:>16.3f}" for m in self.models))
-        lines.append(f"{'iterations mean':<24}" + "".join(
-            f"{m.iters_mean:>16.2f}" for m in self.models))
-        lines.append(f"{'iterations max':<24}" + "".join(
-            f"{m.iters_max:>16.0f}" for m in self.models))
-        notes = [m.note for m in self.models if m.note]
-        lines.append("")
-        lines.append(f"reference solve seconds: "
-                     f"{self.reference_solve_seconds:.3f}")
-        lines.append(f"reference self error: {self.reference_self_error:g}")
-        lines.append(self.environment)
-        for note in notes:
-            lines.append(f"note: {note}")
+        lines = [header, "-" * len(header)]
+        for label, _, attr, fmt, _ in _REPORT_ROWS:
+            if label is not None:
+                lines.append(f"{label:<24}" + "".join(
+                    format(getattr(m, attr), ">16" + fmt)
+                    for m in self.models))
+        lines += ["",
+                  f"reference solve seconds: "
+                  f"{self.reference_solve_seconds:.3f}",
+                  f"reference self error: {self.reference_self_error:g}",
+                  self.environment]
+        lines += [f"note: {m.note}" for m in self.models if m.note]
         return "\n".join(lines)
 
     def write_csv(self, path):
+        rows = ["metric," + ",".join(m.name.replace(" ", "_")
+                                     for m in self.models)]
+        rows += [key + "," + ",".join(cell(getattr(m, attr))
+                                      for m in self.models)
+                 for _, key, attr, _, cell in _REPORT_ROWS]
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("metric," + ",".join(
-                m.name.replace(" ", "_") for m in self.models) + "\n")
-            handle.write("solve_seconds," + ",".join(
-                f"{m.solve_seconds:.17g}" for m in self.models) + "\n")
-            handle.write("error_vs_reference," + ",".join(
-                f"{m.error:.17g}" for m in self.models) + "\n")
-            handle.write("error_is_absolute," + ",".join(
-                str(m.error_is_absolute).lower() for m in self.models) + "\n")
-            handle.write("setup_seconds," + ",".join(
-                f"{m.setup_seconds:.17g}" for m in self.models) + "\n")
-            handle.write("train_seconds," + ",".join(
-                f"{m.train_seconds:.17g}" for m in self.models) + "\n")
-            handle.write("iterations_mean," + ",".join(
-                f"{m.iters_mean:.17g}" for m in self.models) + "\n")
-            handle.write("iterations_max," + ",".join(
-                f"{m.iters_max:.17g}" for m in self.models) + "\n")
-            handle.write("converged," + ",".join(
-                str(m.converged).lower() for m in self.models) + "\n")
+            handle.write("\n".join(rows) + "\n")
 
 
 def _blas_threads_note():
@@ -559,17 +621,16 @@ def _blas_threads_note():
 def _environment_note():
     return (f"environment: {platform.platform()}, python "
             f"{platform.python_version()}, numpy {np.__version__}, "
-            f"kernels {kernels.backend_name()}, {_blas_threads_note()}")
+            f"{_blas_threads_note()}")
 
 
 def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     """Run the full study and build the comparison report.
 
     Timings separate solve, setup, and training phases; only solve-phase
-    seconds are comparable across models. Kernels are warmed up first so
-    compilation never lands inside a timed phase.
+    seconds are comparable across models. The trained operators are passed
+    to the hybrid run in memory, never reloaded from ``out_dir``.
     """
-    kernels.warmup()
     global_mesh = build_global_mesh(cfg)
     fom = cmd_run_fom(cfg, out_dir=out_dir)
     ref = (fom.trajectory.times, fom.nodal_states)

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError
-from . import kernels
 
 # 2-point Gauss rule on [0, 1] per direction.
 _GP = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -128,10 +127,30 @@ class SemiDiscreteSystem:
         return self.boundary_map.shape[0]
 
 
+def _scatter_coo(conn, elem_m, elem_a):
+    """Expand two shared 4x4 element matrices into global COO triplets."""
+    ne = conn.shape[0]
+    rows = np.repeat(conn, 4, axis=1).ravel()
+    cols = np.tile(conn, (1, 4)).ravel()
+    mvals = np.tile(elem_m.reshape(-1), ne)
+    avals = np.tile(elem_a.reshape(-1), ne)
+    return rows, cols, mvals, avals
+
+
+def _load_scatter(conn, fq, phiw, n_nodes):
+    """Accumulate quadrature sums of forcing times shape values into nodes.
+
+    ``fq`` is (ne, nq) forcing at quadrature points; ``phiw`` is (nq, 4)
+    shape values pre-multiplied by weight and Jacobian.
+    """
+    contrib = fq @ phiw
+    return np.bincount(conn.ravel(), weights=contrib.ravel(), minlength=n_nodes)
+
+
 def assemble_full(mesh, params):
     """Global consistent mass and CDR matrices over all mesh nodes."""
     me, ae = element_matrices(mesh.hx, mesh.hy, params)
-    rows, cols, mvals, avals = kernels.scatter_coo(mesh.connectivity, me, ae)
+    rows, cols, mvals, avals = _scatter_coo(mesh.connectivity, me, ae)
     shape = (mesh.n_nodes, mesh.n_nodes)
     m_full = csr_matrix((mvals, (rows, cols)), shape=shape)
     a_full = csr_matrix((avals, (rows, cols)), shape=shape)
@@ -150,7 +169,7 @@ def _forcing_closure(mesh, params, interior_map):
         return lambda t: zero
 
     if np.isscalar(forcing):
-        unit = kernels.load_scatter(
+        unit = _load_scatter(
             conn, np.ones((conn.shape[0], 4)), phiw, mesh.n_nodes)
         const = float(forcing) * unit[interior_map]
         return lambda t: const
@@ -163,8 +182,8 @@ def _forcing_closure(mesh, params, interior_map):
     def load(t):
         fq = np.broadcast_to(
             np.asarray(forcing(xq, yq, t), dtype=float), xq.shape)
-        full = kernels.load_scatter(conn, np.ascontiguousarray(fq), phiw,
-                                    mesh.n_nodes)
+        full = _load_scatter(conn, np.ascontiguousarray(fq), phiw,
+                             mesh.n_nodes)
         return full[interior_map]
 
     return load

@@ -11,7 +11,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, OutOfDomainError
-from . import kernels
 
 #: Absolute slack used for all point-in-rectangle tests.
 BOUNDARY_TOL = 1e-12
@@ -107,35 +106,38 @@ class StructuredMesh:
 
     def locate(self, point):
         """Cell index and local coordinates ``(xi, eta)`` of one point."""
-        px = np.array([float(point[0])])
-        py = np.array([float(point[1])])
-        ci, cj, xi, eta, inside = kernels.locate_points(
-            px, py, self.rect.x0, self.rect.y0, self.hx, self.hy,
-            self.nx, self.ny, BOUNDARY_TOL)
-        if not inside[0]:
-            raise OutOfDomainError(
-                f"point ({point[0]}, {point[1]}) lies outside "
-                f"[{self.rect.x0}, {self.rect.x1}] x "
-                f"[{self.rect.y0}, {self.rect.y1}]")
+        ci, cj, xi, eta = self.locate_many([[point[0], point[1]]])
         cell = int(cj[0] * self.nx + ci[0])
         return cell, (float(xi[0]), float(eta[0]))
 
     def locate_many(self, points):
+        """Cell indices and local coordinates ``(ci, cj, xi, eta)`` of points.
+
+        Points within ``BOUNDARY_TOL`` of the rectangle are clamped onto
+        it; any point beyond that raises :class:`OutOfDomainError`.
+        """
         p = np.asarray(points, dtype=float)
-        ci, cj, xi, eta, inside = kernels.locate_points(
-            np.ascontiguousarray(p[:, 0]), np.ascontiguousarray(p[:, 1]),
-            self.rect.x0, self.rect.y0, self.hx, self.hy,
-            self.nx, self.ny, BOUNDARY_TOL)
+        px, py = p[:, 0], p[:, 1]
+        r = self.rect
+        xmax = r.x0 + self.nx * self.hx
+        ymax = r.y0 + self.ny * self.hy
+        inside = ((px >= r.x0 - BOUNDARY_TOL) & (px <= xmax + BOUNDARY_TOL)
+                  & (py >= r.y0 - BOUNDARY_TOL) & (py <= ymax + BOUNDARY_TOL))
         if not inside.all():
             bad = np.flatnonzero(~inside)[0]
             raise OutOfDomainError(
-                f"point ({p[bad, 0]}, {p[bad, 1]}) lies outside "
-                f"[{self.rect.x0}, {self.rect.x1}] x "
-                f"[{self.rect.y0}, {self.rect.y1}]")
+                f"point ({px[bad]}, {py[bad]}) lies outside "
+                f"[{r.x0}, {r.x1}] x [{r.y0}, {r.y1}]")
+        rx = (px - r.x0) / self.hx
+        ry = (py - r.y0) / self.hy
+        ci = np.clip(np.floor(rx).astype(np.int64), 0, self.nx - 1)
+        cj = np.clip(np.floor(ry).astype(np.int64), 0, self.ny - 1)
+        xi = np.clip(rx - ci, 0.0, 1.0)
+        eta = np.clip(ry - cj, 0.0, 1.0)
         return ci, cj, xi, eta
 
     def interpolate(self, field, points):
-        """Evaluate a nodal field at arbitrary points by bilinear gather."""
+        """Evaluate a nodal field at arbitrary points (bilinear)."""
         field = np.asarray(field, dtype=float)
         if field.shape != (self.n_nodes,):
             raise ConfigurationError(
@@ -143,8 +145,7 @@ class StructuredMesh:
         p = np.asarray(points, dtype=float)
         if p.ndim == 1:
             p = p[None, :]
-        ci, cj, xi, eta = self.locate_many(p)
-        return kernels.bilinear_gather(field, ci, cj, xi, eta, self.nx)
+        return self.interpolation_matrix(p) @ field
 
     def interpolation_matrix(self, points):
         """Sparse operator mapping nodal fields to values at ``points``.

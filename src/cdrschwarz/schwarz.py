@@ -27,8 +27,8 @@ loop uses this protocol:
   lifting its state.
 - ``lift(states)``: interior nodal values of ``state`` columns.
   :func:`run_coupled` records ``state`` columns and lifts each history
-  once, after the last window; ``full_field()``, ``interior_values()`` and
-  ``sample(points)`` lift on demand for callers outside the sweep.
+  once, after the last window; ``full_field()`` and ``interior_values()``
+  lift on demand for callers outside the sweep.
 """
 
 import time
@@ -334,9 +334,6 @@ class _SubdomainSolverBase:
             f[self.boundary_map] = self.g_cur
             self._field = f
         return self._field
-
-    def sample(self, points):
-        return self.mesh.interpolate(self.full_field(), points)
 
     def sampler(self, matrix):
         """Callable returning ``matrix @ full_field()`` for the current state.

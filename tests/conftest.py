@@ -8,14 +8,8 @@ acceptance tests; everything else runs on small meshes.
 import numpy as np
 import pytest
 
-from cdrschwarz import driver, kernels
+from cdrschwarz import driver
 from cdrschwarz.config import RunConfig
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the accelerated kernels before anything is timed."""
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")
@@ -24,14 +18,14 @@ def default_cfg():
 
 
 @pytest.fixture(scope="session")
-def study(default_cfg, warm_kernels):
+def study(default_cfg):
     """The default experiment, run end to end once.
 
     Returns a dict with the monolithic reference, the all-FE coupled run,
     the training result, the hybrid coupled run, the monolithic reduced
     model, and the stitched error of each model against the reference.
     Solve timings come from the runs themselves (wall clock around the
-    solve phase only, kernels pre-compiled by ``warm_kernels``).
+    solve phase only).
     """
     cfg = default_cfg
     gm = driver.build_global_mesh(cfg)
@@ -71,7 +65,7 @@ def study(default_cfg, warm_kernels):
 
 
 @pytest.fixture(scope="session")
-def tight_schwarz(default_cfg, warm_kernels):
+def tight_schwarz(default_cfg):
     """All-FE coupled run at tol=1e-12, max_iters=100, with its error."""
     cfg = default_cfg
     gm = driver.build_global_mesh(cfg)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from cdrschwarz import driver, kernels
+from cdrschwarz import driver
 from cdrschwarz.fem import CdrParams, assemble, load_vector
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.rom import compute_pod, fit_operators
@@ -184,16 +184,17 @@ def test_criterion_5_hybrid_speedup(study):
     hybrid, all_fe = min(hybrid_times), min(fe_times)
     ratio = hybrid / all_fe
     ok = ratio <= 0.7
-    # Sweeps per window and the kernel backend tell a per-sweep cost change
-    # apart from a sweep-count change when the ratio moves.
+    # Sweeps per window tell a per-sweep cost change apart from a
+    # sweep-count change when the ratio moves; the BLAS thread setting is
+    # part of the measured condition.
     _report(
         5, "hybrid speedup",
         f"best-of-3 solve-phase seconds hybrid {hybrid:.3f} vs all-FE "
         f"{all_fe:.3f}, ratio {ratio:.3f}; sweeps/window hybrid "
         f"{np.mean(run_hybrid.iterations):.3f} vs all-FE "
-        f"{np.mean(run_fe.iterations):.3f}; kernels "
-        f"{kernels.backend_name()}",
-        "hybrid <= 0.7x all-FE solve time (single-threaded)",
+        f"{np.mean(run_fe.iterations):.3f}",
+        f"hybrid <= 0.7x all-FE solve time "
+        f"({driver._blas_threads_note()})",
         ok)
 
 

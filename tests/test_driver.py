@@ -382,6 +382,67 @@ def test_compare_csv_round_trips_report(small_out):
         assert rows["error_is_absolute"][j] == str(m.error_is_absolute).lower()
 
 
+def _hand_made_report():
+    models = [
+        driver.ModelReport(
+            name="all-fe-dd", error=1.25e-12, error_is_absolute=False,
+            solve_seconds=2.5, setup_seconds=0.125, iters_mean=2.045,
+            iters_max=7.0),
+        driver.ModelReport(
+            name="hybrid-dd", error=0.5, error_is_absolute=True,
+            solve_seconds=1.0 / 3.0, setup_seconds=0.0625,
+            train_seconds=0.75, iters_mean=1.5, iters_max=4.0,
+            converged=False, note="trained in memory"),
+        driver.ModelReport(
+            name="mono opinf", error=float("inf"), error_is_absolute=False,
+            solve_seconds=0.01, train_seconds=0.2,
+            note="monolithic lambda = 1e-06"),
+    ]
+    return driver.ComparisonReport(
+        models=models, reference_self_error=0.0,
+        reference_solve_seconds=0.875, environment="environment: test")
+
+
+def test_comparison_report_exact_bytes(tmp_path):
+    # Pins both renderings byte for byte: NaN iterations, an absolute
+    # error, infinite error, half-way rounding (0.0625) and two notes.
+    report = _hand_made_report()
+    assert report.to_text() == (
+        "metric                         all-fe-dd       hybrid-dd"
+        "      mono opinf\n"
+        + "-" * 72 + "\n"
+        "solve seconds                      2.500           0.333"
+        "           0.010\n"
+        "error vs reference             1.250e-12       5.000e-01"
+        "             inf\n"
+        "setup seconds                      0.125           0.062"
+        "           0.000\n"
+        "training seconds                   0.000           0.750"
+        "           0.200\n"
+        "iterations mean                     2.04            1.50"
+        "             nan\n"
+        "iterations max                         7               4"
+        "             nan\n"
+        "\n"
+        "reference solve seconds: 0.875\n"
+        "reference self error: 0\n"
+        "environment: test\n"
+        "note: trained in memory\n"
+        "note: monolithic lambda = 1e-06")
+    path = tmp_path / "comparison.csv"
+    report.write_csv(str(path))
+    assert path.read_bytes() == (
+        b"metric,all-fe-dd,hybrid-dd,mono_opinf\n"
+        b"solve_seconds,2.5,0.33333333333333331,0.01\n"
+        b"error_vs_reference,1.2499999999999999e-12,0.5,inf\n"
+        b"error_is_absolute,false,true,false\n"
+        b"setup_seconds,0.125,0.0625,0\n"
+        b"train_seconds,0,0.75,0.20000000000000001\n"
+        b"iterations_mean,2.0449999999999999,1.5,nan\n"
+        b"iterations_max,7,4,nan\n"
+        b"converged,true,false,true\n")
+
+
 def test_fom_outputs_round_trip(small_out):
     out = small_out["out"]
     cfg = small_out["cfg"]
@@ -439,6 +500,28 @@ def test_load_trained_round_trip(small_out):
 def test_load_trained_requires_files(small_out, tmp_path):
     with pytest.raises(ConfigurationError, match="run training first"):
         load_trained(small_out["cfg"], str(tmp_path))
+
+
+def test_load_trained_rejects_operators_of_another_problem(tmp_path):
+    out = str(tmp_path)
+    cmd_train(small_cfg(), out_dir=out)
+    assert sorted(load_trained(small_cfg(), out)) == [0, 1, 2]
+    with pytest.raises(ConfigurationError,
+                       match=r"subdomain 1: .*epsilon trained 0\.01, "
+                             r"now 0\.02.*retrain"):
+        load_trained(small_cfg(epsilon=0.02), out)
+    with pytest.raises(ConfigurationError,
+                       match=r"forcing trained corner_source, now zero"):
+        load_trained(small_cfg(forcing=None), out)
+    # Files written before fingerprints existed are not reused either.
+    meta = os.path.join(out, "sub2_meta.txt")
+    lines = open(meta).read().splitlines()
+    with open(meta, "w") as handle:
+        handle.write("\n".join(l for l in lines
+                               if not l.startswith("fingerprint")) + "\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"subdomain 2: .*no training fingerprint"):
+        load_trained(small_cfg(), out)
 
 
 def test_compare_is_deterministic(small_out):
@@ -602,6 +685,19 @@ def test_cli_train_then_hybrid(cli_cfg, tmp_path, capsys):
                      "--out", out_dir]) == 0
     assert "hybrid coupled run" in capsys.readouterr().out
     assert os.path.exists(os.path.join(out_dir, "hybrid_field_t0.5.csv"))
+
+
+def test_cli_hybrid_refuses_operators_trained_for_another_epsilon(
+        cli_cfg, tmp_path, capsys):
+    out_dir = str(tmp_path)
+    assert cli.main(["train", "--config", cli_cfg, "--out", out_dir]) == 0
+    other = write_cfg(tmp_path, SMALL_CFG_TEXT + "problem.epsilon = 0.02\n",
+                      name="other.cfg")
+    capsys.readouterr()
+    assert cli.main(["run-hybrid", "--config", other, "--out", out_dir]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "retrain" in err
+    assert not os.path.exists(os.path.join(out_dir, "hybrid_field_t0.5.csv"))
 
 
 def test_cli_mono_with_grid_override(cli_cfg, tmp_path, capsys):
