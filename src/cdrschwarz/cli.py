@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages; all accept ``--config`` (defaults
 apply when omitted), ``--out`` (overrides ``output.dir``), ``--seed``
 (reserved; every stage is deterministic), and ``--lambda-grid`` (overrides
 the monolithic regularization grid). Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (divergence or singular factorization).
+error, 3 numerical failure (divergence, singular factorization, or a coupled
+run with a window that did not converge; its outputs are still written).
 """
 
 import argparse
@@ -71,11 +72,35 @@ def _parse_grid(text):
     return grid
 
 
+#: Coupled models of the comparison report; an unconverged one exits 3.
+_COUPLED_MODELS = ("all-fe-dd", "hybrid-dd")
+
+
 def _iteration_summary(run):
+    counts = np.bincount(np.minimum(run.iterations, 5), minlength=6)[1:]
     return (f"windows {run.iterations.shape[0]}, iterations "
             f"mean {float(np.mean(run.iterations)):.2f} / "
-            f"max {int(np.max(run.iterations))}, "
+            f"max {int(np.max(run.iterations))}, windows by sweeps "
+            f"1/2/3/4/5+: {'/'.join(str(c) for c in counts)}, "
             f"{'all converged' if run.converged else 'NOT ALL CONVERGED'}")
+
+
+def _numerical_failure(message):
+    print(f"numerical failure: {message}", file=sys.stderr)
+    return 3
+
+
+def _coupled_exit_code(run):
+    """0, or 3 after naming the first unconverged window of ``run``."""
+    if run.converged:
+        return 0
+    w = int(np.flatnonzero(~run.window_converged)[0])
+    config = run.config
+    t_end = config.t_begin + (w + 1) * config.window_dt
+    return _numerical_failure(
+        f"coupled window {w + 1} of {run.iterations.shape[0]} (ending at "
+        f"t={t_end:g}) did not converge within max_iters = "
+        f"{config.max_iters}")
 
 
 def _dispatch(args):
@@ -91,12 +116,14 @@ def _dispatch(args):
         run = driver.cmd_run_schwarz(cfg, out_dir=out_dir)
         print(f"all-FE coupled run: {_iteration_summary(run)}, solve "
               f"{run.timings['solve_seconds']:.3f}s, outputs in {out_dir}")
+        return _coupled_exit_code(run)
     elif args.command == "train":
         result = driver.cmd_train(cfg, out_dir=out_dir)
         for i, item in sorted(result.trained.items()):
             print(f"subdomain {i + 1}: r={item.basis.r}, "
                   f"lambda={item.lam:g}, retained energy "
-                  f"{item.energy:.12f}")
+                  f"{item.energy:.12f}, max Re eig(Khat) "
+                  f"{item.max_re_eig_khat:.6g}")
         print(f"training data run {result.timings['data_run_seconds']:.3f}s, "
               f"fitting {result.timings['train_seconds']:.3f}s, "
               f"operators in {out_dir}")
@@ -104,6 +131,7 @@ def _dispatch(args):
         run = driver.cmd_run_hybrid(cfg, out_dir=out_dir)
         print(f"hybrid coupled run: {_iteration_summary(run)}, solve "
               f"{run.timings['solve_seconds']:.3f}s, outputs in {out_dir}")
+        return _coupled_exit_code(run)
     elif args.command == "run-mono-opinf":
         result = driver.cmd_run_mono_opinf(cfg, out_dir=out_dir,
                                            lambda_grid=grid)
@@ -116,6 +144,12 @@ def _dispatch(args):
         report = driver.cmd_compare(cfg, out_dir=out_dir, lambda_grid=grid)
         print(report.to_text())
         print(f"report written to {out_dir}")
+        stalled = [m.name for m in report.models
+                   if m.name in _COUPLED_MODELS and not m.converged]
+        if stalled:
+            return _numerical_failure(
+                f"coupled model(s) {', '.join(stalled)} did not converge "
+                f"in every window")
     return 0
 
 
@@ -127,8 +161,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, FactorizationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _numerical_failure(exc)
 
 
 if __name__ == "__main__":

@@ -234,6 +234,11 @@ class TrainedSubdomain:
     lam: float
     energy: float
 
+    @property
+    def max_re_eig_khat(self):
+        """Spectral abscissa of ``Khat``; negative for a stable model."""
+        return float(np.max(np.linalg.eigvals(self.ops.Khat).real))
+
 
 @dataclass
 class TrainingResult:
@@ -349,6 +354,7 @@ def cmd_train(cfg, out_dir=None):
                 os.path.join(out_dir, f"{tag}_meta.txt"),
                 {"r": item.basis.r, "lambda": item.lam,
                  "retained_energy": item.energy,
+                 "max_re_eig_khat": item.max_re_eig_khat,
                  "snapshot_frobenius_sq": float(np.sum(item.basis.svals ** 2)),
                  "fingerprint": ";".join(
                      f"{k}={v}" for k, v in

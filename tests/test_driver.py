@@ -758,3 +758,72 @@ decomposition.overlap = 0.5
                      "--out", str(tmp_path / "out")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+CAPPED_CFG_TEXT = """
+problem.t_end = 0.1
+problem.dt = 0.01
+mesh.nx = 10
+mesh.ny = 10
+decomposition.overlap = 0.2
+schwarz.max_iters = 1
+training.t_end = 0.1
+training.r = 4
+mono.r = 4
+"""
+
+
+@pytest.mark.parametrize("command, label, prefix", [
+    ("run-schwarz", "all-FE coupled run", "schwarz"),
+    ("run-hybrid", "hybrid coupled run", "hybrid"),
+])
+def test_cli_unconverged_coupled_run_exits_3(tmp_path, capsys, command,
+                                             label, prefix):
+    cfg = write_cfg(tmp_path, CAPPED_CFG_TEXT)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    # The summary and the outputs come first, as for a converged run.
+    assert label in captured.out and "NOT ALL CONVERGED" in captured.out
+    assert "windows by sweeps 1/2/3/4/5+: 10/0/0/0/0" in captured.out
+    assert (out / f"{prefix}_field_t0.1.csv").exists()
+    assert ("numerical failure: coupled window 1 of 10 (ending at t=0.01) "
+            "did not converge within max_iters = 1") in captured.err
+
+
+def test_cli_compare_names_unconverged_coupled_models(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CAPPED_CFG_TEXT)
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "all-fe-dd" in captured.out
+    assert (out / "comparison.csv").exists()
+    assert ("numerical failure: coupled model(s) all-fe-dd, hybrid-dd did "
+            "not converge") in captured.err
+    assert "mono-opinf" not in captured.err
+
+
+def test_iteration_summary_counts_windows_by_sweeps():
+    class Run:
+        iterations = np.array([1, 2, 2, 5, 9, 3, 1])
+        converged = True
+
+    text = cli._iteration_summary(Run())
+    assert "windows 7" in text and "max 9" in text
+    assert "windows by sweeps 1/2/3/4/5+: 2/2/1/0/2" in text
+    assert text.endswith("all converged")
+
+
+def test_train_meta_records_khat_stability(tmp_path):
+    out = str(tmp_path)
+    result = cmd_train(small_cfg(), out_dir=out)
+    for i, item in result.trained.items():
+        tag = f"sub{i + 1}"
+        khat = matio.load_matrix(os.path.join(out, f"{tag}_khat.bin"))
+        meta = matio.load_meta(os.path.join(out, f"{tag}_meta.txt"))
+        value = float(meta["max_re_eig_khat"])
+        assert value == float(np.max(np.linalg.eigvals(khat).real))
+        assert value == item.max_re_eig_khat
+        assert value < 0.0
+    # The new key is not part of the fingerprint check.
+    assert sorted(load_trained(small_cfg(), out)) == [0, 1, 2]

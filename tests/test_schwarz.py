@@ -8,7 +8,8 @@ from cdrschwarz import kernels
 from cdrschwarz.errors import ConfigurationError, DivergenceError
 from cdrschwarz.fem import CdrParams, assemble
 from cdrschwarz.mesh import Rect, build_mesh
-from cdrschwarz.schwarz import (FESubdomainSolver, GatherPlan,
+from cdrschwarz.schwarz import (PREDICTOR_DEPTH, FESubdomainSolver,
+                                GatherPlan, LateRowHistory,
                                 RomSubdomainSolver, SchwarzConfig, StitchPlan,
                                 SubdomainSpec, build_interfaces, run_coupled,
                                 schwarz_window, stitch)
@@ -474,6 +475,111 @@ def test_coupled_max_iters_one_reports_unconverged():
     run = run_coupled(config, fe_factory(cfg.params()))
     assert not run.converged
     assert not run.window_converged.all()
+
+
+def three_strip_specs(h=0.05):
+    """Three vertical strips; the middle one has donors 0 (left) and 2."""
+    ny = round(1.0 / h)
+    return tuple(SubdomainSpec(Rect(x0, x1, 0.0, 1.0), round((x1 - x0) / h),
+                               ny)
+                 for x0, x1 in ((0.0, 0.4), (0.3, 0.7), (0.6, 1.0)))
+
+
+@pytest.mark.parametrize("degree", range(PREDICTOR_DEPTH + 1))
+def test_late_row_history_extrapolates_polynomials_exactly(degree):
+    # Late rows whose window-start values are a polynomial of the window
+    # index are predicted exactly one window ahead once the history holds
+    # at least `degree` earlier anchors; earlier-donor rows are untouched.
+    config = SchwarzConfig(subdomains=three_strip_specs(h=0.1), dt=0.1,
+                           t_end=1.0)
+    table = build_interfaces(config)
+    history = LateRowHistory(table)
+    rng = np.random.default_rng(degree)
+    coeffs = [rng.standard_normal((degree + 1, e.n_gamma))
+              for e in table.entries]
+
+    def data(i, w):
+        return sum(c * float(w) ** d for d, c in enumerate(coeffs[i]))
+
+    for w in range(PREDICTOR_DEPTH + 3):
+        for i, entry in enumerate(table.entries):
+            gathered = data(i, w)
+            out = history.predict(i, gathered.copy())
+            late = entry.donors > i
+            np.testing.assert_array_equal(out[~late], gathered[~late])
+            if w == 0:
+                # An empty history hands the gather back untouched.
+                np.testing.assert_array_equal(out, gathered)
+            elif min(w, PREDICTOR_DEPTH) >= degree:
+                expect = data(i, w + 1)
+                np.testing.assert_allclose(
+                    out[late], expect[late], rtol=0,
+                    atol=1e-12 * np.max(np.abs(expect)))
+
+
+def test_predictor_cuts_sweeps_and_keeps_window_zero():
+    cfg = small_cfg()
+    config = cfg.schwarz_config(force_model="fe")
+    run = run_coupled(config, fe_factory(cfg.params()))
+
+    # The same march without a history: every first sweep feeds late rows
+    # their window-start values.
+    factory = fe_factory(cfg.params())
+    table = build_interfaces(config)
+    solvers = [factory(spec, table.meshes[i], table.entries[i], config)
+               for i, spec in enumerate(config.subdomains)]
+    plan = GatherPlan(table)
+    for i, s in enumerate(solvers):
+        s.set_interface_values(plan.gather(i, solvers))
+    lagged = []
+    for w in range(config.n_windows):
+        t_w = w * config.window_dt
+        iters, ok = schwarz_window(solvers, table, t_w,
+                                   t_w + config.window_dt, config.tol,
+                                   config.max_iters, plan)
+        assert ok
+        lagged.append(iters)
+        if w == 0:
+            window_zero = [s.last_states.copy() for s in solvers]
+
+    assert run.converged
+    assert run.iterations[0] == lagged[0]
+    for traj, states in zip(run.trajectories, window_zero):
+        np.testing.assert_array_equal(traj.states[:, 1:2], states)
+    assert int(run.iterations.sum()) < sum(lagged)
+
+
+def test_rows_from_earlier_donors_are_never_extrapolated():
+    config = SchwarzConfig(subdomains=three_strip_specs(), dt=0.01,
+                           t_end=0.08)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0), forcing=1.0)
+    table = build_interfaces(config)
+    donors = table.entries[1].donors
+    assert set(donors.tolist()) == {0, 2}
+    solvers = make_fe_solvers(config, params, table)
+    imposed = []
+    impose = solvers[1].set_interface_values
+
+    def recording_impose(values):
+        imposed.append(np.array(values))
+        impose(values)
+
+    solvers[1].set_interface_values = recording_impose
+    plan = RecordingPlan(table)
+    history = LateRowHistory(table)
+    for w in range(config.n_windows):
+        plan.log.clear()
+        imposed.clear()
+        t_w = w * config.dt
+        iters, ok = schwarz_window(solvers, table, t_w, t_w + config.dt,
+                                   config.tol, config.max_iters, plan,
+                                   history)
+        assert ok and iters >= 2
+        gathered = next(v for (i, v) in plan.log if i == 1)
+        np.testing.assert_array_equal(imposed[0][donors == 0],
+                                      gathered[donors == 0])
+        if w > 0:
+            assert np.any(imposed[0][donors == 2] != gathered[donors == 2])
 
 
 def test_rom_solver_validates_shapes():
