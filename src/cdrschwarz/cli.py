@@ -75,6 +75,9 @@ def _parse_grid(text):
 #: Coupled models of the comparison report; an unconverged one exits 3.
 _COUPLED_MODELS = ("all-fe-dd", "hybrid-dd")
 
+#: Message prefix naming the all-FE run whose snapshots train the operators.
+_TRAINING_RUN = "training data run: "
+
 
 def _iteration_summary(run):
     counts = np.bincount(np.minimum(run.iterations, 5), minlength=6)[1:]
@@ -90,7 +93,7 @@ def _numerical_failure(message):
     return 3
 
 
-def _coupled_exit_code(run):
+def _coupled_exit_code(run, prefix=""):
     """0, or 3 after naming the first unconverged window of ``run``."""
     if run.converged:
         return 0
@@ -98,8 +101,8 @@ def _coupled_exit_code(run):
     config = run.config
     t_end = config.t_begin + (w + 1) * config.window_dt
     return _numerical_failure(
-        f"coupled window {w + 1} of {run.iterations.shape[0]} (ending at "
-        f"t={t_end:g}) did not converge within max_iters = "
+        f"{prefix}coupled window {w + 1} of {run.iterations.shape[0]} "
+        f"(ending at t={t_end:g}) did not converge within max_iters = "
         f"{config.max_iters}")
 
 
@@ -120,18 +123,26 @@ def _dispatch(args):
     elif args.command == "train":
         result = driver.cmd_train(cfg, out_dir=out_dir)
         for i, item in sorted(result.trained.items()):
+            fit = item.ops.fit
             print(f"subdomain {i + 1}: r={item.basis.r}, "
                   f"lambda={item.lam:g}, retained energy "
                   f"{item.energy:.12f}, max Re eig(Khat) "
-                  f"{item.max_re_eig_khat:.6g}")
+                  f"{item.max_re_eig_khat:.6g}, D {fit.data_shape[0]}x"
+                  f"{fit.data_shape[1]} of rank {fit.rank}, smallest kept "
+                  f"singular value {fit.min_kept_over_cutoff:.3g}x the "
+                  f"cutoff, fit residual {fit.residual:.3g}")
         print(f"training data run {result.timings['data_run_seconds']:.3f}s, "
               f"fitting {result.timings['train_seconds']:.3f}s, "
               f"operators in {out_dir}")
+        return _coupled_exit_code(result.run, _TRAINING_RUN)
     elif args.command == "run-hybrid":
-        run = driver.cmd_run_hybrid(cfg, out_dir=out_dir)
+        trained, training = driver.hybrid_operators(cfg, out_dir)
+        run = driver.cmd_run_hybrid(cfg, out_dir=out_dir, trained=trained)
         print(f"hybrid coupled run: {_iteration_summary(run)}, solve "
               f"{run.timings['solve_seconds']:.3f}s, outputs in {out_dir}")
-        return _coupled_exit_code(run)
+        code = 0 if training is None else _coupled_exit_code(training.run,
+                                                            _TRAINING_RUN)
+        return max(code, _coupled_exit_code(run))
     elif args.command == "run-mono-opinf":
         result = driver.cmd_run_mono_opinf(cfg, out_dir=out_dir,
                                            lambda_grid=grid)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .errors import ConfigurationError
-from .fem import CdrParams
+from .fem import CdrParams, time_independent
 from .mesh import Rect
 from .schwarz import SchwarzConfig, SubdomainSpec
 from .timestep import n_steps_for
@@ -52,6 +52,7 @@ _SUBDOMAIN_KEY = re.compile(
     r"^subdomain\.(\d+)\.(rect|nx|ny|model|r|lambda)$")
 
 
+@time_independent
 def corner_source(x, y, t):
     """Forcing profile f(x, y) = x*y, strongest at the outflow corner."""
     return x * y

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, DivergenceError
 from .fem import assemble, boundary_values
 from .mesh import build_mesh
 from .rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
-                  reconstruct, train_opinf)
+                  train_opinf)
 from .schwarz import (FESubdomainSolver, RomSubdomainSolver, RunResult,
                       StitchPlan, run_coupled)
 from .timestep import Trajectory, factorize, integrate, n_steps_for
@@ -63,8 +63,12 @@ def error_metric_detail(model, reference):
     if t_m is not None and t_r is not None:
         if t_m.shape != t_r.shape or np.max(np.abs(t_m - t_r)) > 1e-9:
             raise ConfigurationError("trajectory time grids differ")
-    diff = np.linalg.norm(u_m - u_r, axis=0)
-    ref = np.linalg.norm(u_r, axis=0)
+    return _mean_relative(np.linalg.norm(u_m - u_r, axis=0),
+                          np.linalg.norm(u_r, axis=0))
+
+
+def _mean_relative(diff, ref):
+    """:func:`error_metric_detail` from per-time error and reference norms."""
     include = ref >= ZERO_NORM_FLOOR
     n_skipped = int(np.count_nonzero(~include))
     if not include.any():
@@ -296,6 +300,14 @@ def _check_fingerprint(index, meta_path, stored, current):
             f"current config")
 
 
+def _fit_meta(fit):
+    """Meta entries of a fit's :class:`~cdrschwarz.rom.FitDiagnostics`."""
+    return {"fit_data_shape": "x".join(str(n) for n in fit.data_shape),
+            "fit_rank": fit.rank,
+            "fit_min_kept_sval_over_cutoff": fit.min_kept_over_cutoff,
+            "fit_residual": fit.residual}
+
+
 def _retained_energy(svals, r):
     total = float(np.sum(svals ** 2))
     if total == 0.0:
@@ -355,6 +367,7 @@ def cmd_train(cfg, out_dir=None):
                 {"r": item.basis.r, "lambda": item.lam,
                  "retained_energy": item.energy,
                  "max_re_eig_khat": item.max_re_eig_khat,
+                 **_fit_meta(item.ops.fit),
                  "snapshot_frobenius_sq": float(np.sum(item.basis.svals ** 2)),
                  "fingerprint": ";".join(
                      f"{k}={v}" for k, v in
@@ -402,21 +415,30 @@ def load_trained(cfg, out_dir):
 # Hybrid run
 # ---------------------------------------------------------------------------
 
-def cmd_run_hybrid(cfg, out_dir=None, trained=None):
-    """Coupled run with the configured FE/reduced model assignment."""
+def hybrid_operators(cfg, out_dir=None):
+    """``(trained, training)``: the operators a hybrid run needs.
+
+    They are loaded from ``out_dir`` when every reduced subdomain has them
+    there (``training`` is then None), and trained otherwise.
+    """
+    specs = cfg.subdomain_specs()
+    if not any(s.model == "rom" for s in specs):
+        return {}, None
+    if out_dir is not None and all(
+            os.path.exists(os.path.join(out_dir, f"sub{i + 1}_khat.bin"))
+            for i, s in enumerate(specs) if s.model == "rom"):
+        return load_trained(cfg, out_dir), None
+    training = cmd_train(cfg, out_dir)
+    return training.trained, training
+
+
+def cmd_run_hybrid(cfg, out_dir=None, *, trained):
+    """Coupled run with the configured FE/reduced model assignment.
+
+    ``trained`` maps each reduced subdomain to its operators, as from
+    :func:`hybrid_operators`, whose training run the caller judges.
+    """
     params = cfg.params()
-    if trained is None:
-        specs = cfg.subdomain_specs()
-        needs = any(s.model == "rom" for s in specs)
-        if needs:
-            if out_dir is not None and all(
-                    os.path.exists(os.path.join(out_dir, f"sub{i + 1}_khat.bin"))
-                    for i, s in enumerate(specs) if s.model == "rom"):
-                trained = load_trained(cfg, out_dir)
-            else:
-                trained = cmd_train(cfg, out_dir).trained
-        else:
-            trained = {}
     run = run_coupled(cfg.schwarz_config(), hybrid_factory(params, trained))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -442,20 +464,48 @@ class MonoOpinfResult:
     timings: dict
 
 
-def _mono_reprojection_error(basis, ops, cfg, train_states, train_traces):
-    """Training-window error of a candidate monolithic reduced model."""
-    stepper = RomStepper(ops, cfg.dt)
-    n_t = train_states.shape[1]
-    vhat = basis.Psi.T @ train_states[:, 0]
-    lifted = np.empty((basis.n, n_t))
-    lifted[:, 0] = reconstruct(basis, vhat)
-    for j in range(1, n_t):
-        vhat = stepper.step(vhat, train_traces[:, j])
-        if not np.all(np.isfinite(vhat)):
+@dataclass(frozen=True)
+class _TrainingProjection:
+    """What every candidate's training-window error needs of the snapshots
+    ``S``: ``coords = Psi^T S``, the squared norms of ``S - Psi Psi^T S``
+    and of ``S`` per time, and the boundary traces."""
+
+    coords: np.ndarray
+    residual_sq: np.ndarray
+    norms: np.ndarray
+    traces: np.ndarray
+
+    @classmethod
+    def of(cls, basis, states, traces):
+        coords = basis.Psi.T @ states
+        residual = states - basis.Psi @ coords
+        return cls(coords=coords, residual_sq=np.sum(residual ** 2, axis=0),
+                   norms=np.linalg.norm(states, axis=0), traces=traces)
+
+
+def _mono_reprojection_error(ops, dt, projection):
+    """Training-window error of a candidate monolithic reduced model.
+
+    The candidate steps in reduced coordinates with its implicit-Euler
+    propagators and is never lifted: with orthonormal ``Psi``, ``|Psi v -
+    s|^2 = |v - Psi^T s|^2 + |s - Psi Psi^T s|^2``, and the last term does
+    not depend on the candidate. Equals :func:`error_metric_detail` of the
+    lifted trajectory against the snapshots up to rounding; a non-finite
+    trajectory scores ``inf``.
+    """
+    P, Q, q = RomStepper(ops, dt).propagators()
+    coords = projection.coords
+    drive = (Q @ projection.traces[:, 1:] + q[:, None]).T
+    vhat = np.empty((coords.shape[1], coords.shape[0]))
+    vhat[0] = coords[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, vhat.shape[0]):
+            vhat[j] = P @ vhat[j - 1] + drive[j - 1]
+        if not np.isfinite(vhat).all():
             return np.inf
-        lifted[:, j] = reconstruct(basis, vhat)
-    value, _, _ = error_metric_detail(lifted, train_states)
-    return value
+        diff = np.sqrt(np.sum((vhat.T - coords) ** 2, axis=0)
+                       + projection.residual_sq)
+    return _mean_relative(diff, projection.norms)[0]
 
 
 def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
@@ -486,11 +536,11 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
         grid = DEFAULT_LAMBDA_GRID
     grid_errors = np.empty(len(grid))
     candidates = []
+    projection = _TrainingProjection.of(basis, train_states, train_traces)
     for k, lam in enumerate(grid):
         ops = train_opinf(basis, train_states, train_traces, cfg.dt, lam)
         candidates.append(ops)
-        grid_errors[k] = _mono_reprojection_error(basis, ops, cfg,
-                                                  train_states, train_traces)
+        grid_errors[k] = _mono_reprojection_error(ops, cfg.dt, projection)
     best = int(np.argmin(grid_errors))
     ops = candidates[best]
     lam = grid[best]

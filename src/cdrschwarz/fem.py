@@ -25,12 +25,20 @@ _GP = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 _GW = (0.5, 0.5)
 
 
+def time_independent(profile):
+    """Mark a forcing profile ``(x, y, t) -> values`` that ignores ``t``, so
+    its load vector is assembled once instead of at every step time."""
+    profile.time_independent = True
+    return profile
+
+
 @dataclass(frozen=True)
 class CdrParams:
     """Physical coefficients and data of the scalar CDR equation.
 
     ``forcing`` and ``dirichlet`` may each be ``None`` (zero), a scalar, or
-    a vectorized callable ``(x, y, t) -> values``.
+    a vectorized callable ``(x, y, t) -> values``. A forcing callable marked
+    by :func:`time_independent` is evaluated once, not at every step time.
     """
 
     eps: float
@@ -186,6 +194,9 @@ def _forcing_closure(mesh, params, interior_map):
                              mesh.n_nodes)
         return full[interior_map]
 
+    if getattr(forcing, "time_independent", False):
+        const = load(0.0)
+        return lambda t: const
     return load
 
 

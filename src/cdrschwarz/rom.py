@@ -10,7 +10,8 @@ regression on projected snapshot data; the constant ``fhat`` absorbs the
 (uncentered) snapshot offset and any constant forcing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -76,17 +77,38 @@ def time_derivatives(Y, dt):
 
 
 @dataclass(frozen=True)
+class FitDiagnostics:
+    """How well posed an operator-inference fit was, read from its solve.
+
+    ``data_shape`` is the shape of ``D = [Y^T G^T 1]``; ``rank`` its
+    numerical rank at ``LSTSQ_RCOND`` (of ``D`` with its ridge rows when
+    ``lam > 0``); ``min_kept_over_cutoff`` the smallest singular value the
+    solve kept divided by the cutoff ``LSTSQ_RCOND * s_max``, so values
+    near 1 mean the rank hinges on rounding; ``residual`` the relative
+    fit residual ``|D O - Ydot^T|_F / |Ydot^T|_F`` over the data rows.
+    """
+
+    data_shape: tuple
+    rank: int
+    min_kept_over_cutoff: float
+    residual: float
+
+
+@dataclass(frozen=True)
 class OpInfOperators:
     """Inferred reduced operators ``(Khat, Bhat, fhat)``.
 
     ``lam`` records the regularization weight the operators were fit
-    with; it does not affect how they integrate.
+    with; it does not affect how they integrate. ``fit`` holds the
+    :class:`FitDiagnostics` of a fit made in this process (None for
+    operators loaded or built otherwise).
     """
 
     Khat: np.ndarray
     Bhat: np.ndarray
     fhat: np.ndarray
     lam: float = 0.0
+    fit: Optional[FitDiagnostics] = field(default=None, compare=False)
 
     def __post_init__(self):
         r = self.Khat.shape[0]
@@ -140,12 +162,21 @@ def fit_operators(Y, Ydot, G, lam=0.0):
     m = G.shape[0]
     data = np.hstack([Y.T, G.T, np.ones((n_t, 1))])
     target = Ydot.T
+    fit_data, fit_target = data, target
     if lam > 0.0:
         data = np.vstack([data, lam * np.eye(r + m + 1)])
         target = np.vstack([target, np.zeros((r + m + 1, r))])
-    ops, *_ = np.linalg.lstsq(data, target, rcond=LSTSQ_RCOND)
+    ops, _, rank, svals = np.linalg.lstsq(data, target, rcond=LSTSQ_RCOND)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = FitDiagnostics(
+            data_shape=fit_data.shape, rank=int(rank),
+            min_kept_over_cutoff=float(
+                svals[rank - 1] / (LSTSQ_RCOND * svals[0]) if rank > 0
+                else np.nan),
+            residual=float(np.linalg.norm(fit_data @ ops - fit_target)
+                           / np.linalg.norm(fit_target)))
     return OpInfOperators(Khat=ops[:r].T.copy(), Bhat=ops[r:r + m].T.copy(),
-                          fhat=ops[r + m].copy(), lam=float(lam))
+                          fhat=ops[r + m].copy(), lam=float(lam), fit=fit)
 
 
 def train_opinf(basis, states, traces, dt, lam=0.0):
@@ -209,15 +240,18 @@ class RomStepper:
         """Explicit form ``(P, Q, q)`` of one step: ``P vhat + Q g + q``.
 
         ``P = (I - dt Khat)^-1``, ``Q = dt P Bhat`` and ``q = dt P fhat``
-        come from the factorization :meth:`step` solves with, so a caller
-        taking many steps trades each solve for small matvecs; results agree
-        with :meth:`step` to rounding.
+        come from one solve, so a caller taking many steps trades each solve
+        for small matvecs; results agree with :meth:`step` to rounding. The
+        solve is numpy's, like the least-squares fits: scipy's LAPACK runs
+        on a second OpenBLAS thread pool, and a multi-column solve there
+        between two fits left its threads competing with the next fit's,
+        which then took about twice as long.
         """
         ops = self.ops
-        solve = lambda rhs: scipy.linalg.lu_solve(self._lu, rhs,
-                                                  check_finite=False)
-        return (solve(np.eye(ops.r)), solve(self.dt * ops.Bhat),
-                solve(self.dt * ops.fhat))
+        P = np.linalg.solve(np.eye(ops.r) - self.dt * ops.Khat,
+                            np.hstack([np.eye(ops.r), self.dt * ops.Bhat,
+                                       self.dt * ops.fhat[:, None]]))
+        return P[:, :ops.r], P[:, ops.r:-1], P[:, -1]
 
 
 def rom_step(ops, vhat, g, dt):

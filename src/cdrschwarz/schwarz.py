@@ -12,8 +12,19 @@ that donor's freshly advanced state; a row whose donor comes later (a
 each late row the polynomial extrapolation of its values at the last few
 window starts.
 
-Solvers are duck-typed, so tests can instrument the sweep. The coupled
-loop uses this protocol:
+A maximal run of consecutive reduced subdomains in the sweep is advanced
+as one :class:`ReducedBlock`: its visits are affine maps of the window-start
+states and Gamma values, which forward substitution composes, once per run,
+into one dense map per sweep, sized by the run's reduced ranks and Gamma
+rows but not by the substeps per window. The loop's bookkeeping is per
+window and per sweep, not per visit: a reduced state is snapshot by
+reference, finiteness and convergence are checked once per sweep on the
+concatenated values, and the block replays and records the substep
+``last_states``/``last_traces`` after the final sweep only.
+
+Solvers are duck-typed, so tests can instrument the sweep. Finite element
+and other non-reduced solvers are visited one at a time through this
+protocol:
 
 - ``state``: the solver's own coordinates, interior nodal values for a
   finite element solver and reduced coordinates ``vhat`` for a reduced one;
@@ -30,19 +41,28 @@ loop uses this protocol:
 - ``sampler(matrix)``: a zero-argument callable returning ``matrix @
   full_field()`` from ``state`` and the trace; :class:`GatherPlan` builds
   one per (receiver, donor) pair, so a reduced donor is sampled without
-  lifting its state.
+  lifting its state (a receiver's finite element donors share one joint
+  product, bitwise equal to theirs).
 - ``lift(states)``: interior nodal values of ``state`` columns.
   :func:`run_coupled` records ``state`` columns and lifts each history
   once, after the last window; ``full_field()`` and ``interior_values()``
   lift on demand for callers outside the sweep.
+
+A :class:`RomSubdomainSolver` in a block is never visited on its own: the
+block reads its propagators and ``sampling_operators`` to compose the map,
+and leaves ``state``, the trace and, after the final sweep,
+``last_states``/``last_traces`` on it. Its own ``advance_window`` stays for
+callers outside the sweep.
 """
 
 import math
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Optional
 
 import numpy as np
+from scipy.sparse import vstack
 
 from .errors import ConfigurationError, DivergenceError
 from .mesh import BOUNDARY_TOL, Rect, build_mesh
@@ -242,22 +262,66 @@ class GatherPlan:
                 idx = np.flatnonzero(entry.donors == j)
                 matrix = table.meshes[j].interpolation_matrix(
                     entry.gamma_points[idx])
-                # [donor index, Gamma rows, matrix, bound solver, sampler]
-                groups.append([j, idx, matrix, None, None])
-            self._slots.append((entry.n_gamma, groups))
+                groups.append((j, idx, matrix))
+            # [Gamma count, groups, (bound donors, samplers) or None]
+            self._slots.append([entry.n_gamma, groups, None])
+        counts = np.array([e.n_gamma for e in table.entries], dtype=np.int64)
+        #: Receiver ``i``'s rows in a sweep's concatenated Gamma values are
+        #: ``offsets[i]:offsets[i + 1]``; ``starts`` are the nonempty ones.
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.starts = self.offsets[:-1][counts > 0]
+        self._units = None
+
+    def groups(self, i):
+        """``(donor, Gamma rows, sampling matrix)`` of receiver ``i``."""
+        return self._slots[i][1]
+
+    def units(self, solvers):
+        """The sweep in order: subdomain indices visited one at a time and a
+        :class:`ReducedBlock` per maximal run of reduced subdomains.
+
+        Built, and each block composed, once per set of solvers.
+        """
+        if self._units is not None:
+            bound, units = self._units
+            if len(bound) == len(solvers) and all(
+                    a is b for a, b in zip(bound, solvers)):
+                return units
+        units = []
+        for reduced, run in groupby(
+                range(len(solvers)),
+                key=lambda i: isinstance(solvers[i], RomSubdomainSolver)):
+            if reduced:
+                units.append(ReducedBlock(list(run), solvers, self))
+            else:
+                units.extend(run)
+        self._units = (tuple(solvers), units)
+        return units
 
     def gather(self, i, solvers):
         """Gamma values for receiver ``i`` from the donors' current states."""
-        n_gamma, groups = self._slots[i]
-        vals = np.empty(n_gamma)
-        for group in groups:
-            j, idx, matrix, bound, sampler = group
-            donor = solvers[j]
-            if donor is not bound:
-                sampler = donor.sampler(matrix)
-                group[3], group[4] = donor, sampler
-            vals[idx] = sampler()
+        slot = self._slots[i]
+        bound = slot[2]
+        if bound is None or not all(solvers[j] is d for j, d in bound[0]):
+            bound = slot[2] = self._bind(slot[1], solvers)
+        vals = np.empty(slot[0])
+        for sample, idx in bound[1]:
+            vals[idx] = sample()
         return vals
+
+    @staticmethod
+    def _bind(groups, solvers):
+        # The finite element donors of a receiver are sampled by one joint
+        # product, any other donor by its own sampler.
+        fe = [(j, idx, matrix) for j, idx, matrix in groups
+              if isinstance(solvers[j], FESubdomainSolver)]
+        samplers = [(solvers[j].sampler(matrix), idx)
+                    for j, idx, matrix in groups
+                    if not isinstance(solvers[j], FESubdomainSolver)]
+        if fe:
+            samplers.append((_fe_sampler([(solvers[j], m) for j, _, m in fe]),
+                             np.concatenate([idx for _, idx, _ in fe])))
+        return [(j, solvers[j]) for j, _, _ in groups], samplers
 
 
 class LateRowHistory:
@@ -275,25 +339,32 @@ class LateRowHistory:
     def __init__(self, table):
         self._late = [np.flatnonzero(e.donors > e.index)
                       for e in table.entries]
-        self._anchors = [np.empty((PREDICTOR_DEPTH + 1, rows.shape[0]))
-                         for rows in self._late]
-        self._stored = [0] * len(self._late)
+        self._counts = [e.n_gamma for e in table.entries]
+        self._slots = {}
 
     def predict(self, i, vals):
         """Store receiver ``i``'s first-sweep gather ``vals`` as the newest
         anchor and overwrite its late rows, in place, with the prediction.
 
+        ``i`` may also be a tuple of consecutive receivers, with ``vals``
+        their Gamma values concatenated; the tuple keeps its own anchors.
         Call once per window. With no earlier anchor ``vals`` is returned
         untouched.
         """
-        rows = self._late[i]
+        key = i if isinstance(i, tuple) else (i,)
+        slot = self._slots.get(key)
+        if slot is None:
+            offsets = np.cumsum([0] + [self._counts[j] for j in key[:-1]])
+            rows = np.concatenate([self._late[j] + o
+                                   for j, o in zip(key, offsets)])
+            slot = [rows, np.empty((PREDICTOR_DEPTH + 1, rows.shape[0])), 0]
+            self._slots[key] = slot
+        rows, anchors, k = slot
         if rows.shape[0] == 0:
             return vals
-        anchors = self._anchors[i]
         anchors[1:] = anchors[:-1]
         anchors[0] = vals[rows]
-        k = self._stored[i]
-        self._stored[i] = min(k + 1, PREDICTOR_DEPTH)
+        slot[2] = min(k + 1, PREDICTOR_DEPTH)
         if k > 0:
             # Summed anchor by anchor, newest first, in numpy rather than
             # by a BLAS product, so the rounding, which training amplifies,
@@ -318,6 +389,36 @@ def _row_slots(matrix):
             "sampling matrix rows must hold equally many entries")
     return (csr.indices.reshape(n_rows, -1).T.astype(np.int64),
             csr.data.reshape(n_rows, -1).T.copy())
+
+
+def _fe_sampler(parts):
+    """Callable sampling finite element solvers: ``parts`` lists ``(solver,
+    matrix)``, and the values of each ``matrix @ full_field()`` are stacked
+    in that order.
+
+    A solver's nodal field is ``[state; g_cur]`` up to a permutation of
+    nodes, so each row (``W_I state + W_B g_cur``) is evaluated on the
+    concatenation of every solver's ``[state; g_cur]``. Row entries are
+    summed in ascending node order, which reproduces the bilinear
+    four-corner gather bitwise, however many solvers share the product.
+    """
+    columns, weights, offset = [], [], 0
+    for s, matrix in parts:
+        n_i = s.interior_map.shape[0]
+        position = np.empty(s.mesh.n_nodes, dtype=np.int64)
+        position[s.interior_map] = offset + np.arange(n_i)
+        position[s.boundary_map] = offset + n_i + np.arange(
+            s.boundary_map.shape[0])
+        c, w = _row_slots(matrix)
+        columns.append(position[c])
+        weights.append(w)
+        offset += s.mesh.n_nodes
+    columns = np.concatenate(columns, axis=1)
+    weights = np.concatenate(weights, axis=1)
+    solvers = [s for s, _ in parts]
+    return lambda: np.add.reduce(weights * np.concatenate(
+        [a for s in solvers for a in (s.state, s.g_cur)]).take(columns),
+        axis=0)
 
 
 def _dirichlet_closure(params, coords):
@@ -357,6 +458,9 @@ class _SubdomainSolverBase:
         self.physical_positions = np.flatnonzero(mask)
         self._physical_trace = _dirichlet_closure(
             params, mesh.coords[self.boundary_map[self.physical_positions]])
+        #: Steady physical data: the physical trace never changes.
+        self._steady = not callable(None if params is None
+                                    else params.dirichlet)
         self.g_cur = np.zeros(n_b)
         self.g_cur[self.physical_positions] = self._physical_trace(t0)
         self.t = float(t0)
@@ -470,24 +574,12 @@ class FESubdomainSolver(_SubdomainSolverBase):
         return states
 
     def sampler(self, matrix):
-        # The nodal field is [state; g_cur] up to a permutation of nodes, so
-        # each row of ``matrix`` (W_I state + W_B g_cur) is evaluated on the
-        # concatenation. Row entries are summed in ascending node order,
-        # which reproduces the bilinear four-corner gather bitwise.
-        n_i = self.interior_map.shape[0]
-        position = np.empty(self.mesh.n_nodes, dtype=np.int64)
-        position[self.interior_map] = np.arange(n_i)
-        position[self.boundary_map] = n_i + np.arange(
-            self.boundary_map.shape[0])
-        columns, weights = _row_slots(matrix)
-        columns = position[columns]
-        return lambda: np.add.reduce(
-            weights * np.concatenate((self.state, self.g_cur)).take(columns),
-            axis=0)
+        return _fe_sampler([(self, matrix)])
 
     def restore_state(self, snap):
         super().restore_state(snap)
-        self._g_committed = self.g_cur.copy()
+        # Only read, as is the snapshot's trace.
+        self._g_committed = snap[1]
 
     def advance_window(self, t_n, t_next):
         """Integrate [t_n, t_next] holding Gamma values fixed.
@@ -502,7 +594,8 @@ class FESubdomainSolver(_SubdomainSolverBase):
         g_prev = self._g_committed
         for j in range(n):
             t_j = t_n + (j + 1) * self.dt
-            self.g_cur[self.physical_positions] = self._physical_trace(t_j)
+            if not self._steady:
+                self.g_cur[self.physical_positions] = self._physical_trace(t_j)
             self.state = self.stepper.step(self.state, self.g_cur, t_j,
                                            g_prev)
             states[:, j] = self.state
@@ -549,17 +642,33 @@ class RomSubdomainSolver(_SubdomainSolverBase):
     def lift(self, states):
         return self.basis.Psi @ states
 
-    def sampler(self, matrix):
-        # W_I Psi is folded once, so a sample costs an (n x r) matvec on
-        # vhat plus the trace part; the state is never lifted.
+    def snapshot_state(self):
+        # By reference: ``state`` arrays are replaced, never written in place.
+        return (self.state, self.g_cur.copy(), self.t)
+
+    def sampling_operators(self, matrix):
+        """``(reduced, cols, weights)`` with ``matrix @ full_field() ==
+        reduced @ state + weights @ g_cur[cols]``.
+
+        ``reduced`` folds ``W_I Psi``; ``cols`` are the boundary positions
+        ``matrix`` touches.
+        """
         matrix = matrix.tocsc()
         reduced = np.asarray(matrix[:, self.interior_map] @ self.basis.Psi)
         boundary = matrix[:, self.boundary_map]
         cols = np.flatnonzero(np.diff(boundary.indptr))
-        if cols.size == 0:
-            return lambda: reduced @ self.state
-        weights = boundary[:, cols].toarray()
-        return lambda: reduced @ self.state + weights @ self.g_cur.take(cols)
+        return reduced, cols, boundary[:, cols].toarray()
+
+    def sampler(self, matrix):
+        # W_I Psi is folded once, and with the trace weights it makes one
+        # dense operator on [vhat; g_cur]: a sample is a single small
+        # product, and the state is never lifted.
+        reduced, cols, weights = self.sampling_operators(matrix)
+        r = reduced.shape[1]
+        operator = np.zeros((reduced.shape[0], r + self.g_cur.shape[0]))
+        operator[:, :r] = reduced
+        operator[:, r + cols] = weights
+        return lambda: operator @ np.concatenate((self.state, self.g_cur))
 
     def _prepare_window(self, t_n, t_next):
         # Everything but the Gamma values is fixed within a window, so the
@@ -599,8 +708,287 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         self._finish_window(t_next, states, traces)
 
 
+class ReducedBlock:
+    """A maximal run of consecutive reduced subdomains, swept as one map.
+
+    Gamma values are held fixed within a window, so a reduced visit takes
+    its window-start state ``vhat_0`` to the window-end state ``P^n vhat_0 +
+    S Q_Gamma gamma + F``, with ``S`` the sum of ``P^k`` over ``k < n`` and
+    ``F`` the sum of ``P^(n-1-l) c(t_l)`` over the substeps. A gather from a
+    reduced donor is affine in its window-end ``vhat`` and trace. A sweep
+    through the run is therefore one block Gauss-Seidel step, which forward
+    substitution composes, once per window length, into two dense maps ``y
+    = M z``: one for a window's first sweep, whose late rows (donor later
+    in the sweep) are inputs that take the :class:`LateRowHistory`
+    prediction, and one for later sweeps, which read late donors from the
+    previous sweep's ``y``. Their size does not grow with the number of
+    substeps ``n``.
+
+    ``y`` stacks every member's window-end state, then the run's Gamma
+    values, so each receiver's convergence measure and predictor anchors
+    are those of a visit-by-visit sweep. ``z`` stacks what is fixed within
+    a window (the members' window-start states, their ``F``, and the
+    physical trace values at the window end that in-run gathers read),
+    then the Gamma rows that are inputs (gathered from donors outside the
+    run, and in the first sweep the late rows), and in later sweeps the
+    entries of the previous ``y`` that late gathers read. The substep
+    states before the window end are replayed once, after the final sweep.
+    """
+
+    def __init__(self, members, solvers, plan):
+        self.members = members
+        self.solvers = [solvers[i] for i in members]
+        self.lo = int(plan.offsets[members[0]])
+        self.hi = int(plan.offsets[members[-1] + 1])
+        #: Member ``m``'s Gamma rows in the run are ``goff[m]:goff[m + 1]``
+        #: and its state rows ``so[m]:so[m + 1]``.
+        self._goff = [int(plan.offsets[i]) - self.lo for i in members]
+        self._goff.append(self.hi - self.lo)
+        self._so = np.concatenate(
+            ([0], np.cumsum([s.state.shape[0] for s in self.solvers])))
+        self._R = int(self._so[-1])
+        #: Member ``m``'s rows in the stacked boundary traces, and the Gamma
+        #: rows among them in the order of the run's Gamma values.
+        self._boff = np.concatenate(
+            ([0], np.cumsum([s.boundary_map.shape[0] for s in self.solvers])))
+        self._trace_gamma = np.concatenate(
+            [b + s.gamma_positions for b, s in zip(self._boff, self.solvers)])
+        self._steady = all(s._steady for s in self.solvers)
+        self._member = {i: m for m, i in enumerate(members)}
+        external, late, self._inrun = {}, {}, []
+        for m, i in enumerate(members):
+            inrun = []
+            for j, idx, matrix in plan.groups(i):
+                rows = (idx + self._goff[m], matrix)
+                if j not in self._member:
+                    external.setdefault(j, []).append(rows)
+                else:
+                    inrun.append((j, idx, matrix))
+                    if j > i:
+                        late.setdefault(j, []).append(rows)
+            self._inrun.append(inrun)
+        self._external = self._samplers(external, solvers)
+        self._late = self._samplers(late, solvers)
+        ext_rows = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                  + [rows for _, rows in self._external])
+        late_rows = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                   + [rows for _, rows in self._late])
+        #: Input Gamma rows of the first and of later sweeps, ascending.
+        self._inputs = (np.union1d(ext_rows, late_rows), np.sort(ext_rows))
+        self._n = None
+
+    @staticmethod
+    def _samplers(groups, solvers):
+        # One sampler per donor over every run row it feeds.
+        return [(solvers[j].sampler(vstack([mat for _, mat in parts],
+                                           format="csr")),
+                 np.concatenate([rows for rows, _ in parts]))
+                for j, parts in sorted(groups.items())]
+
+    def _compose(self, n):
+        R, so, goff = self._R, self._so, self._goff
+        physical = [s.physical_positions for s in self.solvers]
+        hoff = np.concatenate(([0], np.cumsum([p.size for p in physical])))
+        h0 = 2 * R  # after the window-start states and the forcing
+        base = h0 + int(hoff[-1])
+        maps = []
+        for first, inputs in zip((True, False), self._inputs):
+            y0 = base + inputs.size  # previous y, later sweeps only
+            n_z = y0 + (0 if first else R + goff[-1])
+            column = np.full(goff[-1], -1)
+            column[inputs] = base + np.arange(inputs.size)
+            states, gammas = [], []
+            for m, s in enumerate(self.solvers):
+                i = self.members[m]
+                g = np.zeros((goff[m + 1] - goff[m], n_z))
+                own = inputs[(inputs >= goff[m]) & (inputs < goff[m + 1])]
+                g[own - goff[m], column[own]] = 1.0
+                for j, idx, matrix in self._inrun[m]:
+                    late = j > i
+                    if first and late:
+                        continue
+                    d = self._member[j]
+                    donor = self.solvers[d]
+                    reduced, cols, weights = donor.sampling_operators(matrix)
+                    rows = np.zeros((idx.size, n_z))
+                    if late:
+                        rows[:, y0 + so[d]:y0 + so[d + 1]] = reduced
+                    else:
+                        rows += reduced @ states[d]
+                    slot = np.full(donor.boundary_map.shape[0], -1)
+                    slot[donor.gamma_positions] = np.arange(
+                        donor.gamma_positions.size)
+                    trace = np.full(donor.boundary_map.shape[0], -1)
+                    trace[physical[d]] = hoff[d] + np.arange(physical[d].size)
+                    for c, col in enumerate(cols):
+                        q = slot[col]
+                        if q < 0:
+                            rows[:, h0 + trace[col]] += weights[:, c]
+                        elif late:
+                            rows[:, y0 + R + goff[d] + q] += weights[:, c]
+                        else:
+                            rows += np.outer(weights[:, c], gammas[d][q])
+                    g[idx] = rows
+                gammas.append(g)
+                r = so[m + 1] - so[m]
+                power, total = np.eye(r), np.zeros((r, r))
+                for _ in range(n):
+                    total += power
+                    power = s._P @ power
+                state = (total @ s._Q_gamma) @ g
+                state[:, so[m]:so[m + 1]] += power
+                state[:, R + so[m]:R + so[m + 1]] += np.eye(r)
+                states.append(state)
+            maps.append(np.vstack(states + gammas))
+        # Keep only the physical values and previous-y entries read.
+        h_used = np.flatnonzero(np.any(maps[0][:, h0:base] != 0, axis=0)
+                                | np.any(maps[1][:, h0:base] != 0, axis=0))
+        y0 = base + self._inputs[1].size
+        y_used = np.flatnonzero(np.any(maps[1][:, y0:] != 0, axis=0))
+        head = np.concatenate((np.arange(h0), h0 + h_used))
+        self._M = (
+            np.ascontiguousarray(maps[0][:, np.concatenate(
+                (head, np.arange(base, base + self._inputs[0].size)))]),
+            np.ascontiguousarray(maps[1][:, np.concatenate(
+                (head, np.arange(base, y0), y0 + y_used))]))
+        self._y_used = y_used
+        self._h_used = [physical[m][h_used[(h_used >= hoff[m])
+                                           & (h_used < hoff[m + 1])]
+                                    - hoff[m]]
+                        for m in range(len(self.solvers))]
+        self._n = n
+        self._fixed = None
+
+    def start_window(self, t_n, t_next):
+        """Prepare the members' window and the inputs fixed within it."""
+        n = self.solvers[0]._n_substeps(t_n, t_next)
+        if n != self._n:
+            self._compose(n)
+        if self._fixed is None or not self._steady:
+            folded = []
+            for s in self.solvers:
+                if s._window != (t_n, t_next):
+                    s._prepare_window(t_n, t_next)
+                f = s._forcing[:, 0]
+                for k in range(1, n):
+                    f = s._P @ f + s._forcing[:, k]
+                folded.append(f)
+            # Each member's folded forcing, then the physical trace values
+            # at the window end that in-run gathers read; and the members'
+            # substep traces, stacked, for the record.
+            self._fixed = np.concatenate(
+                folded + [s._traces[h, -1] for s, h in zip(self.solvers,
+                                                           self._h_used)])
+            self._traces = np.concatenate([s._traces for s in self.solvers])
+        self._w = np.concatenate([s._window_snapshot[0] for s in self.solvers]
+                                 + [self._fixed])
+        self._t_next = t_next
+
+    def sweep(self, first, gamma, history):
+        """Advance every member once, filling ``gamma``, the run's slice of
+        the sweep's Gamma values, and leaving each member's new ``state``
+        and trace in place for the gathers that follow."""
+        for sample, rows in self._external:
+            gamma[rows] = sample()
+        if first:
+            # Late rows are gathered from the window-start states, as the
+            # predictor's anchors, before any member moves.
+            for sample, rows in self._late:
+                gamma[rows] = sample()
+            if history is not None:
+                history.predict(tuple(self.members), gamma)
+            z = np.concatenate((self._w, gamma.take(self._inputs[0])))
+            self._map = self._M[0]
+        else:
+            z = np.concatenate((self._w, gamma.take(self._inputs[1]),
+                                self._y.take(self._y_used)))
+            self._map = self._M[1]
+        y = self._map @ z
+        self._z, self._y = z, y
+        gamma[:] = y[self._R:]
+        for m, s in enumerate(self.solvers):
+            s.state = y[self._so[m]:self._so[m + 1]]
+            s.g_cur[s.gamma_positions] = gamma[self._goff[m]:self._goff[m + 1]]
+            if first:
+                if not s._steady:
+                    s.g_cur[s.physical_positions] = \
+                        s._traces[s.physical_positions, -1]
+                s.t = float(self._t_next)
+            s._field = None
+
+    @property
+    def states(self):
+        """The last sweep's window-end states of every member."""
+        return self._y[:self._R]
+
+    def finish(self):
+        """Record the last sweep's substep states and traces on the members.
+
+        The substeps before the window end are replayed by the members'
+        own recurrence from the final Gamma values; the window end is the
+        last sweep's.
+        """
+        n = self._n
+        traces = self._traces.copy()
+        traces[self._trace_gamma] = self._y[self._R:, None]
+        for m, s in enumerate(self.solvers):
+            states = np.empty((self._so[m + 1] - self._so[m], n))
+            states[:, -1] = s.state
+            if n > 1:
+                drive = s._Q_gamma @ s.g_cur.take(s.gamma_positions)
+                vhat = s._window_snapshot[0]
+                for k in range(n - 1):
+                    vhat = s._P @ vhat + drive + s._forcing[:, k]
+                    states[:, k] = vhat
+            s._finish_window(self._t_next, states,
+                             traces[self._boff[m]:self._boff[m + 1]])
+
+    def first_failure(self):
+        """``(subdomain, gathered)`` of the first member whose Gamma values
+        (``gathered``) or window-end state the last sweep left non-finite,
+        or None.
+
+        An output counts as non-finite only through inputs it depends on,
+        as in a visit-by-visit sweep; in the dense product a zero weight
+        times a non-finite input of a later member would taint it too.
+        """
+        bad = ~np.isfinite(self._z)
+        y = self._map @ np.where(bad, 0.0, self._z)
+        y[np.any(self._map[:, bad] != 0, axis=1)] = np.nan
+        R = self._R
+        for m, i in enumerate(self.members):
+            if not np.isfinite(
+                    y[R + self._goff[m]:R + self._goff[m + 1]]).all():
+                return i, True
+            if not np.isfinite(y[self._so[m]:self._so[m + 1]]).all():
+                return i, False
+        return None
+
+
 def _matches(t_a, t_b):
     return abs(t_a - t_b) <= _TIME_RTOL * max(1.0, abs(t_a), abs(t_b))
+
+
+def _raise_divergence(units, solvers, gamma, offsets, t_next):
+    """Raise :class:`DivergenceError` for the sweep's first subdomain, in
+    sweep order, with non-finite gathered Gamma values or states."""
+    for unit in units:
+        if isinstance(unit, ReducedBlock):
+            hit = unit.first_failure()
+        elif not np.isfinite(gamma[offsets[unit]:offsets[unit + 1]]).all():
+            hit = (unit, True)
+        elif not np.isfinite(solvers[unit].last_states).all():
+            hit = (unit, False)
+        else:
+            hit = None
+        if hit is not None and hit[1]:
+            raise DivergenceError(
+                f"non-finite interface values gathered for subdomain "
+                f"{hit[0]} at t={t_next}")
+        if hit is not None:
+            raise DivergenceError(
+                f"subdomain {hit[0]} produced a non-finite state at "
+                f"t={t_next}")
 
 
 def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
@@ -610,9 +998,14 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
     Sweeps the subdomains in ascending order: gather Gamma values from the
     donors' current fields (subdomains already advanced this iteration
     contribute their new state), rewind to the window start, impose, and
-    advance. Converged once the relative sup-norm trace change of every
-    subdomain drops to ``tol``; the first sweep's change is measured
-    against the values imposed in the previous window.
+    advance. A run of consecutive reduced subdomains is advanced by its
+    :class:`ReducedBlock`, the same step composed into one map. Converged
+    once the relative sup-norm trace change of every subdomain drops to
+    ``tol``; the first sweep's change is measured against the values
+    imposed in the previous window. Finiteness and convergence are checked
+    once per sweep, on the concatenated values; a non-finite value raises
+    :class:`DivergenceError` naming the first subdomain, in sweep order,
+    whose gathered values or states are not finite.
 
     In the first sweep a row fed by an earlier subdomain gets its fresh
     state and a row fed by a later one its window-start state. Given a
@@ -620,10 +1013,13 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
     extrapolation instead; later sweeps always impose the gathered values.
 
     Returns ``(iterations, converged)``; the converged states live in the
-    solvers. A solver already advanced through this very window is rewound
-    from its remembered window-start snapshot, so re-running a converged
-    window terminates after one cheap iteration.
+    solvers, with ``last_states``/``last_traces`` from the final sweep. A
+    solver already advanced through this very window is rewound from its
+    remembered window-start snapshot, so re-running a converged window
+    terminates after one cheap iteration.
     """
+    if max_iters < 1:
+        raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     if plan is None:
         plan = GatherPlan(interfaces)
     for k, s in enumerate(solvers):
@@ -634,29 +1030,41 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
             raise ConfigurationError(
                 f"solver {k} is at t={s.t}, not at the window start "
                 f"t={t_n}, and has no snapshot there")
-    prev = [s.interface_values() for s in solvers]
+    units = plan.units(solvers)
+    blocks = [u for u in units if isinstance(u, ReducedBlock)]
+    prev = np.concatenate([s.interface_values() for s in solvers])
+    for block in blocks:
+        block.start_window(t_n, t_next)
+    offsets = plan.offsets
+    converged = False
     for iteration in range(1, max_iters + 1):
-        change = 0.0
-        for i, s in enumerate(solvers):
-            vals = plan.gather(i, solvers)
-            if history is not None and iteration == 1:
-                vals = history.predict(i, vals)
-            if not kernels.all_finite(vals):
-                raise DivergenceError(
-                    f"non-finite interface values gathered for subdomain "
-                    f"{i} at t={t_next}")
+        first = iteration == 1
+        gamma = np.empty(prev.shape[0])
+        checked = [gamma]
+        for unit in units:
+            if isinstance(unit, ReducedBlock):
+                unit.sweep(first, gamma[unit.lo:unit.hi], history)
+                checked.append(unit.states)
+                continue
+            s = solvers[unit]
+            vals = plan.gather(unit, solvers)
+            if history is not None and first:
+                vals = history.predict(unit, vals)
             s.restore_state(s._window_snapshot)
             s.set_interface_values(vals)
             s.advance_window(t_n, t_next)
-            if not kernels.all_finite(s.last_states.ravel()):
-                raise DivergenceError(
-                    f"subdomain {i} produced a non-finite state at "
-                    f"t={t_next}")
-            change = max(change, kernels.relative_sup_change(vals, prev[i]))
-            prev[i] = vals
+            gamma[offsets[unit]:offsets[unit + 1]] = vals
+            checked.append(s.last_states.ravel())
+        if not kernels.all_finite(np.concatenate(checked)):
+            _raise_divergence(units, solvers, gamma, offsets, t_next)
+        change = kernels.relative_sup_change(gamma, prev, plan.starts)
+        prev = gamma
         if change <= tol:
-            return iteration, True
-    return max_iters, False
+            converged = True
+            break
+    for block in blocks:
+        block.finish()
+    return iteration, converged
 
 
 @dataclass

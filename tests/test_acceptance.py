@@ -318,8 +318,10 @@ def test_criterion_9_coupling_bookkeeping(default_cfg):
 
     # Bitwise determinism of repeated identical runs.
     cfg2 = small_cfg()
-    run_a = driver.cmd_run_hybrid(cfg2)
-    run_b = driver.cmd_run_hybrid(cfg2)
+    run_a = driver.cmd_run_hybrid(
+        cfg2, trained=driver.hybrid_operators(cfg2)[0])
+    run_b = driver.cmd_run_hybrid(
+        cfg2, trained=driver.hybrid_operators(cfg2)[0])
     deterministic = all(
         np.array_equal(a.states, b.states)
         and np.array_equal(a.boundary_traces, b.boundary_traces)

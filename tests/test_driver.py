@@ -12,9 +12,12 @@ from cdrschwarz.config import (RunConfig, corner_source, parse_config)
 from cdrschwarz.driver import (DEFAULT_LAMBDA_GRID, cmd_compare, cmd_run_fom,
                                cmd_run_hybrid, cmd_run_mono_opinf,
                                cmd_run_schwarz, cmd_train, error_metric,
-                               error_metric_detail, load_trained)
+                               error_metric_detail, hybrid_operators,
+                               load_trained)
 from cdrschwarz.errors import ConfigurationError, FormatError
 from cdrschwarz.mesh import Rect, build_mesh
+from cdrschwarz.rom import (LSTSQ_RCOND, RomStepper, time_derivatives,
+                            train_opinf)
 from cdrschwarz.timestep import Trajectory
 
 from conftest import small_cfg
@@ -478,8 +481,10 @@ def test_persisted_operators_reproduce_in_memory_run(small_out):
     # Training, persistence, and retraining are all deterministic, so a
     # hybrid run fed from disk must match a freshly retrained one bitwise.
     cfg = small_out["cfg"]
-    from_disk = cmd_run_hybrid(cfg, out_dir=small_out["out"])
-    retrained = cmd_run_hybrid(cfg)
+    from_disk, training = hybrid_operators(cfg, out_dir=small_out["out"])
+    assert training is None
+    from_disk = cmd_run_hybrid(cfg, trained=from_disk)
+    retrained = cmd_run_hybrid(cfg, trained=hybrid_operators(cfg)[0])
     for a, b in zip(from_disk.trajectories, retrained.trajectories):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.boundary_traces, b.boundary_traces)
@@ -566,7 +571,7 @@ def test_hybrid_rejects_operators_trained_at_another_rank(tmp_path):
     cmd_train(small_cfg(), out_dir=str(tmp_path))
     with pytest.raises(ConfigurationError,
                        match=r"subdomain 1 .*r = 4.*rank 6.*retrain"):
-        cmd_run_hybrid(small_cfg(training_r=4), out_dir=str(tmp_path))
+        hybrid_operators(small_cfg(training_r=4), out_dir=str(tmp_path))
 
 
 def test_training_couples_every_step_when_windows_are_longer():
@@ -827,3 +832,90 @@ def test_train_meta_records_khat_stability(tmp_path):
         assert value < 0.0
     # The new key is not part of the fingerprint check.
     assert sorted(load_trained(small_cfg(), out)) == [0, 1, 2]
+
+
+UNCONVERGED_TRAINING_CFG_TEXT = """
+mesh.nx = 10
+mesh.ny = 10
+problem.t_end = 0.1
+training.t_end = 0.1
+problem.dt = 0.01
+decomposition.overlap = 0.2
+schwarz.max_iters = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "run-hybrid"])
+def test_cli_training_from_unconverged_data_run_exits_3(tmp_path, capsys,
+                                                        command):
+    cfg = write_cfg(tmp_path, UNCONVERGED_TRAINING_CFG_TEXT)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    # The operators are written first, as for a converged data run.
+    assert (out / "sub3_khat.bin").exists()
+    assert (out / "sub3_meta.txt").exists()
+    assert ("numerical failure: training data run: coupled window 1 of 10 "
+            "(ending at t=0.01) did not converge within max_iters = 1"
+            ) in captured.err
+
+
+def test_train_meta_reports_fit_diagnostics(tmp_path):
+    # Rebuild each fit's data matrix D = [Y^T G^T 1] from the data run and
+    # check the reported shape, rank, cutoff margin and residual against an
+    # independent SVD; the operators are still lstsq's minimum-norm answer.
+    cfg = small_cfg()
+    out = str(tmp_path)
+    result = cmd_train(cfg, out_dir=out)
+    for i, item in result.trained.items():
+        traj = result.run.trajectories[i]
+        Y = item.basis.Psi.T @ traj.states
+        Ydot = time_derivatives(Y, cfg.dt)[:, 1:-1]
+        data = np.hstack([Y[:, 1:-1].T, traj.boundary_traces[:, 1:-1].T,
+                          np.ones((Y.shape[1] - 2, 1))])
+        ops = np.linalg.lstsq(data, Ydot.T, rcond=LSTSQ_RCOND)[0]
+        np.testing.assert_array_equal(item.ops.Khat, ops[:Y.shape[0]].T)
+        svals = np.linalg.svd(data, compute_uv=False)
+        rank = int(np.count_nonzero(svals > LSTSQ_RCOND * svals[0]))
+        meta = matio.load_meta(os.path.join(out, f"sub{i + 1}_meta.txt"))
+        assert meta["fit_data_shape"] == f"{data.shape[0]}x{data.shape[1]}"
+        assert int(meta["fit_rank"]) == rank == item.ops.fit.rank
+        assert rank < data.shape[1]
+        assert float(meta["fit_min_kept_sval_over_cutoff"]) == pytest.approx(
+            svals[rank - 1] / (LSTSQ_RCOND * svals[0]), rel=1e-6)
+        residual = (np.linalg.norm(data @ ops - Ydot.T)
+                    / np.linalg.norm(Ydot.T))
+        assert float(meta["fit_residual"]) == pytest.approx(residual,
+                                                            rel=1e-6)
+        assert "fit" not in meta["fingerprint"]
+    assert sorted(load_trained(cfg, out)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("mono_r", [2, 8])
+def test_mono_grid_errors_match_full_space_formula(mono_r):
+    # Each candidate's training-window error, scored in reduced coordinates,
+    # against stepping, lifting and measuring it in the full space. At rank
+    # 2 the snapshots' distance from the POD space is about 1.6% of their
+    # norm, so the projection residual is a visible part of every error.
+    cfg = small_cfg(mono_r=mono_r)
+    fom = cmd_run_fom(cfg)
+    mono = cmd_run_mono_opinf(cfg, fom=fom)
+    n_train = round(cfg.training_t_end / cfg.dt) + 1
+    states = fom.trajectory.states[:, :n_train]
+    traces = fom.trajectory.boundary_traces[:, :n_train]
+    want = []
+    for lam in mono.grid:
+        ops = train_opinf(mono.basis, states, traces, cfg.dt, lam)
+        stepper = RomStepper(ops, cfg.dt)
+        vhat = mono.basis.Psi.T @ states[:, 0]
+        lifted = [mono.basis.Psi @ vhat]
+        for j in range(1, n_train):
+            vhat = stepper.step(vhat, traces[:, j])
+            lifted.append(mono.basis.Psi @ vhat)
+        lifted = np.column_stack(lifted)
+        want.append(error_metric(lifted, states)
+                    if np.isfinite(lifted).all() else np.inf)
+    want = np.array(want)
+    assert np.isfinite(want).sum() > 1
+    np.testing.assert_allclose(mono.grid_errors, want, rtol=1e-10, atol=0)
+    assert want[np.argmin(mono.grid_errors)] <= want.min() * (1.0 + 1e-10)

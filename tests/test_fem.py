@@ -13,7 +13,8 @@ from scipy.sparse.linalg import spsolve
 
 from cdrschwarz.errors import ConfigurationError
 from cdrschwarz.fem import (CdrParams, assemble, assemble_full, boundary_values,
-                            element_matrices, load_vector, shape_functions)
+                            element_matrices, load_vector, shape_functions,
+                            time_independent)
 from cdrschwarz.mesh import Rect, build_mesh
 
 
@@ -178,6 +179,25 @@ def test_load_vector_time_dependence():
     f1 = load_vector(system, 1.0).copy()
     f2 = load_vector(system, 2.0)
     np.testing.assert_allclose(f2, 2.0 * f1, rtol=1e-14)
+
+
+def test_time_independent_forcing_is_evaluated_once():
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 6, 6)
+    calls = []
+
+    def profile(x, y, t):
+        calls.append(t)
+        return x * y
+
+    base = dict(eps=1.0, sigma=0.0, b=(0.0, 0.0))
+    every_time = assemble(mesh, CdrParams(**base, forcing=profile))
+    want = [load_vector(every_time, t).copy() for t in (0.0, 0.4, 0.7)]
+    assert len(calls) == 3
+    once = assemble(mesh, CdrParams(**base,
+                                    forcing=time_independent(profile)))
+    for t, ref in zip((0.0, 0.4, 0.7), want):
+        np.testing.assert_array_equal(load_vector(once, t), ref)
+    assert len(calls) == 4
 
 
 def test_boundary_values_variants():

@@ -9,11 +9,11 @@ from cdrschwarz.errors import ConfigurationError, DivergenceError
 from cdrschwarz.fem import CdrParams, assemble
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.schwarz import (PREDICTOR_DEPTH, FESubdomainSolver,
-                                GatherPlan, LateRowHistory,
+                                GatherPlan, LateRowHistory, ReducedBlock,
                                 RomSubdomainSolver, SchwarzConfig, StitchPlan,
                                 SubdomainSpec, build_interfaces, run_coupled,
                                 schwarz_window, stitch)
-from cdrschwarz.driver import fe_factory
+from cdrschwarz.driver import cmd_train, fe_factory, hybrid_factory
 from cdrschwarz.rom import OpInfOperators, RomStepper, compute_pod
 from cdrschwarz.timestep import run_transient
 
@@ -607,6 +607,244 @@ def test_rom_solver_validates_shapes():
     with pytest.raises(ConfigurationError):
         RomSubdomainSolver(spec, mesh, params, config.dt,
                            entry.gamma_positions, basis, bad_inputs)
+
+
+# ---------------------------------------------------------------------------
+# Reduced blocks
+
+
+def per_visit_window(solvers, interfaces, t_n, t_next, tol, max_iters, plan,
+                     history):
+    """The sweep visit by visit, each reduced subdomain advanced through its
+    own ``advance_window`` and checked on its own: the reference the
+    composed reduced blocks of ``schwarz_window`` must reproduce."""
+    for s in solvers:
+        s._window_snapshot = s.snapshot_state()
+    prev = [s.interface_values() for s in solvers]
+    for iteration in range(1, max_iters + 1):
+        change = 0.0
+        for i, s in enumerate(solvers):
+            vals = plan.gather(i, solvers)
+            if iteration == 1:
+                vals = history.predict(i, vals)
+            s.restore_state(s._window_snapshot)
+            s.set_interface_values(vals)
+            s.advance_window(t_n, t_next)
+            change = max(change, kernels.relative_sup_change(vals, prev[i]))
+            prev[i] = vals
+        if change <= tol:
+            return iteration, True
+    return max_iters, False
+
+
+def march(config, make_solvers, window):
+    """Sweeps per window and each window's recorded states and traces of a
+    predictor-seeded march over ``config`` with ``window``."""
+    table = build_interfaces(config)
+    solvers = make_solvers(table)
+    plan = GatherPlan(table)
+    history = LateRowHistory(table)
+    for i, s in enumerate(solvers):
+        s.set_interface_values(plan.gather(i, solvers))
+    sweeps, records = [], []
+    for w in range(config.n_windows):
+        t_w = config.t_begin + w * config.window_dt
+        iters, _ = window(solvers, table, t_w, t_w + config.window_dt,
+                          config.tol, config.max_iters, plan, history)
+        sweeps.append(iters)
+        records.append([(np.array(s.last_states), np.array(s.last_traces))
+                         for s in solvers])
+    return sweeps, records
+
+
+def assert_marches_agree(config, make_solvers):
+    sweeps, records = march(config, make_solvers, schwarz_window)
+    ref_sweeps, ref_records = march(config, make_solvers, per_visit_window)
+    assert sweeps == ref_sweeps
+    assert max(sweeps) > 1
+    scale = max(1.0, max(np.max(np.abs(x)) for window in ref_records
+                         for pair in window for x in pair))
+    for window, ref in zip(records, ref_records):
+        for (states, traces), (ref_states, ref_traces) in zip(window, ref):
+            np.testing.assert_allclose(states, ref_states, rtol=0,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(traces, ref_traces, rtol=0,
+                                       atol=1e-12 * scale)
+
+
+@pytest.fixture(scope="module")
+def small_trained():
+    return cmd_train(small_cfg(t_end=0.3)).trained
+
+
+@pytest.mark.parametrize("steps_per_window", [1, 3])
+def test_reduced_block_matches_visits_on_trained_quadrants(small_trained,
+                                                           steps_per_window):
+    # Quadrants 0-2 are reduced and form one block ahead of the FE quadrant.
+    cfg = small_cfg(t_end=0.3)
+    config = cfg.schwarz_config(steps_per_window=steps_per_window)
+    factory = hybrid_factory(cfg.params(), small_trained)
+
+    def make_solvers(table):
+        return [factory(spec, table.meshes[i], table.entries[i], config)
+                for i, spec in enumerate(config.subdomains)]
+
+    assert_marches_agree(config, make_solvers)
+
+
+def four_strip_specs(h=0.05):
+    ny = round(1.0 / h)
+    return tuple(SubdomainSpec(Rect(x0, x1, 0.0, 1.0), round((x1 - x0) / h),
+                               ny)
+                 for x0, x1 in ((0.0, 0.3), (0.2, 0.55), (0.45, 0.8),
+                                (0.7, 1.0)))
+
+
+@pytest.mark.parametrize("steps_per_window", [1, 3, 12])
+def test_reduced_blocks_match_visits_around_a_fe_strip(steps_per_window):
+    # Reduced, reduced, FE, reduced: two blocks, one of a single member, and
+    # moving Dirichlet data, so the physical trace changes every window.
+    config = SchwarzConfig(subdomains=four_strip_specs(), dt=0.01,
+                           t_end=0.12, steps_per_window=steps_per_window)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
+                       dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+
+    def make_solvers(table):
+        solvers = make_fe_solvers(config, params, table)
+        for i in (0, 1, 3):
+            solvers[i] = make_rom_solver(config, params, table, i, seed=i)
+        return solvers
+
+    table = build_interfaces(config)
+    units = GatherPlan(table).units(make_solvers(table))
+    assert [u if isinstance(u, int) else u.members for u in units] == \
+        [[0, 1], 2, [3]]
+    assert_marches_agree(config, make_solvers)
+
+
+def test_reduced_block_follows_moving_dirichlet_data():
+    # Window after window, each member's recorded states are the implicit
+    # Euler substeps of its own model driven by its recorded traces, whose
+    # physical rows follow the Dirichlet data.
+    def dirichlet(x, y, t):
+        return np.sin(3.0 * t) + x * y
+
+    config = SchwarzConfig(subdomains=four_strip_specs(), dt=0.01,
+                           t_end=0.06, steps_per_window=2)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
+                       dirichlet=dirichlet)
+    table = build_interfaces(config)
+    solvers = make_fe_solvers(config, params, table)
+    for i in (0, 1, 3):
+        solvers[i] = make_rom_solver(config, params, table, i, seed=i)
+    plan = GatherPlan(table)
+    history = LateRowHistory(table)
+    for w in range(config.n_windows):
+        t_w = w * config.window_dt
+        start = [np.array(s.state) for s in solvers]
+        schwarz_window(solvers, table, t_w, t_w + config.window_dt,
+                       config.tol, config.max_iters, plan, history)
+        for i in (0, 1, 3):
+            s = solvers[i]
+            xy = table.meshes[i].coords[s.boundary_map[s.physical_positions]]
+            stepper = RomStepper(s.ops, config.dt)
+            vhat = start[i]
+            for j in range(config.steps_per_window):
+                t_j = t_w + (j + 1) * config.dt
+                np.testing.assert_allclose(
+                    s.last_traces[s.physical_positions, j],
+                    dirichlet(xy[:, 0], xy[:, 1], t_j), rtol=0, atol=1e-14)
+                vhat = stepper.step(vhat, s.last_traces[:, j])
+                np.testing.assert_allclose(s.last_states[:, j], vhat,
+                                           rtol=0, atol=1e-12)
+
+
+def test_reduced_block_never_visits_members(monkeypatch):
+    def refuse(self, t_n, t_next):
+        raise AssertionError("a reduced subdomain was visited on its own")
+
+    config = SchwarzConfig(subdomains=three_strip_specs(), dt=0.01,
+                           t_end=0.03)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0), forcing=1.0)
+    table = build_interfaces(config)
+    solvers = make_fe_solvers(config, params, table)
+    solvers[1] = make_rom_solver(config, params, table, 1)
+    monkeypatch.setattr(RomSubdomainSolver, "advance_window", refuse)
+    plan = GatherPlan(table)
+    assert isinstance(plan.units(solvers)[1], ReducedBlock)
+    for w in range(config.n_windows):
+        schwarz_window(solvers, table, w * config.dt, (w + 1) * config.dt,
+                       config.tol, config.max_iters, plan)
+    assert solvers[1].t == pytest.approx(config.t_end)
+    assert solvers[1].last_states.shape == (solvers[1].ops.r, 1)
+
+
+def test_reduced_block_maps_do_not_grow_with_substeps():
+    # A map covers the window-end states and Gamma values only, so its size
+    # is that of one substep however many substeps a window holds.
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0)
+    shapes = []
+    for steps_per_window in (1, 40):
+        config = SchwarzConfig(subdomains=four_strip_specs(), dt=0.01,
+                               t_end=0.4, steps_per_window=steps_per_window)
+        table = build_interfaces(config)
+        solvers = make_fe_solvers(config, params, table)
+        for i in (0, 1):
+            solvers[i] = make_rom_solver(config, params, table, i, seed=i)
+        plan = GatherPlan(table)
+        schwarz_window(solvers, table, 0.0, config.window_dt, config.tol,
+                       config.max_iters, plan)
+        block = plan.units(solvers)[0]
+        shapes.append([m.shape for m in block._M])
+        assert solvers[1].last_states.shape == (solvers[1].ops.r,
+                                                steps_per_window)
+    assert shapes[0] == shapes[1]
+
+
+def test_schwarz_window_rejects_max_iters_below_one():
+    config = SchwarzConfig(subdomains=three_strip_specs(), dt=0.01,
+                           t_end=0.01)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0), forcing=1.0)
+    table = build_interfaces(config)
+    solvers = make_fe_solvers(config, params, table)
+    solvers[1] = make_rom_solver(config, params, table, 1)
+    with pytest.raises(ConfigurationError, match="max_iters must be >= 1"):
+        schwarz_window(solvers, table, 0.0, config.dt, config.tol, 0)
+
+
+def test_divergence_in_second_block_member_names_it():
+    # Dirichlet data that turn non-finite after t = 0 on boundary nodes that
+    # only subdomain 1 owns: its state goes non-finite in the first sweep
+    # while subdomain 0, ahead of it in the same block, stays finite (a
+    # dense product would carry the NaN into subdomain 0's rows as 0 * NaN).
+    def dirichlet(x, y, t):
+        return np.where((t > 0.0) & (np.abs(x - 0.5) < 0.08), np.nan, 0.0)
+
+    config = SchwarzConfig(subdomains=three_strip_specs(), dt=0.01,
+                           t_end=0.02)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0), forcing=1.0,
+                       dirichlet=dirichlet)
+    table = build_interfaces(config)
+    solvers = make_fe_solvers(config, params, table)
+    solvers[0] = make_rom_solver(config, params, table, 0, seed=0)
+    solvers[1] = make_rom_solver(config, params, table, 1, seed=1)
+    with pytest.raises(DivergenceError,
+                       match=r"^subdomain 1 produced a non-finite state"):
+        schwarz_window(solvers, table, 0.0, config.dt, config.tol,
+                       config.max_iters)
+
+
+def test_segmented_relative_sup_change():
+    rng = np.random.default_rng(5)
+    sizes = (3, 7, 1, 4)
+    new = rng.standard_normal(sum(sizes))
+    prev = new + 1e-3 * rng.standard_normal(new.shape[0])
+    starts = np.cumsum((0,) + sizes[:-1])
+    want = max(kernels.relative_sup_change(new[a:a + n], prev[a:a + n])
+               for a, n in zip(starts, sizes))
+    assert kernels.relative_sup_change(new, prev, starts) == want
+    assert kernels.relative_sup_change(np.zeros(0), np.zeros(0),
+                                       np.zeros(0, dtype=np.int64)) == 0.0
 
 
 # ---------------------------------------------------------------------------
