@@ -152,8 +152,6 @@ class RunConfig:
         return GLOBAL_RECT.width / self.nx
 
     def _layout_rects(self):
-        if self.layout == "single":
-            return [GLOBAL_RECT]
         if self.layout == "quadrants":
             lo = self.split - 0.5 * self.overlap
             hi = self.split + 0.5 * self.overlap
@@ -189,8 +187,6 @@ class RunConfig:
                 model = force_model
             elif over.model is not None:
                 model = over.model
-            elif n == 1:
-                model = "fe"
             else:
                 model = "fe" if k == n - 1 else "rom"
             nx = over.nx if over.nx is not None else _cells_along(
@@ -232,7 +228,7 @@ class RunConfig:
             raise ConfigurationError(
                 f"training horizon {self.training_t_end} exceeds the run "
                 f"horizon {self.t_end}")
-        if self.layout not in ("quadrants", "single", "custom"):
+        if self.layout not in ("quadrants", "custom"):
             raise ConfigurationError(
                 f"unknown decomposition layout {self.layout!r}")
         if self.layout == "custom" and self.n_custom < 1:

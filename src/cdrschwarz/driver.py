@@ -153,16 +153,13 @@ def _time_index(cfg, t):
     return idx
 
 
-def _export_stitched_fields(cfg, run, global_mesh, out_dir, prefix):
-    plan = StitchPlan(run.config, global_mesh, run.meshes)
+def _export_stitched_fields(cfg, stitched, global_mesh, out_dir, prefix):
+    """Write the columns of a stitched history at the output field times."""
+    os.makedirs(out_dir, exist_ok=True)
     for t in cfg.resolved_field_times():
-        j = _time_index(cfg, t)
-        fields = [nodal_history(s, traj)[:, j]
-                  for s, traj in zip(run.solvers, run.trajectories)]
-        stitched = plan.apply(fields)
         matio.export_field_csv(
             os.path.join(out_dir, f"{prefix}_field_t{t:g}.csv"),
-            global_mesh, stitched)
+            global_mesh, stitched[:, _time_index(cfg, t)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +217,9 @@ def cmd_run_schwarz(cfg, out_dir=None):
     run = run_coupled(cfg.schwarz_config(force_model="fe"),
                       fe_factory(params))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _export_stitched_fields(cfg, run, build_global_mesh(cfg), out_dir,
-                                "schwarz")
+        global_mesh = build_global_mesh(cfg)
+        _export_stitched_fields(cfg, stitch_history(run, global_mesh),
+                                global_mesh, out_dir, "schwarz")
     return run
 
 
@@ -441,9 +438,9 @@ def cmd_run_hybrid(cfg, out_dir=None, *, trained):
     params = cfg.params()
     run = run_coupled(cfg.schwarz_config(), hybrid_factory(params, trained))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _export_stitched_fields(cfg, run, build_global_mesh(cfg), out_dir,
-                                "hybrid")
+        global_mesh = build_global_mesh(cfg)
+        _export_stitched_fields(cfg, stitch_history(run, global_mesh),
+                                global_mesh, out_dir, "hybrid")
     return run
 
 
@@ -515,16 +512,16 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
     every candidate on the grid is trained and the one with the smallest
     training-window reprojection error wins (first on ties, so the grid
     order is part of the contract). The winner is integrated to the full
-    horizon driven by the physical boundary trace.
+    horizon driven by the reference's recorded Dirichlet traces.
     """
     if fom is None:
         fom = cmd_run_fom(cfg, out_dir=None)
-    params = cfg.params()
     system = fom.system
     traj = fom.trajectory
+    traces = traj.boundary_traces
     n_train = n_steps_for(0.0, cfg.training_t_end, cfg.dt) + 1
     train_states = traj.states[:, :n_train]
-    train_traces = traj.boundary_traces[:, :n_train]
+    train_traces = traces[:, :n_train]
 
     t0 = time.perf_counter()
     basis = compute_pod(train_states, cfg.mono_r)
@@ -547,7 +544,6 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
     train_seconds = time.perf_counter() - t0
 
     n_t = traj.n_times
-    times = traj.times
     t1 = time.perf_counter()
     stepper = RomStepper(ops, cfg.dt)
     vhat = basis.Psi.T @ traj.states[:, 0]
@@ -555,8 +551,7 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
     reduced[:, 0] = vhat
     diverged = False
     for j in range(1, n_t):
-        g = boundary_values(system, params, times[j])
-        vhat = stepper.step(vhat, g)
+        vhat = stepper.step(vhat, traces[:, j])
         reduced[:, j] = vhat
         if not np.all(np.isfinite(vhat)):
             diverged = True
@@ -566,12 +561,10 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
 
     nodal = np.empty((fom.mesh.n_nodes, n_t))
     nodal[system.interior_map] = basis.Psi @ reduced
-    for j in range(n_t):
-        nodal[system.boundary_map, j] = boundary_values(system, params,
-                                                        times[j])
+    nodal[system.boundary_map] = traces
     result = MonoOpinfResult(
         basis=basis, ops=ops, lam=lam, grid=grid, grid_errors=grid_errors,
-        times=times, nodal_states=nodal, diverged=diverged,
+        times=traj.times, nodal_states=nodal, diverged=diverged,
         timings={"train_seconds": train_seconds,
                  "solve_seconds": solve_seconds})
     if out_dir is not None:
@@ -691,13 +684,19 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     fom = cmd_run_fom(cfg, out_dir=out_dir)
     ref = (fom.trajectory.times, fom.nodal_states)
 
-    schwarz_run = cmd_run_schwarz(cfg, out_dir=out_dir)
+    # Each coupled run is stitched once, for its error and its field files.
+    schwarz_run = cmd_run_schwarz(cfg)
     schwarz_hist = (schwarz_run.times, stitch_history(schwarz_run,
                                                       global_mesh))
+    if out_dir is not None:
+        _export_stitched_fields(cfg, schwarz_hist[1], global_mesh, out_dir,
+                                "schwarz")
     training = cmd_train(cfg, out_dir=out_dir)
-    hybrid_run = cmd_run_hybrid(cfg, out_dir=out_dir,
-                                trained=training.trained)
+    hybrid_run = cmd_run_hybrid(cfg, trained=training.trained)
     hybrid_hist = (hybrid_run.times, stitch_history(hybrid_run, global_mesh))
+    if out_dir is not None:
+        _export_stitched_fields(cfg, hybrid_hist[1], global_mesh, out_dir,
+                                "hybrid")
     mono = cmd_run_mono_opinf(cfg, out_dir=out_dir, fom=fom,
                               lambda_grid=lambda_grid)
     mono_hist = (mono.times, mono.nodal_states)

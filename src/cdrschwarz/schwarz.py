@@ -15,12 +15,12 @@ window starts.
 A maximal run of consecutive reduced subdomains in the sweep is advanced
 as one :class:`ReducedBlock`: its visits are affine maps of the window-start
 states and Gamma values, which forward substitution composes, once per run,
-into one dense map per sweep, sized by the run's reduced ranks and Gamma
-rows but not by the substeps per window. The loop's bookkeeping is per
-window and per sweep, not per visit: a reduced state is snapshot by
-reference, finiteness and convergence are checked once per sweep on the
-concatenated values, and the block replays and records the substep
-``last_states``/``last_traces`` after the final sweep only.
+into one dense map that every sweep applies, sized by the run's reduced
+ranks and Gamma rows but not by the substeps per window. The loop's
+bookkeeping is per window and per sweep, not per visit: a reduced state is
+snapshot by reference, finiteness and convergence are checked once per
+sweep on the concatenated values, and the block replays and records the
+substep ``last_states``/``last_traces`` after the final sweep only.
 
 Solvers are duck-typed, so tests can instrument the sweep. Finite element
 and other non-reduced solvers are visited one at a time through this
@@ -51,8 +51,9 @@ protocol:
 A :class:`RomSubdomainSolver` in a block is never visited on its own: the
 block reads its propagators and ``sampling_operators`` to compose the map,
 and leaves ``state``, the trace and, after the final sweep,
-``last_states``/``last_traces`` on it. Its own ``advance_window`` stays for
-callers outside the sweep.
+``last_states``/``last_traces`` on it, replayed by the solver's own
+substep recurrence. Its ``advance_window`` stays for callers outside the
+sweep.
 """
 
 import math
@@ -465,7 +466,6 @@ class _SubdomainSolverBase:
         self.g_cur[self.physical_positions] = self._physical_trace(t0)
         self.t = float(t0)
         self.state = None
-        self._field = None
         self._window_snapshot = None
         self._span_cache = None
         self._span_n = 0
@@ -481,7 +481,6 @@ class _SubdomainSolverBase:
                 f"expected {self.gamma_positions.shape[0]} interface "
                 f"values, got {values.shape}")
         self.g_cur[self.gamma_positions] = values
-        self._field = None
 
     def interface_values(self):
         return self.g_cur[self.gamma_positions].copy()
@@ -497,12 +496,10 @@ class _SubdomainSolverBase:
 
     def full_field(self):
         """Current nodal field: interior state merged with boundary trace."""
-        if self._field is None:
-            f = np.empty(self.mesh.n_nodes)
-            f[self.interior_map] = self.interior_values()
-            f[self.boundary_map] = self.g_cur
-            self._field = f
-        return self._field
+        f = np.empty(self.mesh.n_nodes)
+        f[self.interior_map] = self.interior_values()
+        f[self.boundary_map] = self.g_cur
+        return f
 
     def sampler(self, matrix):
         """Callable returning ``matrix @ full_field()`` for the current state.
@@ -524,7 +521,6 @@ class _SubdomainSolverBase:
         self.state = state.copy()
         self.g_cur = g.copy()
         self.t = t
-        self._field = None
 
     def _n_substeps(self, t_n, t_next):
         if self._span_cache != (t_n, t_next):
@@ -534,7 +530,6 @@ class _SubdomainSolverBase:
 
     def _finish_window(self, t_next, states, traces):
         self.t = float(t_next)
-        self._field = None
         self.last_states = states
         self.last_traces = traces
 
@@ -682,6 +677,15 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         self._traces[self.physical_positions] = physical
         self._window = (t_n, t_next)
 
+    def _substeps(self, vhat, gamma, states):
+        """Step ``vhat`` through the prepared window's first substeps, one
+        per column of ``states``, which receives them; returns the last."""
+        drive = self._Q_gamma @ gamma
+        for j in range(states.shape[1]):
+            vhat = self._P @ vhat + drive + self._forcing[:, j]
+            states[:, j] = vhat
+        return vhat
+
     def advance_window(self, t_n, t_next):
         """Integrate [t_n, t_next] in reduced coordinates, Gamma held fixed.
 
@@ -693,14 +697,8 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         if self._window != (t_n, t_next):
             self._prepare_window(t_n, t_next)
         gamma = self.g_cur.take(self.gamma_positions)
-        drive = self._Q_gamma @ gamma
-        forcing = self._forcing
-        states = np.empty((self.state.shape[0], forcing.shape[1]))
-        vhat = self.state
-        for j in range(forcing.shape[1]):
-            vhat = self._P @ vhat + drive + forcing[:, j]
-            states[:, j] = vhat
-        self.state = vhat
+        states = np.empty((self.state.shape[0], self._forcing.shape[1]))
+        self.state = self._substeps(self.state, gamma, states)
         traces = self._traces.copy()
         traces[self.gamma_positions] = gamma[:, None]
         self.g_cur[self.physical_positions] = \
@@ -717,22 +715,21 @@ class ReducedBlock:
     ``F`` the sum of ``P^(n-1-l) c(t_l)`` over the substeps. A gather from a
     reduced donor is affine in its window-end ``vhat`` and trace. A sweep
     through the run is therefore one block Gauss-Seidel step, which forward
-    substitution composes, once per window length, into two dense maps ``y
-    = M z``: one for a window's first sweep, whose late rows (donor later
-    in the sweep) are inputs that take the :class:`LateRowHistory`
-    prediction, and one for later sweeps, which read late donors from the
-    previous sweep's ``y``. Their size does not grow with the number of
-    substeps ``n``.
+    substitution composes, once per window length, into one dense map ``y =
+    M z`` whose size does not grow with the number of substeps ``n``.
 
     ``y`` stacks every member's window-end state, then the run's Gamma
     values, so each receiver's convergence measure and predictor anchors
     are those of a visit-by-visit sweep. ``z`` stacks what is fixed within
     a window (the members' window-start states, their ``F``, and the
     physical trace values at the window end that in-run gathers read),
-    then the Gamma rows that are inputs (gathered from donors outside the
-    run, and in the first sweep the late rows), and in later sweeps the
-    entries of the previous ``y`` that late gathers read. The substep
-    states before the window end are replayed once, after the final sweep.
+    then the input Gamma rows: every row not fed by an earlier member, that
+    is, fed by a donor outside the run or by a later member. Inputs are
+    sampled from the donors' current states before any member moves: in a
+    window's first sweep from the window-start states, after which the
+    :class:`LateRowHistory` prediction replaces the late rows, and in later
+    sweeps from the previous sweep's. The substep states before the window
+    end are replayed once, after the final sweep.
     """
 
     def __init__(self, members, solvers, plan):
@@ -754,104 +751,66 @@ class ReducedBlock:
         self._trace_gamma = np.concatenate(
             [b + s.gamma_positions for b, s in zip(self._boff, self.solvers)])
         self._steady = all(s._steady for s in self.solvers)
-        self._member = {i: m for m, i in enumerate(members)}
-        external, late, self._inrun = {}, {}, []
+        # Gathers from earlier members are composed into the map; any other
+        # donor is sampled, one sampler per donor over every run row it
+        # feeds.
+        inputs, self._earlier = {}, []
         for m, i in enumerate(members):
-            inrun = []
+            earlier = []
             for j, idx, matrix in plan.groups(i):
-                rows = (idx + self._goff[m], matrix)
-                if j not in self._member:
-                    external.setdefault(j, []).append(rows)
+                if members[0] <= j < i:
+                    earlier.append((j - members[0], idx, matrix))
                 else:
-                    inrun.append((j, idx, matrix))
-                    if j > i:
-                        late.setdefault(j, []).append(rows)
-            self._inrun.append(inrun)
-        self._external = self._samplers(external, solvers)
-        self._late = self._samplers(late, solvers)
-        ext_rows = np.concatenate([np.zeros(0, dtype=np.int64)]
-                                  + [rows for _, rows in self._external])
-        late_rows = np.concatenate([np.zeros(0, dtype=np.int64)]
-                                   + [rows for _, rows in self._late])
-        #: Input Gamma rows of the first and of later sweeps, ascending.
-        self._inputs = (np.union1d(ext_rows, late_rows), np.sort(ext_rows))
+                    inputs.setdefault(j, []).append(
+                        (idx + self._goff[m], matrix))
+            self._earlier.append(earlier)
+        self._samplers = [
+            (solvers[j].sampler(vstack([mat for _, mat in parts],
+                                       format="csr")),
+             np.concatenate([rows for rows, _ in parts]))
+            for j, parts in sorted(inputs.items())]
+        #: Input Gamma rows, ascending.
+        self._inputs = np.sort(np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [rows for _, rows in self._samplers]))
         self._n = None
 
-    @staticmethod
-    def _samplers(groups, solvers):
-        # One sampler per donor over every run row it feeds.
-        return [(solvers[j].sampler(vstack([mat for _, mat in parts],
-                                           format="csr")),
-                 np.concatenate([rows for rows, _ in parts]))
-                for j, parts in sorted(groups.items())]
-
     def _compose(self, n):
-        R, so, goff = self._R, self._so, self._goff
+        R, so, goff, inputs = self._R, self._so, self._goff, self._inputs
         physical = [s.physical_positions for s in self.solvers]
         hoff = np.concatenate(([0], np.cumsum([p.size for p in physical])))
         h0 = 2 * R  # after the window-start states and the forcing
         base = h0 + int(hoff[-1])
-        maps = []
-        for first, inputs in zip((True, False), self._inputs):
-            y0 = base + inputs.size  # previous y, later sweeps only
-            n_z = y0 + (0 if first else R + goff[-1])
-            column = np.full(goff[-1], -1)
-            column[inputs] = base + np.arange(inputs.size)
-            states, gammas = [], []
-            for m, s in enumerate(self.solvers):
-                i = self.members[m]
-                g = np.zeros((goff[m + 1] - goff[m], n_z))
-                own = inputs[(inputs >= goff[m]) & (inputs < goff[m + 1])]
-                g[own - goff[m], column[own]] = 1.0
-                for j, idx, matrix in self._inrun[m]:
-                    late = j > i
-                    if first and late:
-                        continue
-                    d = self._member[j]
-                    donor = self.solvers[d]
-                    reduced, cols, weights = donor.sampling_operators(matrix)
-                    rows = np.zeros((idx.size, n_z))
-                    if late:
-                        rows[:, y0 + so[d]:y0 + so[d + 1]] = reduced
-                    else:
-                        rows += reduced @ states[d]
-                    slot = np.full(donor.boundary_map.shape[0], -1)
-                    slot[donor.gamma_positions] = np.arange(
-                        donor.gamma_positions.size)
-                    trace = np.full(donor.boundary_map.shape[0], -1)
-                    trace[physical[d]] = hoff[d] + np.arange(physical[d].size)
-                    for c, col in enumerate(cols):
-                        q = slot[col]
-                        if q < 0:
-                            rows[:, h0 + trace[col]] += weights[:, c]
-                        elif late:
-                            rows[:, y0 + R + goff[d] + q] += weights[:, c]
-                        else:
-                            rows += np.outer(weights[:, c], gammas[d][q])
-                    g[idx] = rows
-                gammas.append(g)
-                r = so[m + 1] - so[m]
-                power, total = np.eye(r), np.zeros((r, r))
-                for _ in range(n):
-                    total += power
-                    power = s._P @ power
-                state = (total @ s._Q_gamma) @ g
-                state[:, so[m]:so[m + 1]] += power
-                state[:, R + so[m]:R + so[m + 1]] += np.eye(r)
-                states.append(state)
-            maps.append(np.vstack(states + gammas))
-        # Keep only the physical values and previous-y entries read.
-        h_used = np.flatnonzero(np.any(maps[0][:, h0:base] != 0, axis=0)
-                                | np.any(maps[1][:, h0:base] != 0, axis=0))
-        y0 = base + self._inputs[1].size
-        y_used = np.flatnonzero(np.any(maps[1][:, y0:] != 0, axis=0))
-        head = np.concatenate((np.arange(h0), h0 + h_used))
-        self._M = (
-            np.ascontiguousarray(maps[0][:, np.concatenate(
-                (head, np.arange(base, base + self._inputs[0].size)))]),
-            np.ascontiguousarray(maps[1][:, np.concatenate(
-                (head, np.arange(base, y0), y0 + y_used))]))
-        self._y_used = y_used
+        n_z = base + inputs.size
+        gamma = np.zeros((goff[-1], n_z))
+        gamma[inputs, base + np.arange(inputs.size)] = 1.0
+        states, traces = [], []
+        for m, s in enumerate(self.solvers):
+            g = gamma[goff[m]:goff[m + 1]]
+            for d, idx, matrix in self._earlier[m]:
+                reduced, cols, weights = \
+                    self.solvers[d].sampling_operators(matrix)
+                g[idx] = reduced @ states[d] + weights @ traces[d][cols]
+            # The member's boundary trace at the window end as a map of z.
+            trace = np.zeros((s.boundary_map.shape[0], n_z))
+            trace[physical[m],
+                  h0 + hoff[m] + np.arange(physical[m].size)] = 1.0
+            trace[s.gamma_positions] = g
+            traces.append(trace)
+            r = so[m + 1] - so[m]
+            power, total = np.eye(r), np.zeros((r, r))
+            for _ in range(n):
+                total += power
+                power = s._P @ power
+            state = (total @ s._Q_gamma) @ g
+            state[:, so[m]:so[m + 1]] += power
+            state[:, R + so[m]:R + so[m + 1]] += np.eye(r)
+            states.append(state)
+        M = np.vstack(states + [gamma])
+        # Keep only the physical values read.
+        h_used = np.flatnonzero(np.any(M[:, h0:base] != 0, axis=0))
+        self._M = np.ascontiguousarray(M[:, np.concatenate(
+            (np.arange(h0), h0 + h_used, np.arange(base, n_z)))])
         self._h_used = [physical[m][h_used[(h_used >= hoff[m])
                                            & (h_used < hoff[m + 1])]
                                     - hoff[m]]
@@ -888,33 +847,19 @@ class ReducedBlock:
         """Advance every member once, filling ``gamma``, the run's slice of
         the sweep's Gamma values, and leaving each member's new ``state``
         and trace in place for the gathers that follow."""
-        for sample, rows in self._external:
+        for sample, rows in self._samplers:
             gamma[rows] = sample()
-        if first:
-            # Late rows are gathered from the window-start states, as the
-            # predictor's anchors, before any member moves.
-            for sample, rows in self._late:
-                gamma[rows] = sample()
-            if history is not None:
-                history.predict(tuple(self.members), gamma)
-            z = np.concatenate((self._w, gamma.take(self._inputs[0])))
-            self._map = self._M[0]
-        else:
-            z = np.concatenate((self._w, gamma.take(self._inputs[1]),
-                                self._y.take(self._y_used)))
-            self._map = self._M[1]
-        y = self._map @ z
-        self._z, self._y = z, y
+        if first and history is not None:
+            history.predict(tuple(self.members), gamma)
+        self._z = np.concatenate((self._w, gamma.take(self._inputs)))
+        self._y = y = self._M @ self._z
         gamma[:] = y[self._R:]
         for m, s in enumerate(self.solvers):
             s.state = y[self._so[m]:self._so[m + 1]]
             s.g_cur[s.gamma_positions] = gamma[self._goff[m]:self._goff[m + 1]]
-            if first:
-                if not s._steady:
-                    s.g_cur[s.physical_positions] = \
-                        s._traces[s.physical_positions, -1]
-                s.t = float(self._t_next)
-            s._field = None
+            if not s._steady:
+                s.g_cur[s.physical_positions] = \
+                    s._traces[s.physical_positions, -1]
 
     @property
     def states(self):
@@ -928,18 +873,14 @@ class ReducedBlock:
         own recurrence from the final Gamma values; the window end is the
         last sweep's.
         """
-        n = self._n
         traces = self._traces.copy()
         traces[self._trace_gamma] = self._y[self._R:, None]
         for m, s in enumerate(self.solvers):
-            states = np.empty((self._so[m + 1] - self._so[m], n))
+            states = np.empty((self._so[m + 1] - self._so[m], self._n))
             states[:, -1] = s.state
-            if n > 1:
-                drive = s._Q_gamma @ s.g_cur.take(s.gamma_positions)
-                vhat = s._window_snapshot[0]
-                for k in range(n - 1):
-                    vhat = s._P @ vhat + drive + s._forcing[:, k]
-                    states[:, k] = vhat
+            if self._n > 1:
+                s._substeps(s._window_snapshot[0],
+                            s.g_cur.take(s.gamma_positions), states[:, :-1])
             s._finish_window(self._t_next, states,
                              traces[self._boff[m]:self._boff[m + 1]])
 
@@ -953,8 +894,8 @@ class ReducedBlock:
         times a non-finite input of a later member would taint it too.
         """
         bad = ~np.isfinite(self._z)
-        y = self._map @ np.where(bad, 0.0, self._z)
-        y[np.any(self._map[:, bad] != 0, axis=1)] = np.nan
+        y = self._M @ np.where(bad, 0.0, self._z)
+        y[np.any(self._M[:, bad] != 0, axis=1)] = np.nan
         R = self._R
         for m, i in enumerate(self.members):
             if not np.isfinite(

@@ -15,6 +15,7 @@ from cdrschwarz.driver import (DEFAULT_LAMBDA_GRID, cmd_compare, cmd_run_fom,
                                error_metric_detail, hybrid_operators,
                                load_trained)
 from cdrschwarz.errors import ConfigurationError, FormatError
+from cdrschwarz.fem import boundary_values
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.rom import (LSTSQ_RCOND, RomStepper, time_derivatives,
                             train_opinf)
@@ -146,6 +147,7 @@ def test_config_forcing_selectors(tmp_path):
     ("subdomain.1.model = spectral\n", "fe or rom"),
     ("training.t_end = 9.0\n", "exceeds the run horizon"),
     ("decomposition.layout = pinwheel\n", "unknown decomposition layout"),
+    ("decomposition.layout = single\n", "unknown decomposition layout"),
     ("decomposition.overlap = 1.2\n", "strictly inside"),
     ("mesh.nx = 20\nmesh.ny = 20\n", "integer number of cells"),
     ("just some words\n", "expected 'key = value'"),
@@ -332,8 +334,30 @@ def test_error_metric_input_forms():
 def small_out(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("small_out"))
     cfg = small_cfg()
-    report = cmd_compare(cfg, out_dir=out)
-    return {"cfg": cfg, "out": out, "report": report}
+    runs = {}
+
+    def keeping(name, command):
+        def kept(*args, **kwargs):
+            runs[name] = command(*args, **kwargs)
+            return runs[name]
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        for prefix, name in (("schwarz", "cmd_run_schwarz"),
+                             ("hybrid", "cmd_run_hybrid")):
+            mp.setattr(driver, name, keeping(prefix, getattr(driver, name)))
+        report = cmd_compare(cfg, out_dir=out)
+    return {"cfg": cfg, "out": out, "report": report, "runs": runs}
+
+
+def assert_field_files_hold(cfg, out_dir, prefix, run):
+    """Each exported field file's ``u`` column is the matching column of the
+    run's stitched history."""
+    stitched = driver.stitch_history(run, driver.build_global_mesh(cfg))
+    for t in cfg.resolved_field_times():
+        u = np.loadtxt(os.path.join(out_dir, f"{prefix}_field_t{t:g}.csv"),
+                       delimiter=",", skiprows=1, usecols=2)
+        np.testing.assert_array_equal(u, stitched[:, round(t / cfg.dt)])
 
 
 def test_compare_report_structure(small_out):
@@ -368,6 +392,12 @@ def test_compare_outputs_on_disk(small_out):
         assert os.path.exists(os.path.join(out, name)), name
     # The last subdomain stays finite element: no operators for it.
     assert not os.path.exists(os.path.join(out, "sub4_khat.bin"))
+
+
+@pytest.mark.parametrize("prefix", ["schwarz", "hybrid"])
+def test_compare_field_files_hold_stitched_history(small_out, prefix):
+    assert_field_files_hold(small_out["cfg"], small_out["out"], prefix,
+                            small_out["runs"][prefix])
 
 
 def test_compare_csv_round_trips_report(small_out):
@@ -636,6 +666,30 @@ def test_mono_nodal_states_shape(small_fom):
     assert np.all(np.isfinite(result.nodal_states))
 
 
+def test_mono_is_driven_by_the_reference_traces():
+    # Moving Dirichlet data: step k of the monolithic model takes the
+    # boundary values at t_k, and its nodal boundary rows hold them.
+    def moving(x, y, t):
+        return np.sin(4.0 * t) * x * (1.0 - y)
+
+    cfg = small_cfg(dirichlet=moving)
+    fom = cmd_run_fom(cfg)
+    result = cmd_run_mono_opinf(cfg, fom=fom, lambda_grid=(0.0,))
+    system, params = fom.system, cfg.params()
+    assert not result.diverged
+    stepper = RomStepper(result.ops, cfg.dt)
+    vhat = result.basis.Psi.T @ fom.trajectory.states[:, 0]
+    for j, t in enumerate(result.times):
+        g = boundary_values(system, params, t)
+        if j > 0:
+            vhat = stepper.step(vhat, g)
+        np.testing.assert_array_equal(
+            result.nodal_states[system.boundary_map, j], g)
+        np.testing.assert_allclose(
+            result.nodal_states[system.interior_map, j],
+            result.basis.Psi @ vhat, rtol=0, atol=1e-12)
+
+
 def test_field_time_not_on_grid_is_rejected(tmp_path):
     cfg = small_cfg(field_times=[0.015])  # between dt multiples
     with pytest.raises(ConfigurationError, match="not on the dt"):
@@ -644,9 +698,10 @@ def test_field_time_not_on_grid_is_rejected(tmp_path):
 
 def test_schwarz_field_export_times(tmp_path):
     cfg = small_cfg(field_times=[0.25, 0.5])
-    cmd_run_schwarz(cfg, out_dir=str(tmp_path))
+    run = cmd_run_schwarz(cfg, out_dir=str(tmp_path))
     assert os.path.exists(str(tmp_path / "schwarz_field_t0.25.csv"))
     assert os.path.exists(str(tmp_path / "schwarz_field_t0.5.csv"))
+    assert_field_files_hold(cfg, str(tmp_path), "schwarz", run)
 
 
 # ---------------------------------------------------------------------------
