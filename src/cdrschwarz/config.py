@@ -35,19 +35,6 @@ from .timestep import n_steps_for
 
 GLOBAL_RECT = Rect(0.0, 1.0, 0.0, 1.0)
 
-_KNOWN_KEYS = {
-    "problem.epsilon", "problem.sigma", "problem.b_angle_degrees",
-    "problem.bx", "problem.by", "problem.forcing", "problem.dirichlet",
-    "problem.t_end", "problem.dt",
-    "mesh.nx", "mesh.ny", "mesh.h",
-    "decomposition.layout", "decomposition.split", "decomposition.overlap",
-    "decomposition.count",
-    "training.t_end", "training.r", "training.lambda",
-    "mono.r", "mono.lambda",
-    "schwarz.tol", "schwarz.max_iters", "schwarz.steps_per_window",
-    "output.dir", "output.field_times",
-}
-
 _SUBDOMAIN_KEY = re.compile(
     r"^subdomain\.(\d+)\.(rect|nx|ny|model|r|lambda)$")
 
@@ -58,8 +45,9 @@ def corner_source(x, y, t):
     return x * y
 
 
-def _parse_field_selector(kind, text):
+def _parse_field_selector(key, text):
     """Resolve a forcing/dirichlet selector string to problem data."""
+    kind = key.rsplit(".", 1)[1]
     text = text.strip().lower()
     if text == "zero":
         return None
@@ -90,6 +78,43 @@ def _as_int(key, text):
     if value != int(value):
         raise ConfigurationError(f"{key}: expected an integer, got {text!r}")
     return int(value)
+
+
+def _parse_mono_lambda(key, text):
+    """``grid`` (None: pick lambda from the candidate grid) or a number."""
+    return None if text.strip().lower() == "grid" else _as_float(key, text)
+
+
+#: ``key: (RunConfig attribute, parser)``; a parser takes ``(key, text)``.
+_KEYS = {
+    "problem.epsilon": ("epsilon", _as_float),
+    "problem.sigma": ("sigma", _as_float),
+    "problem.forcing": ("forcing", _parse_field_selector),
+    "problem.dirichlet": ("dirichlet", _parse_field_selector),
+    "problem.t_end": ("t_end", _as_float),
+    "problem.dt": ("dt", _as_float),
+    "mesh.nx": ("nx", _as_int),
+    "mesh.ny": ("ny", _as_int),
+    "decomposition.layout": ("layout", lambda key, text: text.strip().lower()),
+    "decomposition.split": ("split", _as_float),
+    "decomposition.overlap": ("overlap", _as_float),
+    "decomposition.count": ("n_custom", _as_int),
+    "training.t_end": ("training_t_end", _as_float),
+    "training.r": ("training_r", _as_int),
+    "training.lambda": ("training_lambda", _as_float),
+    "mono.r": ("mono_r", _as_int),
+    "mono.lambda": ("mono_lambda", _parse_mono_lambda),
+    "schwarz.tol": ("tol", _as_float),
+    "schwarz.max_iters": ("max_iters", _as_int),
+    "schwarz.steps_per_window": ("steps_per_window", _as_int),
+    "output.dir": ("out_dir", lambda key, text: text),
+    "output.field_times": ("field_times", lambda key, text: [
+        _as_float(key, p) for p in text.split(",") if p.strip()]),
+}
+
+#: Numeric keys resolved together once the whole file is read.
+_COLLECTED = {"problem.b_angle_degrees", "problem.bx", "problem.by",
+              "mesh.h"}
 
 
 def _cells_along(key, length, h):
@@ -268,9 +293,7 @@ def parse_config(path):
     """Read, validate, and default-fill an experiment configuration."""
     cfg = RunConfig()
     seen = set()
-    b_angle = None
-    b_comp = {}
-    mesh_h = None
+    collected = {}
     for lineno, key, value in _read_pairs(path):
         if key in seen:
             raise ConfigurationError(
@@ -307,73 +330,26 @@ def parse_config(path):
             else:
                 over.lam = _as_float(key, value)
             continue
-        if key not in _KNOWN_KEYS:
+        if key in _COLLECTED:
+            collected[key] = _as_float(key, value)
+        elif key in _KEYS:
+            attr, parse = _KEYS[key]
+            setattr(cfg, attr, parse(key, value))
+        else:
             raise ConfigurationError(
                 f"{path}:{lineno}: unknown key {key!r}")
-        if key == "problem.epsilon":
-            cfg.epsilon = _as_float(key, value)
-        elif key == "problem.sigma":
-            cfg.sigma = _as_float(key, value)
-        elif key == "problem.b_angle_degrees":
-            b_angle = _as_float(key, value)
-        elif key == "problem.bx":
-            b_comp["x"] = _as_float(key, value)
-        elif key == "problem.by":
-            b_comp["y"] = _as_float(key, value)
-        elif key == "problem.forcing":
-            cfg.forcing = _parse_field_selector("forcing", value)
-        elif key == "problem.dirichlet":
-            cfg.dirichlet = _parse_field_selector("dirichlet", value)
-        elif key == "problem.t_end":
-            cfg.t_end = _as_float(key, value)
-        elif key == "problem.dt":
-            cfg.dt = _as_float(key, value)
-        elif key == "mesh.nx":
-            cfg.nx = _as_int(key, value)
-        elif key == "mesh.ny":
-            cfg.ny = _as_int(key, value)
-        elif key == "mesh.h":
-            mesh_h = _as_float(key, value)
-        elif key == "decomposition.layout":
-            cfg.layout = value.strip().lower()
-        elif key == "decomposition.split":
-            cfg.split = _as_float(key, value)
-        elif key == "decomposition.overlap":
-            cfg.overlap = _as_float(key, value)
-        elif key == "decomposition.count":
-            cfg.n_custom = _as_int(key, value)
-        elif key == "training.t_end":
-            cfg.training_t_end = _as_float(key, value)
-        elif key == "training.r":
-            cfg.training_r = _as_int(key, value)
-        elif key == "training.lambda":
-            cfg.training_lambda = _as_float(key, value)
-        elif key == "mono.r":
-            cfg.mono_r = _as_int(key, value)
-        elif key == "mono.lambda":
-            if value.strip().lower() == "grid":
-                cfg.mono_lambda = None
-            else:
-                cfg.mono_lambda = _as_float(key, value)
-        elif key == "schwarz.tol":
-            cfg.tol = _as_float(key, value)
-        elif key == "schwarz.max_iters":
-            cfg.max_iters = _as_int(key, value)
-        elif key == "schwarz.steps_per_window":
-            cfg.steps_per_window = _as_int(key, value)
-        elif key == "output.dir":
-            cfg.out_dir = value
-        elif key == "output.field_times":
-            cfg.field_times = [_as_float(key, p)
-                               for p in value.split(",") if p.strip()]
-    if b_angle is not None and b_comp:
+    b_angle = collected.get("problem.b_angle_degrees")
+    b_given = "problem.bx" in collected or "problem.by" in collected
+    if b_angle is not None and b_given:
         raise ConfigurationError(
             "give either problem.b_angle_degrees or problem.bx/by, not both")
     if b_angle is not None:
         rad = math.radians(b_angle)
         cfg.b = (math.cos(rad), math.sin(rad))
-    elif b_comp:
-        cfg.b = (b_comp.get("x", 0.0), b_comp.get("y", 0.0))
+    elif b_given:
+        cfg.b = (collected.get("problem.bx", 0.0),
+                 collected.get("problem.by", 0.0))
+    mesh_h = collected.get("mesh.h")
     if mesh_h is not None:
         if "mesh.nx" in seen or "mesh.ny" in seen:
             raise ConfigurationError("give either mesh.h or mesh.nx/ny")

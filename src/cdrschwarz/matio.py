@@ -61,12 +61,8 @@ def export_field_csv(path, mesh, field):
     if field.shape != (mesh.n_nodes,):
         raise FormatError(
             f"field has shape {field.shape}, expected ({mesh.n_nodes},)")
-    coords = mesh.coords
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("x,y,u\n")
-        for k in range(mesh.n_nodes):
-            handle.write(f"{coords[k, 0]:.17g},{coords[k, 1]:.17g},"
-                         f"{field[k]:.17g}\n")
+    np.savetxt(path, np.column_stack((mesh.coords, field)), fmt="%.17g",
+               delimiter=",", header="x,y,u", comments="")
 
 
 def save_meta(path, entries):

@@ -38,18 +38,19 @@ protocol:
   held fixed, leaving ``last_states`` (one column of ``state`` per
   substep, so reduced coordinates for a reduced solver) and
   ``last_traces`` (one imposed boundary trace per substep).
-- ``sampler(matrix)``: a zero-argument callable returning ``matrix @
-  full_field()`` from ``state`` and the trace; :class:`GatherPlan` builds
-  one per (receiver, donor) pair, so a reduced donor is sampled without
-  lifting its state (a receiver's finite element donors share one joint
-  product, bitwise equal to theirs).
+- ``coordinate_operator(matrix)``: ``matrix``, an operator on the nodal
+  field, as one on the coordinates ``[state; g_cur]``. :class:`GatherPlan`
+  stacks every (receiver, donor) interpolation matrix, so converted, into
+  the plan's one CSR operator on the concatenated coordinates of all
+  solvers; a gather is a row slice of it times those coordinates, and a
+  reduced donor is sampled without lifting its state.
 - ``lift(states)``: interior nodal values of ``state`` columns.
   :func:`run_coupled` records ``state`` columns and lifts each history
   once, after the last window; ``full_field()`` and ``interior_values()``
   lift on demand for callers outside the sweep.
 
 A :class:`RomSubdomainSolver` in a block is never visited on its own: the
-block reads its propagators and ``sampling_operators`` to compose the map,
+block reads its propagators and the plan's operator to compose the map,
 and leaves ``state``, the trace and, after the final sweep,
 ``last_states``/``last_traces`` on it, replayed by the solver's own
 substep recurrence. Its ``advance_window`` stays for callers outside the
@@ -63,7 +64,7 @@ from itertools import groupby
 from typing import List, Optional
 
 import numpy as np
-from scipy.sparse import vstack
+from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError, DivergenceError
 from .mesh import BOUNDARY_TOL, Rect, build_mesh
@@ -245,18 +246,21 @@ def build_interfaces(config):
 
 
 class GatherPlan:
-    """Precomputed donor sampling operators for every receiver.
+    """One sparse sampling operator for every receiver's Gamma values.
 
     For each (receiver, donor) pair the bilinear interpolation matrix from
     the donor's nodes to the receiver's Gamma points is fixed, so it is
-    built once up front. On first use with a given donor solver it is
-    handed to the donor's :meth:`sampler`, which folds it into the donor's
-    own state coordinates; a reduced donor is then gathered from without
+    built once up front. Bound to a set of solvers, the plan hands each
+    matrix to its donor's :meth:`coordinate_operator`, which folds it into
+    the donor's coordinates ``[state; g_cur]``, and stacks the results into
+    one CSR ``operator`` from the concatenated coordinates of every solver
+    to the sweep's concatenated Gamma values. A gather is a row slice of it
+    times the current coordinates, so a reduced donor is sampled without
     lifting its state.
     """
 
     def __init__(self, table):
-        self._slots = []
+        self._groups = []
         for entry in table.entries:
             groups = []
             for j in sorted(set(entry.donors.tolist())):
@@ -264,65 +268,74 @@ class GatherPlan:
                 matrix = table.meshes[j].interpolation_matrix(
                     entry.gamma_points[idx])
                 groups.append((j, idx, matrix))
-            # [Gamma count, groups, (bound donors, samplers) or None]
-            self._slots.append([entry.n_gamma, groups, None])
+            self._groups.append(groups)
         counts = np.array([e.n_gamma for e in table.entries], dtype=np.int64)
         #: Receiver ``i``'s rows in a sweep's concatenated Gamma values are
         #: ``offsets[i]:offsets[i + 1]``; ``starts`` are the nonempty ones.
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
         self.starts = self.offsets[:-1][counts > 0]
-        self._units = None
+        #: The donor of each row of the concatenated Gamma values.
+        self.donors = np.concatenate([e.donors for e in table.entries])
+        self._solvers = None
 
     def groups(self, i):
         """``(donor, Gamma rows, sampling matrix)`` of receiver ``i``."""
-        return self._slots[i][1]
+        return self._groups[i]
 
-    def units(self, solvers):
-        """The sweep in order: subdomain indices visited one at a time and a
-        :class:`ReducedBlock` per maximal run of reduced subdomains.
-
-        Built, and each block composed, once per set of solvers.
-        """
-        if self._units is not None:
-            bound, units = self._units
-            if len(bound) == len(solvers) and all(
-                    a is b for a, b in zip(bound, solvers)):
-                return units
-        units = []
+    def _bind(self, solvers):
+        # The operator, its row slices and the sweep's units are built once
+        # per set of solvers (compared by identity).
+        if self._solvers == tuple(solvers):
+            return
+        self._solvers = tuple(solvers)
+        #: Solver ``k``'s coordinates are ``columns[k]:columns[k + 1]``.
+        self.columns = np.concatenate(([0], np.cumsum(
+            [s.state.shape[0] + s.g_cur.shape[0] for s in solvers])))
+        empty = np.zeros(0, dtype=np.int64)
+        rows, cols, data = [empty], [empty], [np.zeros(0)]
+        for i, groups in enumerate(self._groups):
+            for j, idx, matrix in groups:
+                block = csr_matrix(solvers[j].coordinate_operator(matrix))
+                rows.append(np.repeat(self.offsets[i] + idx,
+                                      np.diff(block.indptr)))
+                cols.append(block.indices + self.columns[j])
+                data.append(block.data)
+        # A stable sort by row keeps each row's entries in the order its
+        # donor gave them, which is the order the product sums them in.
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(
+            np.bincount(rows, minlength=int(self.offsets[-1])))))
+        self.operator = csr_matrix(
+            (np.concatenate(data)[order], np.concatenate(cols)[order], indptr),
+            shape=(int(self.offsets[-1]), int(self.columns[-1])))
+        self._rows = [self.operator[a:b]
+                      for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+        self._units = []
         for reduced, run in groupby(
                 range(len(solvers)),
                 key=lambda i: isinstance(solvers[i], RomSubdomainSolver)):
             if reduced:
-                units.append(ReducedBlock(list(run), solvers, self))
+                self._units.append(ReducedBlock(list(run), solvers, self))
             else:
-                units.extend(run)
-        self._units = (tuple(solvers), units)
-        return units
+                self._units.extend(run)
+
+    def coordinates(self):
+        """The bound solvers' current ``[state; g_cur]``, concatenated."""
+        return np.concatenate(
+            [a for s in self._solvers for a in (s.state, s.g_cur)])
+
+    def units(self, solvers):
+        """The sweep in order: subdomain indices visited one at a time and a
+        :class:`ReducedBlock` per maximal run of reduced subdomains.
+        """
+        self._bind(solvers)
+        return self._units
 
     def gather(self, i, solvers):
         """Gamma values for receiver ``i`` from the donors' current states."""
-        slot = self._slots[i]
-        bound = slot[2]
-        if bound is None or not all(solvers[j] is d for j, d in bound[0]):
-            bound = slot[2] = self._bind(slot[1], solvers)
-        vals = np.empty(slot[0])
-        for sample, idx in bound[1]:
-            vals[idx] = sample()
-        return vals
-
-    @staticmethod
-    def _bind(groups, solvers):
-        # The finite element donors of a receiver are sampled by one joint
-        # product, any other donor by its own sampler.
-        fe = [(j, idx, matrix) for j, idx, matrix in groups
-              if isinstance(solvers[j], FESubdomainSolver)]
-        samplers = [(solvers[j].sampler(matrix), idx)
-                    for j, idx, matrix in groups
-                    if not isinstance(solvers[j], FESubdomainSolver)]
-        if fe:
-            samplers.append((_fe_sampler([(solvers[j], m) for j, _, m in fe]),
-                             np.concatenate([idx for _, idx, _ in fe])))
-        return [(j, solvers[j]) for j, _, _ in groups], samplers
+        self._bind(solvers)
+        return self._rows[i] @ self.coordinates()
 
 
 class LateRowHistory:
@@ -373,53 +386,6 @@ class LateRowHistory:
             vals[rows] = np.add.reduce(
                 _EXTRAPOLATION[k] * anchors[:k + 1], axis=0)
         return vals
-
-
-def _row_slots(matrix):
-    """Column and weight slots ``(k, n_rows)`` of a k-entries-per-row matrix.
-
-    Slot ``s`` holds each row's ``s``-th entry in ascending column order, so
-    summing the slot products over axis 0 accumulates every row in column
-    order, as the bilinear four-corner blend does.
-    """
-    csr = matrix.tocsr()
-    csr.sort_indices()
-    n_rows = csr.shape[0]
-    if np.any(np.diff(csr.indptr) != csr.indptr[1]):
-        raise ConfigurationError(
-            "sampling matrix rows must hold equally many entries")
-    return (csr.indices.reshape(n_rows, -1).T.astype(np.int64),
-            csr.data.reshape(n_rows, -1).T.copy())
-
-
-def _fe_sampler(parts):
-    """Callable sampling finite element solvers: ``parts`` lists ``(solver,
-    matrix)``, and the values of each ``matrix @ full_field()`` are stacked
-    in that order.
-
-    A solver's nodal field is ``[state; g_cur]`` up to a permutation of
-    nodes, so each row (``W_I state + W_B g_cur``) is evaluated on the
-    concatenation of every solver's ``[state; g_cur]``. Row entries are
-    summed in ascending node order, which reproduces the bilinear
-    four-corner gather bitwise, however many solvers share the product.
-    """
-    columns, weights, offset = [], [], 0
-    for s, matrix in parts:
-        n_i = s.interior_map.shape[0]
-        position = np.empty(s.mesh.n_nodes, dtype=np.int64)
-        position[s.interior_map] = offset + np.arange(n_i)
-        position[s.boundary_map] = offset + n_i + np.arange(
-            s.boundary_map.shape[0])
-        c, w = _row_slots(matrix)
-        columns.append(position[c])
-        weights.append(w)
-        offset += s.mesh.n_nodes
-    columns = np.concatenate(columns, axis=1)
-    weights = np.concatenate(weights, axis=1)
-    solvers = [s for s, _ in parts]
-    return lambda: np.add.reduce(weights * np.concatenate(
-        [a for s in solvers for a in (s.state, s.g_cur)]).take(columns),
-        axis=0)
 
 
 def _dirichlet_closure(params, coords):
@@ -501,13 +467,11 @@ class _SubdomainSolverBase:
         f[self.boundary_map] = self.g_cur
         return f
 
-    def sampler(self, matrix):
-        """Callable returning ``matrix @ full_field()`` for the current state.
-
-        ``matrix`` is a sparse operator on this solver's nodal field, such
-        as ``StructuredMesh.interpolation_matrix``. The callable works from
-        ``state`` and the boundary trace directly and never assembles the
-        nodal field.
+    def coordinate_operator(self, matrix):
+        """``matrix``, an operator on this solver's nodal field such as
+        ``StructuredMesh.interpolation_matrix``, as an operator on its
+        coordinates ``[state; g_cur]``: their product is ``matrix @
+        full_field()`` without the nodal field ever being assembled.
         """
         raise NotImplementedError
 
@@ -568,8 +532,16 @@ class FESubdomainSolver(_SubdomainSolverBase):
     def lift(self, states):
         return states
 
-    def sampler(self, matrix):
-        return _fe_sampler([(self, matrix)])
+    def coordinate_operator(self, matrix):
+        # Node ids become coordinate positions and each row keeps its
+        # entries in node order, so a CSR product sums them as ``matrix @
+        # full_field()`` does, bitwise.
+        position = np.argsort(np.concatenate((self.interior_map,
+                                              self.boundary_map)))
+        matrix = matrix.tocsr()
+        return csr_matrix(
+            (matrix.data, position[matrix.indices], matrix.indptr),
+            shape=(matrix.shape[0], position.shape[0]))
 
     def restore_state(self, snap):
         super().restore_state(snap)
@@ -641,29 +613,12 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         # By reference: ``state`` arrays are replaced, never written in place.
         return (self.state, self.g_cur.copy(), self.t)
 
-    def sampling_operators(self, matrix):
-        """``(reduced, cols, weights)`` with ``matrix @ full_field() ==
-        reduced @ state + weights @ g_cur[cols]``.
-
-        ``reduced`` folds ``W_I Psi``; ``cols`` are the boundary positions
-        ``matrix`` touches.
-        """
+    def coordinate_operator(self, matrix):
+        # Dense ``[W_I Psi | W_B]`` on ``[vhat; g_cur]``: the state is never
+        # lifted.
         matrix = matrix.tocsc()
-        reduced = np.asarray(matrix[:, self.interior_map] @ self.basis.Psi)
-        boundary = matrix[:, self.boundary_map]
-        cols = np.flatnonzero(np.diff(boundary.indptr))
-        return reduced, cols, boundary[:, cols].toarray()
-
-    def sampler(self, matrix):
-        # W_I Psi is folded once, and with the trace weights it makes one
-        # dense operator on [vhat; g_cur]: a sample is a single small
-        # product, and the state is never lifted.
-        reduced, cols, weights = self.sampling_operators(matrix)
-        r = reduced.shape[1]
-        operator = np.zeros((reduced.shape[0], r + self.g_cur.shape[0]))
-        operator[:, :r] = reduced
-        operator[:, r + cols] = weights
-        return lambda: operator @ np.concatenate((self.state, self.g_cur))
+        return np.hstack((matrix[:, self.interior_map] @ self.basis.Psi,
+                          matrix[:, self.boundary_map].toarray()))
 
     def _prepare_window(self, t_n, t_next):
         # Everything but the Gamma values is fixed within a window, so the
@@ -751,28 +706,16 @@ class ReducedBlock:
         self._trace_gamma = np.concatenate(
             [b + s.gamma_positions for b, s in zip(self._boff, self.solvers)])
         self._steady = all(s._steady for s in self.solvers)
-        # Gathers from earlier members are composed into the map; any other
-        # donor is sampled, one sampler per donor over every run row it
-        # feeds.
-        inputs, self._earlier = {}, []
-        for m, i in enumerate(members):
-            earlier = []
-            for j, idx, matrix in plan.groups(i):
-                if members[0] <= j < i:
-                    earlier.append((j - members[0], idx, matrix))
-                else:
-                    inputs.setdefault(j, []).append(
-                        (idx + self._goff[m], matrix))
-            self._earlier.append(earlier)
-        self._samplers = [
-            (solvers[j].sampler(vstack([mat for _, mat in parts],
-                                       format="csr")),
-             np.concatenate([rows for rows, _ in parts]))
-            for j, parts in sorted(inputs.items())]
+        # Gathers from earlier members are composed into the map; every
+        # other row is an input, sampled by one product with the plan's
+        # operator.
+        self._plan = plan
+        donors = plan.donors[self.lo:self.hi]
+        receivers = np.repeat(members, np.diff(self._goff))
         #: Input Gamma rows, ascending.
-        self._inputs = np.sort(np.concatenate(
-            [np.zeros(0, dtype=np.int64)]
-            + [rows for _, rows in self._samplers]))
+        self._inputs = np.flatnonzero((donors < members[0])
+                                      | (donors > receivers))
+        self._sample = plan.operator[self.lo + self._inputs]
         self._n = None
 
     def _compose(self, n):
@@ -785,12 +728,17 @@ class ReducedBlock:
         gamma = np.zeros((goff[-1], n_z))
         gamma[inputs, base + np.arange(inputs.size)] = 1.0
         states, traces = [], []
+        columns = self._plan.columns[self.members]
         for m, s in enumerate(self.solvers):
             g = gamma[goff[m]:goff[m + 1]]
-            for d, idx, matrix in self._earlier[m]:
-                reduced, cols, weights = \
-                    self.solvers[d].sampling_operators(matrix)
-                g[idx] = reduced @ states[d] + weights @ traces[d][cols]
+            if m > 0:
+                # The operator's columns of the earlier members' coordinates,
+                # times those coordinates as maps of z; zero on input rows.
+                weights = self._plan.operator[
+                    self.lo + goff[m]:self.lo + goff[m + 1],
+                    columns[0]:columns[m]].toarray()
+                g += weights @ np.vstack(
+                    [x for d in range(m) for x in (states[d], traces[d])])
             # The member's boundary trace at the window end as a map of z.
             trace = np.zeros((s.boundary_map.shape[0], n_z))
             trace[physical[m],
@@ -847,8 +795,7 @@ class ReducedBlock:
         """Advance every member once, filling ``gamma``, the run's slice of
         the sweep's Gamma values, and leaving each member's new ``state``
         and trace in place for the gathers that follow."""
-        for sample, rows in self._samplers:
-            gamma[rows] = sample()
+        gamma[self._inputs] = self._sample @ self._plan.coordinates()
         if first and history is not None:
             history.predict(tuple(self.members), gamma)
         self._z = np.concatenate((self._w, gamma.take(self._inputs)))
@@ -1133,12 +1080,10 @@ class StitchPlan:
         return acc / counts
 
 
-def stitch(config, fields, global_mesh, meshes=None, plan=None):
+def stitch(config, fields, global_mesh, meshes=None):
     """Combine per-subdomain nodal fields into one global nodal field.
 
     Each global node takes the average of the bilinear samples of every
     subdomain whose rectangle contains it.
     """
-    if plan is None:
-        plan = StitchPlan(config, global_mesh, meshes)
-    return plan.apply(fields)
+    return StitchPlan(config, global_mesh, meshes).apply(fields)

@@ -274,6 +274,13 @@ def test_field_csv_export(tmp_path):
     np.testing.assert_array_equal(data[:, :2], mesh.coords)
     np.testing.assert_array_equal(data[:, 2], field)  # 17 digits: exact
 
+    # The whole text: header, separators, 17-digit values, signed zero,
+    # non-finite values and the final newline.
+    matio.export_field_csv(path, mesh,
+                           np.array([-0.0, 1.0 / 3.0, np.inf, np.nan]))
+    assert (tmp_path / "f.csv").read_bytes() == (
+        b"x,y,u\n0,0,-0\n1,0,0.33333333333333331\n0,1,inf\n1,1,nan\n")
+
     with pytest.raises(FormatError):
         matio.export_field_csv(path, mesh, np.zeros(3))
 

@@ -211,6 +211,31 @@ def test_gather_plan_matches_lifted_reduced_donor():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+def test_fe_gathers_are_bitwise_on_unaligned_meshes():
+    # On unaligned meshes a Gamma row weighs up to four donor nodes, so a
+    # gather that summed them in another order than the nodal interpolation
+    # would differ in the last bit somewhere; moving Dirichlet data put
+    # nonzero values on the donors' physical boundary rows too.
+    specs = (SubdomainSpec(Rect(0.0, 0.3, 0.0, 1.0), 6, 10),
+             SubdomainSpec(Rect(0.26, 0.6, 0.0, 1.0), 5, 13),
+             SubdomainSpec(Rect(0.5, 1.0, 0.0, 1.0), 10, 20))
+    config = SchwarzConfig(subdomains=specs, dt=0.01, t_end=0.03)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
+                       dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+    table = build_interfaces(config)
+    solvers = make_fe_solvers(config, params, table)
+    plan = GatherPlan(table)
+    for w in range(config.n_windows):
+        schwarz_window(solvers, table, w * config.dt, (w + 1) * config.dt,
+                       config.tol, config.max_iters, plan)
+        for i, entry in enumerate(table.entries):
+            got = plan.gather(i, solvers)
+            for j, idx, _ in plan.groups(i):
+                np.testing.assert_array_equal(
+                    got[idx], table.meshes[j].interpolate(
+                        solvers[j].full_field(), entry.gamma_points[idx]))
+
+
 # ---------------------------------------------------------------------------
 # The window fixed point
 
