@@ -8,18 +8,16 @@ whose operators are inferred from snapshot data.
 
 from .errors import (ConfigurationError, DivergenceError, FactorizationError,
                      FormatError, OutOfDomainError)
-from .mesh import Rect, StructuredMesh, build_mesh, interpolate, locate_point
+from .mesh import Rect, StructuredMesh, build_mesh
 from .fem import (CdrParams, SemiDiscreteSystem, assemble, assemble_full,
-                  boundary_values, element_matrices, load_vector)
-from .timestep import (ImplicitEulerStepper, Trajectory, factorize, integrate,
-                       n_steps_for, run_transient, step)
+                  boundary_values, element_matrices)
+from .timestep import ImplicitEulerStepper, Trajectory, integrate, n_steps_for
 from .rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
-                  fit_operators, reconstruct, rom_step, time_derivatives,
-                  train_opinf)
+                  fit_operators, time_derivatives, train_opinf)
 from .schwarz import (FESubdomainSolver, GatherPlan, InterfaceTable,
                       RomSubdomainSolver, RunResult, SchwarzConfig,
                       StitchPlan, SubdomainSpec, build_interfaces,
-                      run_coupled, schwarz_window, stitch)
+                      run_coupled, schwarz_window)
 from .config import GLOBAL_RECT, RunConfig, parse_config
 from .driver import (ComparisonReport, cmd_compare, cmd_run_fom,
                      cmd_run_hybrid, cmd_run_mono_opinf, cmd_run_schwarz,
@@ -31,18 +29,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError", "DivergenceError", "FactorizationError",
     "FormatError", "OutOfDomainError",
-    "Rect", "StructuredMesh", "build_mesh", "interpolate", "locate_point",
+    "Rect", "StructuredMesh", "build_mesh",
     "CdrParams", "SemiDiscreteSystem", "assemble", "assemble_full",
-    "boundary_values", "element_matrices", "load_vector",
-    "ImplicitEulerStepper", "Trajectory", "factorize", "integrate",
-    "n_steps_for", "run_transient", "step",
+    "boundary_values", "element_matrices",
+    "ImplicitEulerStepper", "Trajectory", "integrate", "n_steps_for",
     "OpInfOperators", "PodBasis", "RomStepper", "compute_pod",
-    "fit_operators", "reconstruct", "rom_step", "time_derivatives",
-    "train_opinf",
+    "fit_operators", "time_derivatives", "train_opinf",
     "FESubdomainSolver", "GatherPlan", "InterfaceTable",
     "RomSubdomainSolver", "RunResult", "SchwarzConfig", "StitchPlan",
     "SubdomainSpec", "build_interfaces", "run_coupled", "schwarz_window",
-    "stitch",
     "GLOBAL_RECT", "RunConfig", "parse_config",
     "ComparisonReport", "cmd_compare", "cmd_run_fom", "cmd_run_hybrid",
     "cmd_run_mono_opinf", "cmd_run_schwarz", "cmd_train", "error_metric",

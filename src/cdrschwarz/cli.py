@@ -99,7 +99,7 @@ def _coupled_exit_code(run, prefix=""):
         return 0
     w = int(np.flatnonzero(~run.window_converged)[0])
     config = run.config
-    t_end = config.t_begin + (w + 1) * config.window_dt
+    t_end = (w + 1) * config.window_dt
     return _numerical_failure(
         f"{prefix}coupled window {w + 1} of {run.iterations.shape[0]} "
         f"(ending at t={t_end:g}) did not converge within max_iters = "

@@ -30,10 +30,8 @@ from typing import List, Optional
 from .errors import ConfigurationError
 from .fem import CdrParams, time_independent
 from .mesh import Rect
-from .schwarz import SchwarzConfig, SubdomainSpec
+from .schwarz import GLOBAL_RECT, SchwarzConfig, SubdomainSpec
 from .timestep import n_steps_for
-
-GLOBAL_RECT = Rect(0.0, 1.0, 0.0, 1.0)
 
 _SUBDOMAIN_KEY = re.compile(
     r"^subdomain\.(\d+)\.(rect|nx|ny|model|r|lambda)$")
@@ -67,10 +65,14 @@ def _parse_field_selector(key, text):
 
 def _as_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigurationError(f"{key}: expected a number, got {text!r}") \
             from None
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _as_int(key, text):
@@ -235,8 +237,7 @@ class RunConfig:
             tol=self.tol if tol is None else tol,
             max_iters=self.max_iters if max_iters is None else max_iters,
             steps_per_window=(self.steps_per_window if steps_per_window is None
-                              else steps_per_window),
-            global_rect=GLOBAL_RECT)
+                              else steps_per_window))
 
     def resolved_field_times(self):
         return [self.t_end] if self.field_times is None else self.field_times

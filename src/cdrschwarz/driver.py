@@ -24,7 +24,8 @@ from .rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
                   train_opinf)
 from .schwarz import (FESubdomainSolver, RomSubdomainSolver, RunResult,
                       StitchPlan, run_coupled)
-from .timestep import Trajectory, factorize, integrate, n_steps_for
+from .timestep import (ImplicitEulerStepper, Trajectory, integrate,
+                       n_steps_for)
 
 #: Reference-norm floor below which a time is skipped by the error metric.
 ZERO_NORM_FLOOR = 1e-14
@@ -114,7 +115,7 @@ def fe_factory(params):
     """Coupled-solver factory assigning finite elements everywhere."""
     def factory(spec, mesh, entry, config):
         return FESubdomainSolver(spec, mesh, params, config.dt,
-                                 entry.gamma_positions, t0=config.t_begin)
+                                 entry.gamma_positions)
     return factory
 
 
@@ -131,8 +132,7 @@ def hybrid_factory(params, trained):
     def factory(spec, mesh, entry, config):
         if spec.model == "fe":
             return FESubdomainSolver(spec, mesh, params, config.dt,
-                                     entry.gamma_positions,
-                                     t0=config.t_begin)
+                                     entry.gamma_positions)
         if entry.index not in trained:
             raise ConfigurationError(
                 f"subdomain {entry.index + 1} is reduced but has no "
@@ -141,7 +141,7 @@ def hybrid_factory(params, trained):
         _check_rank(entry.index, spec, item.basis)
         return RomSubdomainSolver(spec, mesh, params, config.dt,
                                   entry.gamma_positions, item.basis,
-                                  item.ops, t0=config.t_begin)
+                                  item.ops)
     return factory
 
 
@@ -181,7 +181,7 @@ def cmd_run_fom(cfg, out_dir=None):
     mesh = build_global_mesh(cfg)
     t0 = time.perf_counter()
     system = assemble(mesh, params)
-    stepper = factorize(system, cfg.dt)
+    stepper = ImplicitEulerStepper(system, cfg.dt)
     setup_seconds = time.perf_counter() - t0
 
     initial = np.zeros(system.n_interior)

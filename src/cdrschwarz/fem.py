@@ -26,8 +26,10 @@ _GW = (0.5, 0.5)
 
 
 def time_independent(profile):
-    """Mark a forcing profile ``(x, y, t) -> values`` that ignores ``t``, so
-    its load vector is assembled once instead of at every step time."""
+    """Mark a profile ``(x, y, t) -> values`` that ignores ``t``: a forcing
+    so marked has its load vector assembled once instead of at every step
+    time, and the coupled subdomain solvers evaluate Dirichlet data so
+    marked once."""
     profile.time_independent = True
     return profile
 
@@ -112,19 +114,19 @@ class SemiDiscreteSystem:
     """Interior ODE system of one meshed subdomain after boundary elimination.
 
     ``M_IB`` couples interior rows to boundary values through the
-    consistent mass matrix; it only matters when the boundary trace moves
-    in time, and may be ``None`` for a steady trace.
+    consistent mass matrix; its term in a step vanishes when the boundary
+    trace is steady.
     """
 
     M: csr_matrix
     A_II: csr_matrix
     A_IB: csr_matrix
+    M_IB: csr_matrix
     interior_map: np.ndarray
     boundary_map: np.ndarray
     load: Callable[[float], np.ndarray]
     mesh: object = None
     params: Optional[CdrParams] = None
-    M_IB: Optional[csr_matrix] = None
 
     @property
     def n_interior(self):
@@ -213,15 +215,10 @@ def assemble(mesh, params):
     a_ib = a_full[interior][:, boundary].tocsr()
     m_ib = m_full[interior][:, boundary].tocsr()
     return SemiDiscreteSystem(
-        M=m_ii, A_II=a_ii, A_IB=a_ib,
+        M=m_ii, A_II=a_ii, A_IB=a_ib, M_IB=m_ib,
         interior_map=interior, boundary_map=boundary,
         load=_forcing_closure(mesh, params, interior),
-        mesh=mesh, params=params, M_IB=m_ib)
-
-
-def load_vector(system, t):
-    """Interior forcing vector F(t) of an assembled system."""
-    return system.load(t)
+        mesh=mesh, params=params)
 
 
 def boundary_values(system, params, t):

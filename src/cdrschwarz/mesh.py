@@ -171,11 +171,3 @@ class StructuredMesh:
 def build_mesh(rect, nx, ny):
     """Construct a structured mesh over ``rect`` with ``nx`` x ``ny`` cells."""
     return StructuredMesh(rect, nx, ny)
-
-
-def locate_point(mesh, point):
-    return mesh.locate(point)
-
-
-def interpolate(mesh, field, points):
-    return mesh.interpolate(field, points)

@@ -222,7 +222,7 @@ class RomStepper:
                 f"at dt={dt}")
         self._lu = (lu, piv)
 
-    def step(self, vhat, g_next, t_next=None):
+    def step(self, vhat, g_next):
         ops = self.ops
         if vhat.shape != (ops.r,):
             raise ConfigurationError(
@@ -252,14 +252,3 @@ class RomStepper:
                             np.hstack([np.eye(ops.r), self.dt * ops.Bhat,
                                        self.dt * ops.fhat[:, None]]))
         return P[:, :ops.r], P[:, ops.r:-1], P[:, -1]
-
-
-def rom_step(ops, vhat, g, dt):
-    """Single implicit Euler step of a reduced model (one-shot solve)."""
-    return RomStepper(ops, dt).step(np.asarray(vhat, dtype=float),
-                                    np.asarray(g, dtype=float))
-
-
-def reconstruct(basis, vhat):
-    """Lift reduced coordinates back to the full space: ``Psi @ vhat``."""
-    return basis.Psi @ vhat

@@ -39,15 +39,15 @@ protocol:
   substep, so reduced coordinates for a reduced solver) and
   ``last_traces`` (one imposed boundary trace per substep).
 - ``coordinate_operator(matrix)``: ``matrix``, an operator on the nodal
-  field, as one on the coordinates ``[state; g_cur]``. :class:`GatherPlan`
-  stacks every (receiver, donor) interpolation matrix, so converted, into
-  the plan's one CSR operator on the concatenated coordinates of all
-  solvers; a gather is a row slice of it times those coordinates, and a
-  reduced donor is sampled without lifting its state.
+  field, as one on the coordinates ``[state; g_cur]``. :class:`GatherPlan`,
+  built once per coupled run, stacks every (receiver, donor) interpolation
+  matrix, so converted, into one CSR operator on the concatenated
+  coordinates of all solvers; a gather is a row slice of it times those
+  coordinates, and a reduced donor is sampled without lifting its state.
 - ``lift(states)``: interior nodal values of ``state`` columns.
   :func:`run_coupled` records ``state`` columns and lifts each history
-  once, after the last window; ``full_field()`` and ``interior_values()``
-  lift on demand for callers outside the sweep.
+  once, after the last window, for a :class:`StitchPlan` to average onto
+  the global mesh; ``full_field()`` lifts the current state on demand.
 
 A :class:`RomSubdomainSolver` in a block is never visited on its own: the
 block reads its propagators and the plan's operator to compose the map,
@@ -71,6 +71,9 @@ from .mesh import BOUNDARY_TOL, Rect, build_mesh
 from .fem import assemble
 from .rom import RomStepper
 from . import kernels, timestep
+
+#: The global domain, the unit square; every coupled run starts at t = 0.
+GLOBAL_RECT = Rect(0.0, 1.0, 0.0, 1.0)
 
 #: Relative slack when matching solver clocks against window endpoints.
 _TIME_RTOL = 1e-9
@@ -128,9 +131,7 @@ class SchwarzConfig:
     t_end: float
     tol: float = 1e-9
     max_iters: int = 50
-    t_begin: float = 0.0
     steps_per_window: int = 1
-    global_rect: Rect = Rect(0.0, 1.0, 0.0, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "subdomains", tuple(self.subdomains))
@@ -146,7 +147,7 @@ class SchwarzConfig:
         if self.steps_per_window < 1:
             raise ConfigurationError(
                 f"steps_per_window must be >= 1, got {self.steps_per_window}")
-        g = self.global_rect
+        g = GLOBAL_RECT
         for k, spec in enumerate(self.subdomains):
             r = spec.rect
             if (r.x0 < g.x0 - BOUNDARY_TOL or r.x1 > g.x1 + BOUNDARY_TOL
@@ -154,8 +155,7 @@ class SchwarzConfig:
                 raise ConfigurationError(
                     f"subdomain {k} rectangle exceeds the global domain")
         # Validates that the horizon is an integer number of windows.
-        timestep.n_steps_for(self.t_begin, self.t_end,
-                             self.dt * self.steps_per_window)
+        timestep.n_steps_for(0.0, self.t_end, self.dt * self.steps_per_window)
 
     @property
     def window_dt(self):
@@ -163,7 +163,7 @@ class SchwarzConfig:
 
     @property
     def n_windows(self):
-        return timestep.n_steps_for(self.t_begin, self.t_end, self.window_dt)
+        return timestep.n_steps_for(0.0, self.t_end, self.window_dt)
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def build_interfaces(config):
     """
     specs = config.subdomains
     meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in specs)
-    g = config.global_rect
+    g = GLOBAL_RECT
     entries = []
     for i, mesh in enumerate(meshes):
         bids = mesh.boundary_node_ids
@@ -249,17 +249,18 @@ class GatherPlan:
     """One sparse sampling operator for every receiver's Gamma values.
 
     For each (receiver, donor) pair the bilinear interpolation matrix from
-    the donor's nodes to the receiver's Gamma points is fixed, so it is
-    built once up front. Bound to a set of solvers, the plan hands each
-    matrix to its donor's :meth:`coordinate_operator`, which folds it into
-    the donor's coordinates ``[state; g_cur]``, and stacks the results into
-    one CSR ``operator`` from the concatenated coordinates of every solver
-    to the sweep's concatenated Gamma values. A gather is a row slice of it
-    times the current coordinates, so a reduced donor is sampled without
-    lifting its state.
+    the donor's nodes to the receiver's Gamma points is fixed. The plan
+    hands each matrix to its donor's :meth:`coordinate_operator`, which
+    folds it into the donor's coordinates ``[state; g_cur]``, and stacks the
+    results into one CSR ``operator`` from the concatenated coordinates of
+    ``solvers`` to the sweep's concatenated Gamma values. A gather is a row
+    slice of it times the current coordinates, so a reduced donor is
+    sampled without lifting its state. The plan serves the solvers it was
+    built with, for the whole coupled run.
     """
 
-    def __init__(self, table):
+    def __init__(self, table, solvers):
+        self.solvers = tuple(solvers)
         self._groups = []
         for entry in table.entries:
             groups = []
@@ -276,18 +277,6 @@ class GatherPlan:
         self.starts = self.offsets[:-1][counts > 0]
         #: The donor of each row of the concatenated Gamma values.
         self.donors = np.concatenate([e.donors for e in table.entries])
-        self._solvers = None
-
-    def groups(self, i):
-        """``(donor, Gamma rows, sampling matrix)`` of receiver ``i``."""
-        return self._groups[i]
-
-    def _bind(self, solvers):
-        # The operator, its row slices and the sweep's units are built once
-        # per set of solvers (compared by identity).
-        if self._solvers == tuple(solvers):
-            return
-        self._solvers = tuple(solvers)
         #: Solver ``k``'s coordinates are ``columns[k]:columns[k + 1]``.
         self.columns = np.concatenate(([0], np.cumsum(
             [s.state.shape[0] + s.g_cur.shape[0] for s in solvers])))
@@ -311,30 +300,28 @@ class GatherPlan:
             shape=(int(self.offsets[-1]), int(self.columns[-1])))
         self._rows = [self.operator[a:b]
                       for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-        self._units = []
+        #: The sweep in order: subdomain indices visited one at a time and a
+        #: :class:`ReducedBlock` per maximal run of reduced subdomains.
+        self.units = []
         for reduced, run in groupby(
                 range(len(solvers)),
                 key=lambda i: isinstance(solvers[i], RomSubdomainSolver)):
             if reduced:
-                self._units.append(ReducedBlock(list(run), solvers, self))
+                self.units.append(ReducedBlock(list(run), solvers, self))
             else:
-                self._units.extend(run)
+                self.units.extend(run)
+
+    def groups(self, i):
+        """``(donor, Gamma rows, sampling matrix)`` of receiver ``i``."""
+        return self._groups[i]
 
     def coordinates(self):
-        """The bound solvers' current ``[state; g_cur]``, concatenated."""
+        """The solvers' current ``[state; g_cur]``, concatenated."""
         return np.concatenate(
-            [a for s in self._solvers for a in (s.state, s.g_cur)])
+            [a for s in self.solvers for a in (s.state, s.g_cur)])
 
-    def units(self, solvers):
-        """The sweep in order: subdomain indices visited one at a time and a
-        :class:`ReducedBlock` per maximal run of reduced subdomains.
-        """
-        self._bind(solvers)
-        return self._units
-
-    def gather(self, i, solvers):
+    def gather(self, i):
         """Gamma values for receiver ``i`` from the donors' current states."""
-        self._bind(solvers)
         return self._rows[i] @ self.coordinates()
 
 
@@ -389,19 +376,24 @@ class LateRowHistory:
 
 
 def _dirichlet_closure(params, coords):
-    """Physical-boundary trace evaluator over fixed coordinates."""
+    """Physical-boundary trace evaluator over fixed coordinates, and whether
+    it is steady; data marked by :func:`~cdrschwarz.fem.time_independent`
+    are evaluated once, like a scalar."""
     g = None if params is None else params.dirichlet
     n = coords.shape[0]
-    if g is None:
-        const = np.zeros(n)
-        return lambda t: const
-    if np.isscalar(g):
-        const = np.full(n, float(g))
-        return lambda t: const
-    x = coords[:, 0].copy()
-    y = coords[:, 1].copy()
-    return lambda t: np.broadcast_to(
-        np.asarray(g(x, y, t), dtype=float), (n,))
+    if callable(g):
+        x = coords[:, 0].copy()
+        y = coords[:, 1].copy()
+
+        def trace(t):
+            return np.broadcast_to(np.asarray(g(x, y, t), dtype=float), (n,))
+
+        if not getattr(g, "time_independent", False):
+            return trace, False
+        const = trace(0.0)
+    else:
+        const = np.full(n, 0.0 if g is None else float(g))
+    return (lambda t: const), True
 
 
 class _SubdomainSolverBase:
@@ -411,7 +403,7 @@ class _SubdomainSolverBase:
     interior nodal values with :meth:`lift`.
     """
 
-    def __init__(self, spec, mesh, params, dt, gamma_positions, t0):
+    def __init__(self, spec, mesh, params, dt, gamma_positions):
         self.spec = spec
         self.mesh = mesh
         self.params = params
@@ -423,14 +415,12 @@ class _SubdomainSolverBase:
         mask = np.ones(n_b, dtype=bool)
         mask[self.gamma_positions] = False
         self.physical_positions = np.flatnonzero(mask)
-        self._physical_trace = _dirichlet_closure(
+        #: ``_steady``: the physical trace never changes.
+        self._physical_trace, self._steady = _dirichlet_closure(
             params, mesh.coords[self.boundary_map[self.physical_positions]])
-        #: Steady physical data: the physical trace never changes.
-        self._steady = not callable(None if params is None
-                                    else params.dirichlet)
         self.g_cur = np.zeros(n_b)
-        self.g_cur[self.physical_positions] = self._physical_trace(t0)
-        self.t = float(t0)
+        self.g_cur[self.physical_positions] = self._physical_trace(0.0)
+        self.t = 0.0
         self.state = None
         self._window_snapshot = None
         self._span_cache = None
@@ -513,17 +503,11 @@ class FESubdomainSolver(_SubdomainSolverBase):
     ``state`` holds the interior nodal values.
     """
 
-    def __init__(self, spec, mesh, params, dt, gamma_positions, t0=0.0,
-                 initial=None):
-        super().__init__(spec, mesh, params, dt, gamma_positions, t0)
+    def __init__(self, spec, mesh, params, dt, gamma_positions):
+        super().__init__(spec, mesh, params, dt, gamma_positions)
         self.system = assemble(mesh, params)
-        self.stepper = timestep.factorize(self.system, dt)
-        self.state = (np.zeros(self.system.n_interior) if initial is None
-                      else np.array(initial, dtype=float))
-        if self.state.shape != (self.system.n_interior,):
-            raise ConfigurationError(
-                f"initial state has shape {self.state.shape}, expected "
-                f"({self.system.n_interior},)")
+        self.stepper = timestep.ImplicitEulerStepper(self.system, dt)
+        self.state = np.zeros(self.system.n_interior)
         # Trace the current state is consistent with: the one imposed while
         # stepping into the current time (feeds the moving-boundary mass
         # term of the next step).
@@ -581,9 +565,8 @@ class RomSubdomainSolver(_SubdomainSolverBase):
     training.
     """
 
-    def __init__(self, spec, mesh, params, dt, gamma_positions, basis, ops,
-                 t0=0.0):
-        super().__init__(spec, mesh, params, dt, gamma_positions, t0)
+    def __init__(self, spec, mesh, params, dt, gamma_positions, basis, ops):
+        super().__init__(spec, mesh, params, dt, gamma_positions)
         n_interior = self.interior_map.shape[0]
         n_b = self.boundary_map.shape[0]
         if basis.n != n_interior:
@@ -904,12 +887,15 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
     solvers, with ``last_states``/``last_traces`` from the final sweep. A
     solver already advanced through this very window is rewound from its
     remembered window-start snapshot, so re-running a converged window
-    terminates after one cheap iteration.
+    terminates after one cheap iteration. A ``plan`` must have been built
+    for these ``solvers``; without one, a plan is built for this window.
     """
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     if plan is None:
-        plan = GatherPlan(interfaces)
+        plan = GatherPlan(interfaces, solvers)
+    elif plan.solvers != tuple(solvers):  # compared by identity
+        raise ConfigurationError("the gather plan was built for other solvers")
     for k, s in enumerate(solvers):
         if _matches(s.t, t_n):
             s._window_snapshot = s.snapshot_state()
@@ -918,7 +904,7 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
             raise ConfigurationError(
                 f"solver {k} is at t={s.t}, not at the window start "
                 f"t={t_n}, and has no snapshot there")
-    units = plan.units(solvers)
+    units = plan.units
     blocks = [u for u in units if isinstance(u, ReducedBlock)]
     prev = np.concatenate([s.interface_values() for s in solvers])
     for block in blocks:
@@ -935,7 +921,7 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
                 checked.append(unit.states)
                 continue
             s = solvers[unit]
-            vals = plan.gather(unit, solvers)
+            vals = plan.gather(unit)
             if history is not None and first:
                 vals = history.predict(unit, vals)
             s.restore_state(s._window_snapshot)
@@ -991,14 +977,14 @@ def run_coupled(config, solver_factory):
     table = build_interfaces(config)
     solvers = [solver_factory(spec, table.meshes[i], table.entries[i], config)
                for i, spec in enumerate(config.subdomains)]
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     history = LateRowHistory(table)
     for i, s in enumerate(solvers):
-        s.set_interface_values(plan.gather(i, solvers))
+        s.set_interface_values(plan.gather(i))
     setup_seconds = time.perf_counter() - t0
 
-    n_steps = timestep.n_steps_for(config.t_begin, config.t_end, config.dt)
-    times = config.t_begin + config.dt * np.arange(n_steps + 1)
+    n_steps = timestep.n_steps_for(0.0, config.t_end, config.dt)
+    times = config.dt * np.arange(n_steps + 1)
     # States are recorded in each solver's own coordinates and lifted to
     # interior nodal values once, after the last window.
     states = [np.empty((s.state.shape[0], n_steps + 1)) for s in solvers]
@@ -1015,7 +1001,7 @@ def run_coupled(config, solver_factory):
 
     t1 = time.perf_counter()
     for w in range(n_windows):
-        t_w = config.t_begin + w * config.window_dt
+        t_w = w * config.window_dt
         iters, ok = schwarz_window(solvers, table, t_w, t_w + config.window_dt,
                                    config.tol, config.max_iters, plan,
                                    history)
@@ -1041,10 +1027,7 @@ def run_coupled(config, solver_factory):
 class StitchPlan:
     """Precomputed overlap-averaging operators onto a global mesh."""
 
-    def __init__(self, config, global_mesh, meshes=None):
-        if meshes is None:
-            meshes = tuple(build_mesh(s.rect, s.nx, s.ny)
-                           for s in config.subdomains)
+    def __init__(self, config, global_mesh, meshes):
         pts = global_mesh.coords
         counts = np.zeros(pts.shape[0])
         self._pieces = []
@@ -1078,12 +1061,3 @@ class StitchPlan:
         for (idx, matrix), f in zip(self._pieces, fields):
             acc[idx] += matrix @ f
         return acc / counts
-
-
-def stitch(config, fields, global_mesh, meshes=None):
-    """Combine per-subdomain nodal fields into one global nodal field.
-
-    Each global node takes the average of the bilinear samples of every
-    subdomain whose rectangle contains it.
-    """
-    return StitchPlan(config, global_mesh, meshes).apply(fields)

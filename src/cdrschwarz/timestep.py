@@ -7,19 +7,19 @@ One step solves
 
 with the boundary trace taken fully implicitly at the new time level. The
 last term is the consistent-mass contribution of a moving boundary trace;
-it vanishes for a steady trace (pass ``g_prev=None`` to drop it), and it is
-what keeps a subdomain step identical to the matching rows of a monolithic
-step. The sparse factorization of ``M + dt * A_II`` is computed once per
-stepper and reused for every step at that ``dt``.
+it vanishes for a steady trace, and it is what keeps a subdomain step
+identical to the matching rows of a monolithic step. The sparse
+factorization of ``M + dt * A_II`` is computed once per stepper and reused
+for every step at that ``dt``.
 
 The right-hand side apart from the load is one sparse product,
 
     [M, -dt * A_IB, -M_IB] @ [v_n; g_{n+1}; g_{n+1} - g_n],
 
-with the block operator built once per stepper. A steady trace feeds zeros
-to the last block; a system without ``M_IB`` uses the first two blocks.
+with the block operator built once per stepper.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +65,8 @@ class ImplicitEulerStepper:
         # One operator for the whole right-hand side but the load: a single
         # sparse product per step instead of one per term, which dominated
         # the cost of small subdomain steps.
-        blocks = [system.M, -self.dt * system.A_IB]
-        # What a steady trace feeds the -M_IB block; None without M_IB.
-        self._steady_change = None
-        if system.M_IB is not None:
-            blocks.append(-system.M_IB)
-            self._steady_change = np.zeros(system.n_boundary)
-        self._rhs_operator = hstack(blocks, format="csr")
+        self._rhs_operator = hstack(
+            [system.M, -self.dt * system.A_IB, -system.M_IB], format="csr")
         self._load_t = None
         self._load_vec = None
 
@@ -83,12 +78,11 @@ class ImplicitEulerStepper:
             self._load_t = t
         return self._load_vec
 
-    def step(self, v_n, g_next, t_next, g_prev=None):
+    def step(self, v_n, g_next, t_next, g_prev):
         """Advance one state vector a single step to time ``t_next``.
 
         ``g_prev`` is the trace the current state was stepped into (the
-        previous column of the trace history); omit it when the boundary
-        trace is steady across the step.
+        previous column of the trace history).
         """
         system = self.system
         if v_n.shape != (system.n_interior,):
@@ -98,32 +92,22 @@ class ImplicitEulerStepper:
             raise ConfigurationError(
                 f"boundary trace has shape {g_next.shape}, expected "
                 f"({system.n_boundary},)")
-        if self._steady_change is None:
-            stacked = np.concatenate((v_n, g_next))
-        elif g_prev is None:
-            stacked = np.concatenate((v_n, g_next, self._steady_change))
-        else:
-            if g_prev.shape != g_next.shape:
-                raise ConfigurationError(
-                    f"previous trace has shape {g_prev.shape}, expected "
-                    f"{g_next.shape}")
-            stacked = np.concatenate((v_n, g_next, g_next - g_prev))
-        rhs = self._rhs_operator @ stacked
+        if g_prev.shape != g_next.shape:
+            raise ConfigurationError(
+                f"previous trace has shape {g_prev.shape}, expected "
+                f"{g_next.shape}")
+        rhs = self._rhs_operator @ np.concatenate((v_n, g_next,
+                                                   g_next - g_prev))
         rhs += self._scaled_load(t_next)
         return self._lu.solve(rhs)
 
 
-def factorize(system, dt):
-    """Build the reusable implicit Euler stepper for one system and dt."""
-    return ImplicitEulerStepper(system, dt)
-
-
-def step(stepper, v_n, g_next, t_next, g_prev=None):
-    return stepper.step(v_n, g_next, t_next, g_prev)
-
-
 def n_steps_for(t0, t1, dt):
     """Number of uniform steps covering [t0, t1], validated to 1e-9."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ConfigurationError(f"time interval [{t0}, {t1}] is not finite")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(f"time step must be > 0, got {dt}")
     if t1 <= t0:
         raise ConfigurationError(f"empty time interval [{t0}, {t1}]")
     span = t1 - t0
@@ -161,8 +145,3 @@ def integrate(stepper, t0, t1, initial, boundary_fn):
         traces[:, j] = g
         g_prev = g
     return Trajectory(times=times, states=states, boundary_traces=traces)
-
-
-def run_transient(system, dt, t0, t1, initial, boundary_fn):
-    """Factorize once and integrate ``system`` over [t0, t1]."""
-    return integrate(factorize(system, dt), t0, t1, initial, boundary_fn)

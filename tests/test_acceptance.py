@@ -13,11 +13,11 @@ import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from cdrschwarz import driver
-from cdrschwarz.fem import CdrParams, assemble, load_vector
+from cdrschwarz.fem import CdrParams, assemble
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.rom import compute_pod, fit_operators
 from cdrschwarz.schwarz import build_interfaces
-from cdrschwarz.timestep import run_transient
+from cdrschwarz.timestep import ImplicitEulerStepper, integrate
 
 from conftest import small_cfg
 
@@ -46,8 +46,8 @@ def _affine_exactness_error():
     coords = mesh.coords[system.interior_map]
     exact = u(coords[:, 0], coords[:, 1])
     bc = mesh.coords[system.boundary_map]
-    traj = run_transient(system, 0.01, 0.0, 0.1, exact,
-                         lambda t: u(bc[:, 0], bc[:, 1]))
+    traj = integrate(ImplicitEulerStepper(system, 0.01), 0.0, 0.1, exact,
+                     lambda t: u(bc[:, 0], bc[:, 1]))
     return float(np.max(np.abs(traj.states - exact[:, None])))
 
 
@@ -66,7 +66,7 @@ def _spatial_error(n):
     params = CdrParams(eps=eps, sigma=sigma, b=(bx, by), forcing=forcing)
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), n, n)
     system = assemble(mesh, params)
-    v = spsolve(system.A_II.tocsc(), load_vector(system, 0.0))
+    v = spsolve(system.A_II.tocsc(), system.load(0.0))
     coords = mesh.coords[system.interior_map]
     e = v - u(coords[:, 0], coords[:, 1])
     return float(np.sqrt(e @ (system.M @ e)))  # discrete L2 norm
@@ -81,9 +81,9 @@ def _temporal_differences():
     system = assemble(mesh, params)
     finals = []
     for dt in (0.04, 0.02, 0.01, 0.005):
-        traj = run_transient(system, dt, 0.0, 0.4,
-                             np.zeros(system.n_interior),
-                             lambda t: np.zeros(system.n_boundary))
+        traj = integrate(ImplicitEulerStepper(system, dt), 0.0, 0.4,
+                         np.zeros(system.n_interior),
+                         lambda t: np.zeros(system.n_boundary))
         finals.append(traj.states[:, -1])
     diffs = [np.linalg.norm(a - b) for a, b in zip(finals, finals[1:])]
     return [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]

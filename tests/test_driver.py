@@ -3,6 +3,7 @@ and the command line interface."""
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +153,13 @@ def test_config_forcing_selectors(tmp_path):
     ("mesh.nx = 20\nmesh.ny = 20\n", "integer number of cells"),
     ("just some words\n", "expected 'key = value'"),
     ("output.field_times = 7.0\n", "outside"),
+    ("problem.dt = nan\n", "expected a finite number"),
+    ("problem.dt = 0\n", "time step must be > 0"),
+    ("problem.t_end = inf\n", "expected a finite number"),
+    ("mesh.nx = nan\n", "expected a finite number"),
+    ("mesh.nx = 1e400\n", "expected a finite number"),
+    ("mesh.h = nan\n", "expected a finite number"),
+    ("training.t_end = nan\n", "expected a finite number"),
 ])
 def test_config_rejections(tmp_path, text, match):
     with pytest.raises(ConfigurationError, match=match):
@@ -673,6 +681,31 @@ def test_mono_nodal_states_shape(small_fom):
     assert np.all(np.isfinite(result.nodal_states))
 
 
+def test_mono_divergence_is_reported(small_fom, tmp_path, monkeypatch):
+    # K = (1 - 1e-10)/dt I makes each implicit Euler step multiply the
+    # state by 1e10, so the model overflows within a few dozen steps.
+    cfg = small_cfg()
+    fit = driver.train_opinf
+
+    def explosive(basis, states, traces, dt, lam=0.0):
+        ops = fit(basis, states, traces, dt, lam)
+        return replace(ops, Khat=(1.0 - 1e-10) / dt * np.eye(ops.r))
+
+    monkeypatch.setattr(driver, "train_opinf", explosive)
+    result = cmd_run_mono_opinf(cfg, out_dir=str(tmp_path), fom=small_fom,
+                                lambda_grid=(0.0,))
+    assert result.diverged
+    assert list(result.grid_errors) == [np.inf]
+    interior = result.nodal_states[small_fom.system.interior_map]
+    finite = np.isfinite(result.nodal_states).all(axis=0)
+    first = int(np.argmin(finite))
+    assert 0 < first < interior.shape[1]
+    assert finite[:first].all()
+    assert np.isnan(interior[:, first:]).all()
+    meta = matio.load_meta(os.path.join(str(tmp_path), "mono_meta.txt"))
+    assert meta["diverged"] == "True"
+
+
 def test_mono_is_driven_by_the_reference_traces():
     # Moving Dirichlet data: step k of the monolithic model takes the
     # boundary values at t_k, and its nodal boundary rows hold them.
@@ -803,6 +836,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run-fom", "--config",
                      str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+    for line in ("problem.dt = nan", "problem.dt = 0", "mesh.nx = 1e400"):
+        bad.write_text(line + "\n")
+        assert cli.main(["run-fom", "--config", str(bad)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_empty_lambda_grid_rejected(capsys):

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import spsolve
 
 from cdrschwarz.errors import ConfigurationError
 from cdrschwarz.fem import (CdrParams, assemble, assemble_full, boundary_values,
-                            element_matrices, load_vector, shape_functions,
+                            element_matrices, shape_functions,
                             time_independent)
 from cdrschwarz.mesh import Rect, build_mesh
 
@@ -148,14 +148,14 @@ def test_load_vector_zero_and_constant_forcing():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 8, 8)
     base = dict(eps=1.0, sigma=0.0, b=(0.0, 0.0))
     zero_sys = assemble(mesh, CdrParams(**base))
-    np.testing.assert_array_equal(load_vector(zero_sys, 0.3), 0.0)
+    np.testing.assert_array_equal(zero_sys.load(0.3), 0.0)
 
     h2 = mesh.hx * mesh.hy
     unit_sys = assemble(mesh, CdrParams(**base, forcing=1.0))
-    np.testing.assert_allclose(load_vector(unit_sys, 0.0), h2, rtol=1e-13)
+    np.testing.assert_allclose(unit_sys.load(0.0), h2, rtol=1e-13)
     scaled = assemble(mesh, CdrParams(**base, forcing=2.5))
-    np.testing.assert_allclose(load_vector(scaled, 0.0),
-                               2.5 * load_vector(unit_sys, 0.0), rtol=1e-14)
+    np.testing.assert_allclose(scaled.load(0.0),
+                               2.5 * unit_sys.load(0.0), rtol=1e-14)
 
 
 def test_load_vector_affine_forcing_exact():
@@ -168,7 +168,7 @@ def test_load_vector_affine_forcing_exact():
     system = assemble(mesh, params)
     coords = mesh.coords[system.interior_map]
     expected = (coords[:, 0] + coords[:, 1]) * mesh.hx * mesh.hy
-    np.testing.assert_allclose(load_vector(system, 0.0), expected, rtol=1e-12)
+    np.testing.assert_allclose(system.load(0.0), expected, rtol=1e-12)
 
 
 def test_load_vector_time_dependence():
@@ -176,8 +176,8 @@ def test_load_vector_time_dependence():
     params = CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0),
                        forcing=lambda x, y, t: t * np.ones_like(x))
     system = assemble(mesh, params)
-    f1 = load_vector(system, 1.0).copy()
-    f2 = load_vector(system, 2.0)
+    f1 = system.load(1.0).copy()
+    f2 = system.load(2.0)
     np.testing.assert_allclose(f2, 2.0 * f1, rtol=1e-14)
 
 
@@ -191,12 +191,12 @@ def test_time_independent_forcing_is_evaluated_once():
 
     base = dict(eps=1.0, sigma=0.0, b=(0.0, 0.0))
     every_time = assemble(mesh, CdrParams(**base, forcing=profile))
-    want = [load_vector(every_time, t).copy() for t in (0.0, 0.4, 0.7)]
+    want = [every_time.load(t).copy() for t in (0.0, 0.4, 0.7)]
     assert len(calls) == 3
     once = assemble(mesh, CdrParams(**base,
                                     forcing=time_independent(profile)))
     for t, ref in zip((0.0, 0.4, 0.7), want):
-        np.testing.assert_array_equal(load_vector(once, t), ref)
+        np.testing.assert_array_equal(once.load(t), ref)
     assert len(calls) == 4
 
 
@@ -233,7 +233,7 @@ def test_galerkin_reproduces_affine_solution():
     system = assemble(mesh, params)
     g = boundary_values(system, params, 0.0)
     v = spsolve(system.A_II.tocsc(),
-                load_vector(system, 0.0) - system.A_IB @ g)
+                system.load(0.0) - system.A_IB @ g)
     coords = mesh.coords[system.interior_map]
     np.testing.assert_allclose(v, u(coords[:, 0], coords[:, 1]), atol=1e-10)
 

@@ -16,9 +16,8 @@ from cdrschwarz.errors import ConfigurationError, FactorizationError
 from cdrschwarz.fem import CdrParams, assemble
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
-                            fit_operators, reconstruct, rom_step,
-                            time_derivatives, train_opinf)
-from cdrschwarz.timestep import run_transient
+                            fit_operators, time_derivatives, train_opinf)
+from cdrschwarz.timestep import ImplicitEulerStepper, integrate
 
 
 def _random_orthonormal(n, k, rng):
@@ -279,7 +278,7 @@ def test_train_opinf_validates_snapshot_rows():
 def test_rom_step_pure_source():
     ops = OpInfOperators(Khat=np.zeros((3, 3)), Bhat=np.zeros((3, 2)),
                          fhat=np.array([1.0, 2.0, 3.0]))
-    v1 = rom_step(ops, np.zeros(3), np.zeros(2), dt=0.1)
+    v1 = RomStepper(ops, 0.1).step(np.zeros(3), np.zeros(2))
     np.testing.assert_allclose(v1, [0.1, 0.2, 0.3], rtol=1e-14)
 
 
@@ -287,7 +286,7 @@ def test_rom_step_scalar_decay_closed_form():
     # (1 - dt * (-1)) v1 = v0  =>  v1 = 2/3 at dt = 0.5.
     ops = OpInfOperators(Khat=np.array([[-1.0]]), Bhat=np.zeros((1, 0)),
                          fhat=np.zeros(1))
-    v1 = rom_step(ops, np.array([1.0]), np.zeros(0), dt=0.5)
+    v1 = RomStepper(ops, 0.5).step(np.array([1.0]), np.zeros(0))
     np.testing.assert_allclose(v1, [2.0 / 3.0], rtol=1e-14)
 
 
@@ -328,12 +327,12 @@ def test_reconstruct_is_isometric_lift():
     rng = np.random.default_rng(13)
     basis = compute_pod(rng.standard_normal((40, 15)), 6)
     vhat = rng.standard_normal(6)
-    lifted = reconstruct(basis, vhat)
+    lifted = basis.Psi @ vhat
     assert lifted.shape == (40,)
     np.testing.assert_allclose(np.linalg.norm(lifted), np.linalg.norm(vhat),
                                rtol=1e-12)
     np.testing.assert_allclose(basis.Psi.T @ lifted, vhat, atol=1e-12)
-    np.testing.assert_array_equal(reconstruct(basis, np.zeros(6)), 0.0)
+    np.testing.assert_array_equal(basis.Psi @ np.zeros(6), 0.0)
 
 
 def test_reduced_model_tracks_training_trajectory():
@@ -345,9 +344,9 @@ def test_reduced_model_tracks_training_trajectory():
                        forcing=lambda x, y, t: x * y)
     system = assemble(mesh, params)
     dt = 0.01
-    traj = run_transient(system, dt, 0.0, 0.5,
-                         np.zeros(system.n_interior),
-                         lambda t: np.zeros(system.n_boundary))
+    traj = integrate(ImplicitEulerStepper(system, dt), 0.0, 0.5,
+                     np.zeros(system.n_interior),
+                     lambda t: np.zeros(system.n_boundary))
     basis = compute_pod(traj.states, 8)
     energy = np.sum(basis.svals[:8] ** 2) / np.sum(basis.svals ** 2)
     assert energy >= 0.9999
@@ -357,6 +356,6 @@ def test_reduced_model_tracks_training_trajectory():
     g = np.zeros(system.n_boundary)
     for _ in range(traj.n_times - 1):
         vhat = stepper.step(vhat, g)
-    final = reconstruct(basis, vhat)
+    final = basis.Psi @ vhat
     ref = traj.states[:, -1]
     assert np.linalg.norm(final - ref) <= 0.05 * np.linalg.norm(ref)

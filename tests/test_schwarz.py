@@ -6,16 +6,16 @@ from scipy.sparse.linalg import spsolve
 
 from cdrschwarz import kernels
 from cdrschwarz.errors import ConfigurationError, DivergenceError
-from cdrschwarz.fem import CdrParams, assemble
+from cdrschwarz.fem import CdrParams, assemble, time_independent
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.schwarz import (PREDICTOR_DEPTH, FESubdomainSolver,
                                 GatherPlan, LateRowHistory, ReducedBlock,
                                 RomSubdomainSolver, SchwarzConfig, StitchPlan,
                                 SubdomainSpec, build_interfaces, run_coupled,
-                                schwarz_window, stitch)
+                                schwarz_window)
 from cdrschwarz.driver import cmd_train, fe_factory, hybrid_factory
 from cdrschwarz.rom import OpInfOperators, RomStepper, compute_pod
-from cdrschwarz.timestep import run_transient
+from cdrschwarz.timestep import ImplicitEulerStepper, integrate
 
 from conftest import small_cfg
 
@@ -31,8 +31,7 @@ def strip_specs(overlap=0.2, h=0.05):
 
 def make_fe_solvers(config, params, table):
     return [FESubdomainSolver(spec, table.meshes[i], params, config.dt,
-                              table.entries[i].gamma_positions,
-                              t0=config.t_begin)
+                              table.entries[i].gamma_positions)
             for i, spec in enumerate(config.subdomains)]
 
 
@@ -47,19 +46,18 @@ def make_rom_solver(config, params, table, i, r=4, seed=0):
                          Bhat=0.1 * rng.standard_normal((r, n_b)),
                          fhat=rng.standard_normal(r))
     return RomSubdomainSolver(config.subdomains[i], mesh, params, config.dt,
-                              table.entries[i].gamma_positions, basis, ops,
-                              t0=config.t_begin)
+                              table.entries[i].gamma_positions, basis, ops)
 
 
 class RecordingPlan(GatherPlan):
     """Gather plan that logs every (receiver, values) pair it serves."""
 
-    def __init__(self, table):
-        super().__init__(table)
+    def __init__(self, table, solvers):
+        super().__init__(table, solvers)
         self.log = []
 
-    def gather(self, i, solvers):
-        vals = super().gather(i, solvers)
+    def gather(self, i):
+        vals = super().gather(i)
         self.log.append((i, vals.copy()))
         return vals
 
@@ -170,9 +168,9 @@ def test_gather_plan_matches_direct_interpolation():
     solvers = make_fe_solvers(config, params, table)
     schwarz_window(solvers, table, 0.0, 0.05, tol=1e-9, max_iters=50)
 
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     for i, entry in enumerate(table.entries):
-        got = plan.gather(i, solvers)
+        got = plan.gather(i)
         want = np.empty(entry.n_gamma)
         for j in set(entry.donors.tolist()):
             sel = entry.donors == j
@@ -202,9 +200,9 @@ def test_gather_plan_matches_lifted_reduced_donor():
         rng.standard_normal(table.entries[1].n_gamma))
     solvers[1].advance_window(0.0, 0.05)
 
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     entry = table.entries[0]
-    got = plan.gather(0, solvers)
+    got = plan.gather(0)
     want = table.meshes[1].interpolate(solvers[1].full_field(),
                                        entry.gamma_points)
     assert np.max(np.abs(want)) > 1e-2
@@ -224,12 +222,12 @@ def test_fe_gathers_are_bitwise_on_unaligned_meshes():
                        dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
     table = build_interfaces(config)
     solvers = make_fe_solvers(config, params, table)
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     for w in range(config.n_windows):
         schwarz_window(solvers, table, w * config.dt, (w + 1) * config.dt,
                        config.tol, config.max_iters, plan)
         for i, entry in enumerate(table.entries):
-            got = plan.gather(i, solvers)
+            got = plan.gather(i)
             for j, idx, _ in plan.groups(i):
                 np.testing.assert_array_equal(
                     got[idx], table.meshes[j].interpolate(
@@ -253,7 +251,7 @@ def steady_strip_setup(overlap, tol=1e-10, h=0.02):
 
 def test_sweep_contracts_geometrically():
     config, _, table, solvers = steady_strip_setup(overlap=0.2)
-    plan = RecordingPlan(table)
+    plan = RecordingPlan(table, solvers)
     iters, ok = schwarz_window(solvers, table, 0.0, 1e6, config.tol,
                                config.max_iters, plan=plan)
     assert ok and iters >= 3
@@ -290,8 +288,8 @@ def test_converged_strips_match_monolithic_steady_solution():
     steady = np.zeros(global_mesh.n_nodes)
     steady[system.interior_map] = spsolve(system.A_II.tocsc(),
                                           system.load(0.0))
-    stitched = stitch(config, [s.full_field() for s in solvers], global_mesh,
-                      meshes=table.meshes)
+    stitched = StitchPlan(config, global_mesh, table.meshes).apply(
+        [s.full_field() for s in solvers])
     assert np.max(np.abs(stitched - steady)) <= 1e-6
 
 
@@ -299,7 +297,7 @@ def test_sweep_is_multiplicative_not_jacobi():
     # Within one iteration the second subdomain must be fed from the first
     # subdomain's freshly advanced field, not its window-start field.
     config, params, table, solvers = steady_strip_setup(overlap=0.2)
-    plan = RecordingPlan(table)
+    plan = RecordingPlan(table, solvers)
     schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters,
                    plan=plan)
     first_gather_0 = next(v for (i, v) in plan.log if i == 0)
@@ -320,7 +318,7 @@ def test_sweep_is_multiplicative_not_jacobi():
 
 def test_first_gather_of_cold_start_is_zero():
     config, _, table, solvers = steady_strip_setup(overlap=0.2)
-    plan = RecordingPlan(table)
+    plan = RecordingPlan(table, solvers)
     schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters,
                    plan=plan)
     np.testing.assert_array_equal(plan.log[0][1], 0.0)
@@ -342,6 +340,14 @@ def test_window_requires_solvers_at_start_time():
     schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters)
     with pytest.raises(ConfigurationError, match="window start"):
         schwarz_window(solvers, table, 5e5, 1e6, config.tol, config.max_iters)
+
+
+def test_window_rejects_plan_built_for_other_solvers():
+    config, params, table, solvers = steady_strip_setup(overlap=0.2)
+    plan = GatherPlan(table, make_fe_solvers(config, params, table))
+    with pytest.raises(ConfigurationError, match="other solvers"):
+        schwarz_window(solvers, table, 0.0, 1e6, config.tol,
+                       config.max_iters, plan)
 
 
 def test_unconverged_window_reports_flag():
@@ -454,8 +460,9 @@ def test_single_subdomain_equals_direct_integration():
     mesh = build_mesh(spec.rect, 10, 10)
     system = assemble(mesh, params)
     coords = mesh.coords[system.boundary_map]
-    direct = run_transient(
-        system, 0.05, 0.0, 0.5, np.zeros(system.n_interior),
+    direct = integrate(
+        ImplicitEulerStepper(system, 0.05), 0.0, 0.5,
+        np.zeros(system.n_interior),
         lambda t: t * (coords[:, 0] + coords[:, 1]))
     np.testing.assert_allclose(run.trajectories[0].states, direct.states,
                                rtol=0, atol=1e-13)
@@ -472,14 +479,14 @@ def test_coupled_error_scales_with_tolerance(tol):
 
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), cfg.nx, cfg.ny)
     system = assemble(global_mesh, cfg.params())
-    direct = run_transient(system, cfg.dt, 0.0, cfg.t_end,
-                           np.zeros(system.n_interior),
-                           lambda t: np.zeros(system.n_boundary))
+    direct = integrate(ImplicitEulerStepper(system, cfg.dt), 0.0, cfg.t_end,
+                       np.zeros(system.n_interior),
+                       lambda t: np.zeros(system.n_boundary))
     final = np.zeros(global_mesh.n_nodes)
     final[system.interior_map] = direct.states[:, -1]
     # The solvers sit at t_end, so their current fields are the final states.
-    stitched = stitch(config, [s.full_field() for s in run.solvers],
-                      global_mesh, meshes=run.meshes)
+    stitched = StitchPlan(config, global_mesh, run.meshes).apply(
+        [s.full_field() for s in run.solvers])
     assert np.max(np.abs(stitched - final)) <= 100.0 * tol
 
 
@@ -553,9 +560,9 @@ def test_predictor_cuts_sweeps_and_keeps_window_zero():
     table = build_interfaces(config)
     solvers = [factory(spec, table.meshes[i], table.entries[i], config)
                for i, spec in enumerate(config.subdomains)]
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     for i, s in enumerate(solvers):
-        s.set_interface_values(plan.gather(i, solvers))
+        s.set_interface_values(plan.gather(i))
     lagged = []
     for w in range(config.n_windows):
         t_w = w * config.window_dt
@@ -590,7 +597,7 @@ def test_rows_from_earlier_donors_are_never_extrapolated():
         impose(values)
 
     solvers[1].set_interface_values = recording_impose
-    plan = RecordingPlan(table)
+    plan = RecordingPlan(table, solvers)
     history = LateRowHistory(table)
     for w in range(config.n_windows):
         plan.log.clear()
@@ -649,7 +656,7 @@ def per_visit_window(solvers, interfaces, t_n, t_next, tol, max_iters, plan,
     for iteration in range(1, max_iters + 1):
         change = 0.0
         for i, s in enumerate(solvers):
-            vals = plan.gather(i, solvers)
+            vals = plan.gather(i)
             if iteration == 1:
                 vals = history.predict(i, vals)
             s.restore_state(s._window_snapshot)
@@ -667,13 +674,13 @@ def march(config, make_solvers, window):
     predictor-seeded march over ``config`` with ``window``."""
     table = build_interfaces(config)
     solvers = make_solvers(table)
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     history = LateRowHistory(table)
     for i, s in enumerate(solvers):
-        s.set_interface_values(plan.gather(i, solvers))
+        s.set_interface_values(plan.gather(i))
     sweeps, records = [], []
     for w in range(config.n_windows):
-        t_w = config.t_begin + w * config.window_dt
+        t_w = w * config.window_dt
         iters, _ = window(solvers, table, t_w, t_w + config.window_dt,
                           config.tol, config.max_iters, plan, history)
         sweeps.append(iters)
@@ -741,7 +748,7 @@ def test_reduced_blocks_match_visits_around_a_fe_strip(steps_per_window):
         return solvers
 
     table = build_interfaces(config)
-    units = GatherPlan(table).units(make_solvers(table))
+    units = GatherPlan(table, make_solvers(table)).units
     assert [u if isinstance(u, int) else u.members for u in units] == \
         [[0, 1], 2, [3]]
     assert_marches_agree(config, make_solvers)
@@ -769,7 +776,7 @@ def test_reduced_block_composes_gathers_from_member_traces():
 
     table = build_interfaces(config)
     solvers = make_solvers(table)
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     for receiver, donor, kinds in ((1, 0, ("gamma", "physical")),
                                    (2, 1, ("physical",))):
         j, _, matrix = plan.groups(receiver)[0]
@@ -796,7 +803,7 @@ def test_reduced_block_follows_moving_dirichlet_data():
     solvers = make_fe_solvers(config, params, table)
     for i in (0, 1, 3):
         solvers[i] = make_rom_solver(config, params, table, i, seed=i)
-    plan = GatherPlan(table)
+    plan = GatherPlan(table, solvers)
     history = LateRowHistory(table)
     for w in range(config.n_windows):
         t_w = w * config.window_dt
@@ -818,6 +825,48 @@ def test_reduced_block_follows_moving_dirichlet_data():
                                            rtol=0, atol=1e-12)
 
 
+def test_time_independent_dirichlet_data_are_evaluated_once():
+    # Marked Dirichlet data count as steady: each solver evaluates them
+    # once, when it is built, and the march is bitwise that of the same
+    # data unmarked, which FE substeps and reduced windows re-evaluate.
+    calls = {"moving": 0, "marked": 0}
+
+    def moving(x, y, t):
+        calls["moving"] += 1
+        return x * y
+
+    @time_independent
+    def marked(x, y, t):
+        calls["marked"] += 1
+        return x * y
+
+    config = SchwarzConfig(subdomains=four_strip_specs(), dt=0.01,
+                           t_end=0.06, steps_per_window=2)
+    marches = []
+    for dirichlet in (moving, marked):
+        params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
+                           dirichlet=dirichlet)
+
+        def make_solvers(table):
+            fe = FESubdomainSolver(config.subdomains[2], table.meshes[2],
+                                   params, config.dt,
+                                   table.entries[2].gamma_positions)
+            return [fe if i == 2 else
+                    make_rom_solver(config, params, table, i, seed=i)
+                    for i in range(4)]
+
+        marches.append(march(config, make_solvers, schwarz_window))
+    assert calls["marked"] == 4
+    assert calls["moving"] > 4 * config.n_windows
+    (sweeps, records), (ref_sweeps, ref_records) = marches[1], marches[0]
+    assert sweeps == ref_sweeps
+    for window, ref_window in zip(records, ref_records):
+        for (states, traces), (ref_states, ref_traces) in zip(window,
+                                                              ref_window):
+            np.testing.assert_array_equal(states, ref_states)
+            np.testing.assert_array_equal(traces, ref_traces)
+
+
 def test_reduced_block_never_visits_members(monkeypatch):
     def refuse(self, t_n, t_next):
         raise AssertionError("a reduced subdomain was visited on its own")
@@ -829,8 +878,8 @@ def test_reduced_block_never_visits_members(monkeypatch):
     solvers = make_fe_solvers(config, params, table)
     solvers[1] = make_rom_solver(config, params, table, 1)
     monkeypatch.setattr(RomSubdomainSolver, "advance_window", refuse)
-    plan = GatherPlan(table)
-    assert isinstance(plan.units(solvers)[1], ReducedBlock)
+    plan = GatherPlan(table, solvers)
+    assert isinstance(plan.units[1], ReducedBlock)
     for w in range(config.n_windows):
         schwarz_window(solvers, table, w * config.dt, (w + 1) * config.dt,
                        config.tol, config.max_iters, plan)
@@ -850,10 +899,10 @@ def test_reduced_block_maps_do_not_grow_with_substeps():
         solvers = make_fe_solvers(config, params, table)
         for i in (0, 1):
             solvers[i] = make_rom_solver(config, params, table, i, seed=i)
-        plan = GatherPlan(table)
+        plan = GatherPlan(table, solvers)
         schwarz_window(solvers, table, 0.0, config.window_dt, config.tol,
                        config.max_iters, plan)
-        block = plan.units(solvers)[0]
+        block = plan.units[0]
         shapes.append(block._M.shape)
         assert solvers[1].last_states.shape == (solvers[1].ops.r,
                                                 steps_per_window)
@@ -917,13 +966,12 @@ def test_stitch_reproduces_constant_and_affine_fields():
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 10, 10)
 
     constants = [np.full(m.n_nodes, 4.5) for m in meshes]
-    np.testing.assert_allclose(stitch(config, constants, global_mesh,
-                                      meshes=meshes), 4.5, atol=1e-13)
+    plan = StitchPlan(config, global_mesh, meshes)
+    np.testing.assert_allclose(plan.apply(constants), 4.5, atol=1e-13)
 
     affine = [m.coords[:, 0] + 2.0 * m.coords[:, 1] for m in meshes]
     expected = global_mesh.coords[:, 0] + 2.0 * global_mesh.coords[:, 1]
-    np.testing.assert_allclose(stitch(config, affine, global_mesh,
-                                      meshes=meshes), expected, atol=1e-13)
+    np.testing.assert_allclose(plan.apply(affine), expected, atol=1e-13)
 
 
 def test_stitch_averages_overlap_disagreement():
@@ -932,7 +980,7 @@ def test_stitch_averages_overlap_disagreement():
     meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in config.subdomains)
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 10, 10)
     fields = [np.zeros(meshes[0].n_nodes), np.ones(meshes[1].n_nodes)]
-    stitched = stitch(config, fields, global_mesh, meshes=meshes)
+    stitched = StitchPlan(config, global_mesh, meshes).apply(fields)
     x = global_mesh.coords[:, 0]
     np.testing.assert_allclose(stitched[x < 0.4 - 1e-12], 0.0, atol=1e-14)
     np.testing.assert_allclose(stitched[x > 0.6 + 1e-12], 1.0, atol=1e-14)
@@ -946,7 +994,7 @@ def test_stitch_handles_time_histories():
     meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in config.subdomains)
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 5, 5)
     histories = [np.tile(m.coords[:, 0][:, None], (1, 3)) for m in meshes]
-    plan = StitchPlan(config, global_mesh, meshes=meshes)
+    plan = StitchPlan(config, global_mesh, meshes)
     out = plan.apply(histories)
     assert out.shape == (global_mesh.n_nodes, 3)
     for j in range(3):
@@ -958,6 +1006,7 @@ def test_stitch_rejects_uncovered_nodes():
     specs = (SubdomainSpec(Rect(0.0, 0.4, 0.0, 1.0), 4, 10),
              SubdomainSpec(Rect(0.6, 1.0, 0.0, 1.0), 4, 10))
     config = SchwarzConfig(subdomains=specs, dt=0.1, t_end=1.0)
+    meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in specs)
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 10, 10)
     with pytest.raises(ConfigurationError, match="covered by no subdomain"):
-        StitchPlan(config, global_mesh)
+        StitchPlan(config, global_mesh, meshes)

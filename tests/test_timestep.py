@@ -1,7 +1,5 @@
 """Backward-Euler stepping: algebra, stability, convergence order."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -12,8 +10,7 @@ from cdrschwarz.fem import CdrParams, SemiDiscreteSystem, assemble
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.schwarz import (FESubdomainSolver, SchwarzConfig,
                                 build_interfaces)
-from cdrschwarz.timestep import (factorize, integrate, n_steps_for,
-                                 run_transient, step)
+from cdrschwarz.timestep import ImplicitEulerStepper, integrate, n_steps_for
 
 from test_schwarz import strip_specs
 
@@ -26,6 +23,7 @@ def scalar_system(m=1.0, a=0.5, load=None):
         M=csr_matrix(np.array([[m]])),
         A_II=csr_matrix(np.array([[a]])),
         A_IB=csr_matrix((1, 0)),
+        M_IB=csr_matrix((1, 0)),
         interior_map=np.array([0]),
         boundary_map=np.array([], dtype=np.int64),
         load=load)
@@ -33,8 +31,8 @@ def scalar_system(m=1.0, a=0.5, load=None):
 
 def test_scalar_step_closed_form():
     # (1 + dt * 0.5) v1 = v0  =>  v1 = 2/3 at dt = 1.
-    stepper = factorize(scalar_system(), 1.0)
-    v1 = stepper.step(np.array([1.0]), np.zeros(0), 1.0)
+    stepper = ImplicitEulerStepper(scalar_system(), 1.0)
+    v1 = stepper.step(np.array([1.0]), np.zeros(0), 1.0, np.zeros(0))
     np.testing.assert_allclose(v1, [2.0 / 3.0], rtol=1e-14)
 
 
@@ -45,11 +43,13 @@ def test_identity_mass_zero_operator_adds_dt_times_load():
         M=csr_matrix(np.eye(n)),
         A_II=csr_matrix((n, n)),
         A_IB=csr_matrix((n, 0)),
+        M_IB=csr_matrix((n, 0)),
         interior_map=np.arange(n),
         boundary_map=np.array([], dtype=np.int64),
         load=lambda t: np.full(n, 2.0))
     v0 = rng.standard_normal(n)
-    v1 = step(factorize(system, 0.25), v0, np.zeros(0), 0.25)
+    v1 = ImplicitEulerStepper(system, 0.25).step(v0, np.zeros(0), 0.25,
+                                                 np.zeros(0))
     np.testing.assert_allclose(v1, v0 + 0.25 * 2.0, rtol=1e-13)
 
 
@@ -73,42 +73,8 @@ def test_step_matches_dense_linear_algebra():
            - system.M_IB.toarray() @ (g1 - g0))
     expected = np.linalg.solve(m + dt * system.A_II.toarray(), rhs)
 
-    v1 = factorize(system, dt).step(v0, g1, t1, g_prev=g0)
+    v1 = ImplicitEulerStepper(system, dt).step(v0, g1, t1, g_prev=g0)
     np.testing.assert_allclose(v1, expected, rtol=1e-11)
-
-
-def test_steady_trace_drops_mass_coupling():
-    # With g_prev omitted the moving-trace term must not be applied.
-    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 4, 4)
-    system = assemble(mesh, CdrParams(eps=0.1, sigma=0.0, b=(0.0, 0.0)))
-    dt = 0.1
-    rng = np.random.default_rng(2)
-    v0 = rng.standard_normal(system.n_interior)
-    g = rng.standard_normal(system.n_boundary)
-    stepper = factorize(system, dt)
-    np.testing.assert_array_equal(stepper.step(v0, g, dt),
-                                  stepper.step(v0, g, dt, g_prev=g))
-
-
-def test_steady_trace_step_without_boundary_mass():
-    # A system without M_IB builds its right-hand side from two blocks:
-    #   (M + dt A_II) v1 = M v0 + dt (F - A_IB g).
-    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 5, 4)
-    params = CdrParams(eps=0.05, sigma=0.2, b=(0.7, -0.3),
-                       forcing=lambda x, y, t: x * y + t)
-    system = replace(assemble(mesh, params), M_IB=None)
-    dt = 0.05
-    rng = np.random.default_rng(4)
-    v0 = rng.standard_normal(system.n_interior)
-    g = rng.standard_normal(system.n_boundary)
-    t1 = 0.35
-
-    m = system.M.toarray()
-    rhs = m @ v0 + dt * (system.load(t1) - system.A_IB.toarray() @ g)
-    expected = np.linalg.solve(m + dt * system.A_II.toarray(), rhs)
-
-    np.testing.assert_allclose(factorize(system, dt).step(v0, g, t1),
-                               expected, rtol=1e-11)
 
 
 def test_fe_window_matches_three_term_right_hand_side():
@@ -160,7 +126,7 @@ def test_steady_state_is_fixed_point():
     g = np.full(system.n_boundary, 0.5)
     v_star = spsolve(system.A_II.tocsc(),
                      system.load(0.0) - system.A_IB @ g)
-    stepper = factorize(system, 0.3)
+    stepper = ImplicitEulerStepper(system, 0.3)
     v = v_star.copy()
     for k in range(100):
         v = stepper.step(v, g, 0.3 * (k + 1), g_prev=g)
@@ -171,10 +137,10 @@ def test_first_order_convergence_on_scalar_decay():
     # v' = -v, v(0) = 1: backward Euler converges at first order in dt.
     errors = []
     for dt in (0.1, 0.05, 0.025):
-        stepper = factorize(scalar_system(m=1.0, a=1.0), dt)
+        stepper = ImplicitEulerStepper(scalar_system(m=1.0, a=1.0), dt)
         v = np.array([1.0])
         for k in range(int(round(1.0 / dt))):
-            v = stepper.step(v, np.zeros(0), dt * (k + 1))
+            v = stepper.step(v, np.zeros(0), dt * (k + 1), np.zeros(0))
         errors.append(abs(v[0] - np.exp(-1.0)))
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.8 <= coarse / fine <= 2.2
@@ -183,7 +149,7 @@ def test_first_order_convergence_on_scalar_decay():
 def test_unconditional_stability_at_large_dt():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 8, 8)
     system = assemble(mesh, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0)))
-    stepper = factorize(system, 10.0)
+    stepper = ImplicitEulerStepper(system, 10.0)
     g = np.zeros(system.n_boundary)
     m = system.M.toarray()
     v = np.random.default_rng(3).standard_normal(system.n_interior)
@@ -197,10 +163,10 @@ def test_unconditional_stability_at_large_dt():
 
 def test_load_cache_tracks_time():
     system = scalar_system(m=1.0, a=0.0, load=lambda t: np.array([t]))
-    stepper = factorize(system, 1.0)
-    v = stepper.step(np.array([0.0]), np.zeros(0), 2.0)
+    stepper = ImplicitEulerStepper(system, 1.0)
+    v = stepper.step(np.array([0.0]), np.zeros(0), 2.0, np.zeros(0))
     np.testing.assert_allclose(v, [2.0], rtol=1e-14)
-    v = stepper.step(v, np.zeros(0), 3.0)
+    v = stepper.step(v, np.zeros(0), 3.0, np.zeros(0))
     np.testing.assert_allclose(v, [5.0], rtol=1e-14)
 
 
@@ -214,11 +180,17 @@ def test_n_steps_for():
         n_steps_for(0.5, 0.5, 0.1)
     with pytest.raises(ConfigurationError):
         n_steps_for(0.5, 0.4, 0.1)
+    for t0, t1, dt in ((0.0, np.inf, 0.1), (np.nan, 1.0, 0.1),
+                       (0.0, np.nan, 0.1), (0.0, 1.0, 0.0),
+                       (0.0, 1.0, -0.1), (0.0, 1.0, np.nan),
+                       (0.0, 1.0, np.inf)):
+        with pytest.raises(ConfigurationError):
+            n_steps_for(t0, t1, dt)
 
 
 def test_integrate_records_full_history():
-    traj = run_transient(scalar_system(m=1.0, a=1.0), 5e-3, 0.0, 0.5,
-                         np.array([1.0]), lambda t: np.zeros(0))
+    traj = integrate(ImplicitEulerStepper(scalar_system(m=1.0, a=1.0), 5e-3),
+                     0.0, 0.5, np.array([1.0]), lambda t: np.zeros(0))
     assert traj.n_times == 101
     assert traj.states.shape == (1, 101)
     assert traj.boundary_traces.shape == (0, 101)
@@ -232,9 +204,8 @@ def test_integrate_boundary_traces_columns():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 3, 3)
     system = assemble(mesh, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0)))
     nb = system.n_boundary
-    traj = run_transient(system, 0.25, 0.0, 1.0,
-                         np.zeros(system.n_interior),
-                         lambda t: np.full(nb, t))
+    traj = integrate(ImplicitEulerStepper(system, 0.25), 0.0, 1.0,
+                     np.zeros(system.n_interior), lambda t: np.full(nb, t))
     np.testing.assert_allclose(traj.boundary_traces,
                                np.tile(traj.times, (nb, 1)), atol=1e-15)
 
@@ -242,17 +213,17 @@ def test_integrate_boundary_traces_columns():
 def test_validation_errors():
     system = scalar_system()
     with pytest.raises(ConfigurationError):
-        factorize(system, 0.0)
+        ImplicitEulerStepper(system, 0.0)
     with pytest.raises(ConfigurationError):
-        factorize(system, -1.0)
-    stepper = factorize(system, 0.1)
+        ImplicitEulerStepper(system, -1.0)
+    stepper = ImplicitEulerStepper(system, 0.1)
     with pytest.raises(ConfigurationError):
-        stepper.step(np.zeros(2), np.zeros(0), 0.1)
+        stepper.step(np.zeros(2), np.zeros(0), 0.1, np.zeros(0))
     with pytest.raises(ConfigurationError):
-        stepper.step(np.zeros(1), np.zeros(3), 0.1)
+        stepper.step(np.zeros(1), np.zeros(3), 0.1, np.zeros(3))
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 3, 3)
     fe = assemble(mesh, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0)))
-    fe_stepper = factorize(fe, 0.1)
+    fe_stepper = ImplicitEulerStepper(fe, 0.1)
     with pytest.raises(ConfigurationError):
         fe_stepper.step(np.zeros(fe.n_interior), np.zeros(fe.n_boundary),
                         0.1, g_prev=np.zeros(fe.n_boundary - 1))
@@ -265,8 +236,9 @@ def test_singular_matrix_raises_factorization_error():
         M=csr_matrix((1, 1)),
         A_II=csr_matrix((1, 1)),
         A_IB=csr_matrix((1, 0)),
+        M_IB=csr_matrix((1, 0)),
         interior_map=np.array([0]),
         boundary_map=np.array([], dtype=np.int64),
         load=lambda t: np.zeros(1))
     with pytest.raises(FactorizationError):
-        factorize(system, 1.0)
+        ImplicitEulerStepper(system, 1.0)
