@@ -54,10 +54,7 @@ def _parse_field_selector(key, text):
     if text == "xy":
         return corner_source
     if text.startswith("constant:"):
-        try:
-            return float(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigurationError(f"bad {kind} selector {text!r}") from None
+        return _as_float(key, text.split(":", 1)[1])
     raise ConfigurationError(
         f"unknown {kind} selector {text!r}; use zero, one, xy, or "
         f"constant:<v>")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matio
-from .config import GLOBAL_RECT, RunConfig
-from .errors import ConfigurationError, DivergenceError
+from .config import GLOBAL_RECT
+from .errors import ConfigurationError
 from .fem import assemble, boundary_values
 from .mesh import build_mesh
 from .rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
@@ -187,7 +187,7 @@ def cmd_run_fom(cfg, out_dir=None):
     initial = np.zeros(system.n_interior)
     t1 = time.perf_counter()
     trajectory = integrate(stepper, 0.0, cfg.t_end, initial,
-                           lambda t: boundary_values(system, params, t))
+                           boundary_values(system, params))
     solve_seconds = time.perf_counter() - t1
     result = MonolithicResult(
         mesh=mesh, system=system, trajectory=trajectory,
@@ -480,27 +480,38 @@ class _TrainingProjection:
                    norms=np.linalg.norm(states, axis=0), traces=traces)
 
 
-def _mono_reprojection_error(ops, dt, projection):
-    """Training-window error of a candidate monolithic reduced model.
-
-    The candidate steps in reduced coordinates with its implicit-Euler
-    propagators and is never lifted: with orthonormal ``Psi``, ``|Psi v -
-    s|^2 = |v - Psi^T s|^2 + |s - Psi Psi^T s|^2``, and the last term does
-    not depend on the candidate. Equals :func:`error_metric_detail` of the
-    lifted trajectory against the snapshots up to rounding; a non-finite
-    trajectory scores ``inf``.
-    """
+def _march(ops, dt, vhat0, traces):
+    """Reduced states ``(r, n_t)`` stepped from ``vhat0`` by the implicit
+    Euler propagators of ``ops``, column ``j`` driven by ``traces[:, j]``;
+    NaN from the first non-finite column on."""
     P, Q, q = RomStepper(ops, dt).propagators()
-    coords = projection.coords
-    drive = (Q @ projection.traces[:, 1:] + q[:, None]).T
-    vhat = np.empty((coords.shape[1], coords.shape[0]))
-    vhat[0] = coords[:, 0]
+    drive = (Q @ traces[:, 1:] + q[:, None]).T
+    vhat = np.empty((traces.shape[1], vhat0.shape[0]))
+    vhat[0] = vhat0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, vhat.shape[0]):
             vhat[j] = P @ vhat[j - 1] + drive[j - 1]
-        if not np.isfinite(vhat).all():
-            return np.inf
-        diff = np.sqrt(np.sum((vhat.T - coords) ** 2, axis=0)
+    bad = ~np.isfinite(vhat).all(axis=1)
+    if bad.any():
+        vhat[np.argmax(bad):] = np.nan
+    return vhat.T
+
+
+def _mono_reprojection_error(ops, dt, projection):
+    """Training-window error of a candidate monolithic reduced model.
+
+    The candidate is marched in reduced coordinates and never lifted: with
+    orthonormal ``Psi``, ``|Psi v - s|^2 = |v - Psi^T s|^2 + |s - Psi Psi^T
+    s|^2``, and the last term does not depend on the candidate. Equals
+    :func:`error_metric_detail` of the lifted trajectory against the
+    snapshots up to rounding; a non-finite trajectory scores ``inf``.
+    """
+    coords = projection.coords
+    vhat = _march(ops, dt, coords[:, 0], projection.traces)
+    if not np.isfinite(vhat[:, -1]).all():
+        return np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.sqrt(np.sum((vhat - coords) ** 2, axis=0)
                        + projection.residual_sq)
     return _mean_relative(diff, projection.norms)[0]
 
@@ -545,18 +556,8 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
 
     n_t = traj.n_times
     t1 = time.perf_counter()
-    stepper = RomStepper(ops, cfg.dt)
-    vhat = basis.Psi.T @ traj.states[:, 0]
-    reduced = np.empty((cfg.mono_r, n_t))
-    reduced[:, 0] = vhat
-    diverged = False
-    for j in range(1, n_t):
-        vhat = stepper.step(vhat, traces[:, j])
-        reduced[:, j] = vhat
-        if not np.all(np.isfinite(vhat)):
-            diverged = True
-            reduced[:, j:] = np.nan
-            break
+    reduced = _march(ops, cfg.dt, basis.Psi.T @ traj.states[:, 0], traces)
+    diverged = not np.isfinite(reduced[:, -1]).all()
     solve_seconds = time.perf_counter() - t1
 
     nodal = np.empty((fom.mesh.n_nodes, n_t))

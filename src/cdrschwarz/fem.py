@@ -10,10 +10,15 @@ nodes and returns the semi-discrete interior system
 where ``v`` collects interior nodal values and ``g`` the boundary trace.
 All integrals use 2x2 Gauss quadrature, which is exact for every term here
 on affine data; the mass matrix is consistent (not lumped).
+
+Forcing and Dirichlet data are read through one evaluator,
+:func:`profile_closure`, at fixed points: quadrature points for the load,
+boundary nodes for the trace. Data that do not depend on time are
+evaluated once there, and the load is then assembled once.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,10 +31,8 @@ _GW = (0.5, 0.5)
 
 
 def time_independent(profile):
-    """Mark a profile ``(x, y, t) -> values`` that ignores ``t``: a forcing
-    so marked has its load vector assembled once instead of at every step
-    time, and the coupled subdomain solvers evaluate Dirichlet data so
-    marked once."""
+    """Mark a profile ``(x, y, t) -> values`` that ignores ``t``: every
+    solver evaluates data so marked once (see :func:`profile_closure`)."""
     profile.time_independent = True
     return profile
 
@@ -39,8 +42,8 @@ class CdrParams:
     """Physical coefficients and data of the scalar CDR equation.
 
     ``forcing`` and ``dirichlet`` may each be ``None`` (zero), a scalar, or
-    a vectorized callable ``(x, y, t) -> values``. A forcing callable marked
-    by :func:`time_independent` is evaluated once, not at every step time.
+    a vectorized callable ``(x, y, t) -> values``. A callable marked by
+    :func:`time_independent` is evaluated once, not at every step time.
     """
 
     eps: float
@@ -126,7 +129,6 @@ class SemiDiscreteSystem:
     boundary_map: np.ndarray
     load: Callable[[float], np.ndarray]
     mesh: object = None
-    params: Optional[CdrParams] = None
 
     @property
     def n_interior(self):
@@ -167,36 +169,45 @@ def assemble_full(mesh, params):
     return m_full, a_full
 
 
+def profile_closure(data, x, y):
+    """``(evaluate, steady)`` for problem data at the fixed points ``(x,
+    y)``: ``evaluate(t)`` returns the values, shaped like ``x``, as a
+    read-only array.
+
+    ``data`` is None (zero), a scalar, or a profile ``(x, y, t) ->
+    values``. Non-profile data and profiles marked by
+    :func:`time_independent` are evaluated once and reported ``steady``.
+    """
+    if callable(data):
+        def evaluate(t):
+            return np.broadcast_to(np.asarray(data(x, y, t), dtype=float),
+                                   x.shape)
+
+        if not getattr(data, "time_independent", False):
+            return evaluate, False
+        const = evaluate(0.0)
+    else:
+        const = np.broadcast_to(0.0 if data is None else float(data), x.shape)
+    return (lambda t: const), True
+
+
 def _forcing_closure(mesh, params, interior_map):
-    """Time-dependent interior load vector F(t) with scalar fast path."""
+    """Interior load vector F(t), assembled once for steady forcing."""
     pts, wts, n_tab, _, _ = _quad_tables(mesh.hx, mesh.hy)
     phiw = n_tab * wts[:, None]
     conn = mesh.connectivity
-    forcing = params.forcing
-
-    if forcing is None or (np.isscalar(forcing) and forcing == 0.0):
-        zero = np.zeros(interior_map.shape[0])
-        return lambda t: zero
-
-    if np.isscalar(forcing):
-        unit = _load_scatter(
-            conn, np.ones((conn.shape[0], 4)), phiw, mesh.n_nodes)
-        const = float(forcing) * unit[interior_map]
-        return lambda t: const
-
     # Quadrature-point coordinates, one row of 4 points per cell.
     corner = mesh.coords[conn[:, 0]]
     xq = corner[:, 0][:, None] + pts[:, 0][None, :] * mesh.hx
     yq = corner[:, 1][:, None] + pts[:, 1][None, :] * mesh.hy
+    forcing, steady = profile_closure(params.forcing, xq, yq)
 
     def load(t):
-        fq = np.broadcast_to(
-            np.asarray(forcing(xq, yq, t), dtype=float), xq.shape)
-        full = _load_scatter(conn, np.ascontiguousarray(fq), phiw,
+        full = _load_scatter(conn, np.ascontiguousarray(forcing(t)), phiw,
                              mesh.n_nodes)
         return full[interior_map]
 
-    if getattr(forcing, "time_independent", False):
+    if steady:
         const = load(0.0)
         return lambda t: const
     return load
@@ -217,18 +228,11 @@ def assemble(mesh, params):
     return SemiDiscreteSystem(
         M=m_ii, A_II=a_ii, A_IB=a_ib, M_IB=m_ib,
         interior_map=interior, boundary_map=boundary,
-        load=_forcing_closure(mesh, params, interior),
-        mesh=mesh, params=params)
+        load=_forcing_closure(mesh, params, interior), mesh=mesh)
 
 
-def boundary_values(system, params, t):
-    """Dirichlet trace at the system's boundary nodes at time ``t``."""
-    n = system.n_boundary
-    g = params.dirichlet
-    if g is None:
-        return np.zeros(n)
-    if np.isscalar(g):
-        return np.full(n, float(g))
+def boundary_values(system, params):
+    """Evaluator ``t -> values`` of the Dirichlet trace at the system's
+    boundary nodes; steady data are evaluated once."""
     coords = system.mesh.coords[system.boundary_map]
-    vals = np.asarray(g(coords[:, 0], coords[:, 1], t), dtype=float)
-    return np.broadcast_to(vals, (n,)).copy()
+    return profile_closure(params.dirichlet, coords[:, 0], coords[:, 1])[0]

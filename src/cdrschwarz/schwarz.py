@@ -8,9 +8,12 @@ the latest available donor states, until the interface traces stop changing.
 In the first sweep a Gamma row whose donor comes earlier in the sweep gets
 that donor's freshly advanced state; a row whose donor comes later (a
 *late row*) would get the donor's window-start state, one window behind.
-:func:`run_coupled` passes a :class:`LateRowHistory`, which instead feeds
-each late row the polynomial extrapolation of its values at the last few
-window starts.
+:func:`run_coupled` passes a :class:`LateRowHistory`, which samples every
+late row once per window, at the window start, and feeds each the
+polynomial extrapolation of its values at the last few window starts.
+Physical-boundary data are read through
+:func:`~cdrschwarz.fem.profile_closure`, so data that do not depend on
+time are evaluated once per solver.
 
 A maximal run of consecutive reduced subdomains in the sweep is advanced
 as one :class:`ReducedBlock`: its visits are affine maps of the window-start
@@ -22,9 +25,10 @@ snapshot by reference, finiteness and convergence are checked once per
 sweep on the concatenated values, and the block replays and records the
 substep ``last_states``/``last_traces`` after the final sweep only.
 
-Solvers are duck-typed, so tests can instrument the sweep. Finite element
-and other non-reduced solvers are visited one at a time through this
-protocol:
+A :class:`GatherPlan`, built once per coupled run, holds the solvers and
+hands them to every window. Solvers are duck-typed, so tests can
+instrument the sweep. Finite element and other non-reduced solvers are
+visited one at a time through this protocol:
 
 - ``state``: the solver's own coordinates, interior nodal values for a
   finite element solver and reduced coordinates ``vhat`` for a reduced one;
@@ -39,11 +43,11 @@ protocol:
   substep, so reduced coordinates for a reduced solver) and
   ``last_traces`` (one imposed boundary trace per substep).
 - ``coordinate_operator(matrix)``: ``matrix``, an operator on the nodal
-  field, as one on the coordinates ``[state; g_cur]``. :class:`GatherPlan`,
-  built once per coupled run, stacks every (receiver, donor) interpolation
-  matrix, so converted, into one CSR operator on the concatenated
-  coordinates of all solvers; a gather is a row slice of it times those
-  coordinates, and a reduced donor is sampled without lifting its state.
+  field, as one on the coordinates ``[state; g_cur]``. The plan stacks
+  every (receiver, donor) interpolation matrix, so converted, into one CSR
+  operator on the concatenated coordinates of all solvers; a gather is a
+  row slice of it times those coordinates, and a reduced donor is sampled
+  without lifting its state.
 - ``lift(states)``: interior nodal values of ``state`` columns.
   :func:`run_coupled` records ``state`` columns and lifts each history
   once, after the last window, for a :class:`StitchPlan` to average onto
@@ -68,7 +72,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError, DivergenceError
 from .mesh import BOUNDARY_TOL, Rect, build_mesh
-from .fem import assemble
+from .fem import assemble, profile_closure
 from .rom import RomStepper
 from . import kernels, timestep
 
@@ -153,7 +157,7 @@ class SchwarzConfig:
             if (r.x0 < g.x0 - BOUNDARY_TOL or r.x1 > g.x1 + BOUNDARY_TOL
                     or r.y0 < g.y0 - BOUNDARY_TOL or r.y1 > g.y1 + BOUNDARY_TOL):
                 raise ConfigurationError(
-                    f"subdomain {k} rectangle exceeds the global domain")
+                    f"subdomain {k + 1} rectangle exceeds the global domain")
         # Validates that the horizon is an integer number of windows.
         timestep.n_steps_for(0.0, self.t_end, self.dt * self.steps_per_window)
 
@@ -176,7 +180,6 @@ class SubdomainInterfaces:
     """
 
     index: int
-    gamma_node_ids: np.ndarray
     gamma_positions: np.ndarray
     gamma_points: np.ndarray
     donors: np.ndarray
@@ -234,13 +237,12 @@ def build_interfaces(config):
                     best_depth = depth
             if best < 0:
                 raise ConfigurationError(
-                    f"boundary node ({x}, {y}) of subdomain {i} lies "
+                    f"boundary node ({x}, {y}) of subdomain {i + 1} lies "
                     f"strictly inside no other subdomain; the overlap is "
                     f"too small")
             donors[k] = best
         entries.append(SubdomainInterfaces(
-            index=i, gamma_node_ids=bids[gamma_pos],
-            gamma_positions=gamma_pos, gamma_points=gamma_pts,
+            index=i, gamma_positions=gamma_pos, gamma_points=gamma_pts,
             donors=donors))
     return InterfaceTable(entries=tuple(entries), meshes=meshes)
 
@@ -307,7 +309,7 @@ class GatherPlan:
                 range(len(solvers)),
                 key=lambda i: isinstance(solvers[i], RomSubdomainSolver)):
             if reduced:
-                self.units.append(ReducedBlock(list(run), solvers, self))
+                self.units.append(ReducedBlock(list(run), self))
             else:
                 self.units.extend(run)
 
@@ -326,74 +328,49 @@ class GatherPlan:
 
 
 class LateRowHistory:
-    """First-sweep predictor of every receiver's late Gamma rows.
+    """First-sweep predictor of every late Gamma row of the sweep.
 
     A late row of receiver ``i`` is one whose donor ``j > i`` has not been
     advanced yet when the first sweep reaches ``i``, so its gathered value
-    is the donor's window-start state. The history keeps those rows of
-    each first-sweep gather at the last ``PREDICTOR_DEPTH + 1`` window
-    starts and replaces them with the polynomial through them, evaluated at
-    the window end. The anchors are the gathered donor states, never the
-    imposed (predicted) values, so prediction errors do not accumulate.
+    is the donor's window-start state. :meth:`start_window` samples every
+    late row there at once, keeps the samples of the last
+    ``PREDICTOR_DEPTH + 1`` window starts, and predicts each row by the
+    polynomial through them, evaluated at the window end; :meth:`impose`
+    hands a receiver its rows of that prediction. The anchors are sampled
+    donor states, never the imposed (predicted) values, so prediction
+    errors do not accumulate.
     """
 
-    def __init__(self, table):
-        self._late = [np.flatnonzero(e.donors > e.index)
-                      for e in table.entries]
-        self._counts = [e.n_gamma for e in table.entries]
-        self._slots = {}
+    def __init__(self, plan):
+        self._plan = plan
+        receivers = np.repeat(np.arange(plan.offsets.shape[0] - 1),
+                              np.diff(plan.offsets))
+        #: Late rows of the sweep's concatenated Gamma values, ascending.
+        self._rows = np.flatnonzero(plan.donors > receivers)
+        self._sample = plan.operator[self._rows]
+        self._anchors = np.empty((PREDICTOR_DEPTH + 1, self._rows.shape[0]))
+        self._held = 0
 
-    def predict(self, i, vals):
-        """Store receiver ``i``'s first-sweep gather ``vals`` as the newest
-        anchor and overwrite its late rows, in place, with the prediction.
+    def start_window(self):
+        """Sample every late row from the solvers' current, window-start
+        coordinates as the newest anchor and predict the window end. Call
+        once per window, before the first sweep moves any solver; with no
+        earlier anchor the prediction is the sample."""
+        self._anchors[1:] = self._anchors[:-1]
+        self._anchors[0] = self._sample @ self._plan.coordinates()
+        self._held = min(self._held + 1, PREDICTOR_DEPTH + 1)
+        k = self._held - 1
+        # Summed anchor by anchor, newest first, in numpy rather than by a
+        # BLAS product, so the rounding, which training amplifies, does not
+        # depend on the BLAS build.
+        self._prediction = np.add.reduce(
+            _EXTRAPOLATION[k] * self._anchors[:k + 1], axis=0)
 
-        ``i`` may also be a tuple of consecutive receivers, with ``vals``
-        their Gamma values concatenated; the tuple keeps its own anchors.
-        Call once per window. With no earlier anchor ``vals`` is returned
-        untouched.
-        """
-        key = i if isinstance(i, tuple) else (i,)
-        slot = self._slots.get(key)
-        if slot is None:
-            offsets = np.cumsum([0] + [self._counts[j] for j in key[:-1]])
-            rows = np.concatenate([self._late[j] + o
-                                   for j, o in zip(key, offsets)])
-            slot = [rows, np.empty((PREDICTOR_DEPTH + 1, rows.shape[0])), 0]
-            self._slots[key] = slot
-        rows, anchors, k = slot
-        if rows.shape[0] == 0:
-            return vals
-        anchors[1:] = anchors[:-1]
-        anchors[0] = vals[rows]
-        slot[2] = min(k + 1, PREDICTOR_DEPTH)
-        if k > 0:
-            # Summed anchor by anchor, newest first, in numpy rather than
-            # by a BLAS product, so the rounding, which training amplifies,
-            # does not depend on the BLAS build.
-            vals[rows] = np.add.reduce(
-                _EXTRAPOLATION[k] * anchors[:k + 1], axis=0)
-        return vals
-
-
-def _dirichlet_closure(params, coords):
-    """Physical-boundary trace evaluator over fixed coordinates, and whether
-    it is steady; data marked by :func:`~cdrschwarz.fem.time_independent`
-    are evaluated once, like a scalar."""
-    g = None if params is None else params.dirichlet
-    n = coords.shape[0]
-    if callable(g):
-        x = coords[:, 0].copy()
-        y = coords[:, 1].copy()
-
-        def trace(t):
-            return np.broadcast_to(np.asarray(g(x, y, t), dtype=float), (n,))
-
-        if not getattr(g, "time_independent", False):
-            return trace, False
-        const = trace(0.0)
-    else:
-        const = np.full(n, 0.0 if g is None else float(g))
-    return (lambda t: const), True
+    def impose(self, vals, lo, hi):
+        """Overwrite, in place, the late rows among the sweep's Gamma rows
+        ``lo:hi``, which ``vals`` holds, with their prediction."""
+        a, b = np.searchsorted(self._rows, (lo, hi))
+        vals[self._rows[a:b] - lo] = self._prediction[a:b]
 
 
 class _SubdomainSolverBase:
@@ -406,7 +383,6 @@ class _SubdomainSolverBase:
     def __init__(self, spec, mesh, params, dt, gamma_positions):
         self.spec = spec
         self.mesh = mesh
-        self.params = params
         self.dt = float(dt)
         self.boundary_map = mesh.boundary_node_ids
         self.interior_map = mesh.interior_node_ids
@@ -416,8 +392,9 @@ class _SubdomainSolverBase:
         mask[self.gamma_positions] = False
         self.physical_positions = np.flatnonzero(mask)
         #: ``_steady``: the physical trace never changes.
-        self._physical_trace, self._steady = _dirichlet_closure(
-            params, mesh.coords[self.boundary_map[self.physical_positions]])
+        xy = mesh.coords[self.boundary_map[self.physical_positions]]
+        self._physical_trace, self._steady = profile_closure(
+            params.dirichlet, xy[:, 0], xy[:, 1])
         self.g_cur = np.zeros(n_b)
         self.g_cur[self.physical_positions] = self._physical_trace(0.0)
         self.t = 0.0
@@ -582,8 +559,7 @@ class RomSubdomainSolver(_SubdomainSolverBase):
                 f"{n_b} boundary nodes")
         self.basis = basis
         self.ops = ops
-        self.stepper = RomStepper(ops, dt)
-        self._P, Q, self._q = self.stepper.propagators()
+        self._P, Q, self._q = RomStepper(ops, dt).propagators()
         self._Q_gamma = Q[:, self.gamma_positions]
         self._Q_physical = Q[:, self.physical_positions]
         self.state = np.zeros(ops.r)
@@ -670,9 +646,9 @@ class ReducedBlock:
     end are replayed once, after the final sweep.
     """
 
-    def __init__(self, members, solvers, plan):
+    def __init__(self, members, plan):
         self.members = members
-        self.solvers = [solvers[i] for i in members]
+        self.solvers = [plan.solvers[i] for i in members]
         self.lo = int(plan.offsets[members[0]])
         self.hi = int(plan.offsets[members[-1] + 1])
         #: Member ``m``'s Gamma rows in the run are ``goff[m]:goff[m + 1]``
@@ -780,7 +756,7 @@ class ReducedBlock:
         and trace in place for the gathers that follow."""
         gamma[self._inputs] = self._sample @ self._plan.coordinates()
         if first and history is not None:
-            history.predict(tuple(self.members), gamma)
+            history.impose(gamma, self.lo, self.hi)
         self._z = np.concatenate((self._w, gamma.take(self._inputs)))
         self._y = y = self._M @ self._z
         gamma[:] = y[self._R:]
@@ -840,31 +816,32 @@ def _matches(t_a, t_b):
     return abs(t_a - t_b) <= _TIME_RTOL * max(1.0, abs(t_a), abs(t_b))
 
 
-def _raise_divergence(units, solvers, gamma, offsets, t_next):
+def _raise_divergence(plan, gamma, t_next):
     """Raise :class:`DivergenceError` for the sweep's first subdomain, in
     sweep order, with non-finite gathered Gamma values or states."""
-    for unit in units:
+    offsets = plan.offsets
+    for unit in plan.units:
         if isinstance(unit, ReducedBlock):
             hit = unit.first_failure()
         elif not np.isfinite(gamma[offsets[unit]:offsets[unit + 1]]).all():
             hit = (unit, True)
-        elif not np.isfinite(solvers[unit].last_states).all():
+        elif not np.isfinite(plan.solvers[unit].last_states).all():
             hit = (unit, False)
         else:
             hit = None
         if hit is not None and hit[1]:
             raise DivergenceError(
                 f"non-finite interface values gathered for subdomain "
-                f"{hit[0]} at t={t_next}")
+                f"{hit[0] + 1} at t={t_next}")
         if hit is not None:
             raise DivergenceError(
-                f"subdomain {hit[0]} produced a non-finite state at "
+                f"subdomain {hit[0] + 1} produced a non-finite state at "
                 f"t={t_next}")
 
 
-def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
-                   plan=None, history=None):
-    """One multiplicative Schwarz fixed point over [t_n, t_next].
+def schwarz_window(plan, t_n, t_next, tol, max_iters, history=None):
+    """One multiplicative Schwarz fixed point of ``plan.solvers`` over [t_n,
+    t_next].
 
     Sweeps the subdomains in ascending order: gather Gamma values from the
     donors' current fields (subdomains already advanced this iteration
@@ -880,33 +857,32 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
 
     In the first sweep a row fed by an earlier subdomain gets its fresh
     state and a row fed by a later one its window-start state. Given a
-    :class:`LateRowHistory` ``history``, the latter rows get its
-    extrapolation instead; later sweeps always impose the gathered values.
+    :class:`LateRowHistory` ``history``, built on ``plan``, the latter rows
+    get its extrapolation instead; later sweeps always impose the gathered
+    values.
 
     Returns ``(iterations, converged)``; the converged states live in the
     solvers, with ``last_states``/``last_traces`` from the final sweep. A
     solver already advanced through this very window is rewound from its
     remembered window-start snapshot, so re-running a converged window
-    terminates after one cheap iteration. A ``plan`` must have been built
-    for these ``solvers``; without one, a plan is built for this window.
+    terminates after one cheap iteration.
     """
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-    if plan is None:
-        plan = GatherPlan(interfaces, solvers)
-    elif plan.solvers != tuple(solvers):  # compared by identity
-        raise ConfigurationError("the gather plan was built for other solvers")
+    solvers = plan.solvers
     for k, s in enumerate(solvers):
         if _matches(s.t, t_n):
             s._window_snapshot = s.snapshot_state()
         elif not (s._window_snapshot is not None
                   and _matches(s._window_snapshot[2], t_n)):
             raise ConfigurationError(
-                f"solver {k} is at t={s.t}, not at the window start "
+                f"solver {k + 1} is at t={s.t}, not at the window start "
                 f"t={t_n}, and has no snapshot there")
     units = plan.units
     blocks = [u for u in units if isinstance(u, ReducedBlock)]
     prev = np.concatenate([s.interface_values() for s in solvers])
+    if history is not None:
+        history.start_window()
     for block in blocks:
         block.start_window(t_n, t_next)
     offsets = plan.offsets
@@ -923,14 +899,14 @@ def schwarz_window(solvers, interfaces, t_n, t_next, tol, max_iters,
             s = solvers[unit]
             vals = plan.gather(unit)
             if history is not None and first:
-                vals = history.predict(unit, vals)
+                history.impose(vals, offsets[unit], offsets[unit + 1])
             s.restore_state(s._window_snapshot)
             s.set_interface_values(vals)
             s.advance_window(t_n, t_next)
             gamma[offsets[unit]:offsets[unit + 1]] = vals
             checked.append(s.last_states.ravel())
         if not kernels.all_finite(np.concatenate(checked)):
-            _raise_divergence(units, solvers, gamma, offsets, t_next)
+            _raise_divergence(plan, gamma, t_next)
         change = kernels.relative_sup_change(gamma, prev, plan.starts)
         prev = gamma
         if change <= tol:
@@ -978,7 +954,7 @@ def run_coupled(config, solver_factory):
     solvers = [solver_factory(spec, table.meshes[i], table.entries[i], config)
                for i, spec in enumerate(config.subdomains)]
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(table)
+    history = LateRowHistory(plan)
     for i, s in enumerate(solvers):
         s.set_interface_values(plan.gather(i))
     setup_seconds = time.perf_counter() - t0
@@ -1002,9 +978,8 @@ def run_coupled(config, solver_factory):
     t1 = time.perf_counter()
     for w in range(n_windows):
         t_w = w * config.window_dt
-        iters, ok = schwarz_window(solvers, table, t_w, t_w + config.window_dt,
-                                   config.tol, config.max_iters, plan,
-                                   history)
+        iters, ok = schwarz_window(plan, t_w, t_w + config.window_dt,
+                                   config.tol, config.max_iters, history)
         iterations[w] = iters
         window_converged[w] = ok
         lo = 1 + w * spw

@@ -16,11 +16,11 @@ from cdrschwarz.driver import (DEFAULT_LAMBDA_GRID, cmd_compare, cmd_run_fom,
                                error_metric_detail, hybrid_operators,
                                load_trained)
 from cdrschwarz.errors import ConfigurationError, FormatError
-from cdrschwarz.fem import boundary_values
+from cdrschwarz.fem import boundary_values, time_independent
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.rom import (LSTSQ_RCOND, RomStepper, time_derivatives,
                             train_opinf)
-from cdrschwarz.timestep import Trajectory
+from cdrschwarz.timestep import ImplicitEulerStepper, Trajectory
 
 from conftest import small_cfg
 
@@ -160,6 +160,8 @@ def test_config_forcing_selectors(tmp_path):
     ("mesh.nx = 1e400\n", "expected a finite number"),
     ("mesh.h = nan\n", "expected a finite number"),
     ("training.t_end = nan\n", "expected a finite number"),
+    ("problem.forcing = constant:nan\n", "expected a finite number"),
+    ("problem.dirichlet = constant:inf\n", "expected a finite number"),
 ])
 def test_config_rejections(tmp_path, text, match):
     with pytest.raises(ConfigurationError, match=match):
@@ -706,6 +708,25 @@ def test_mono_divergence_is_reported(small_fom, tmp_path, monkeypatch):
     assert meta["diverged"] == "True"
 
 
+def test_reference_evaluates_marked_dirichlet_data_once():
+    # Marked data are evaluated once, moving data once per time level, and
+    # both give the same reference bitwise.
+    calls = {"moving": 0, "marked": 0}
+
+    def moving(x, y, t):
+        calls["moving"] += 1
+        return x * y
+
+    @time_independent
+    def marked(x, y, t):
+        calls["marked"] += 1
+        return x * y
+
+    runs = [cmd_run_fom(small_cfg(dirichlet=g)) for g in (moving, marked)]
+    assert calls == {"moving": runs[0].trajectory.n_times, "marked": 1}
+    np.testing.assert_array_equal(runs[1].nodal_states, runs[0].nodal_states)
+
+
 def test_mono_is_driven_by_the_reference_traces():
     # Moving Dirichlet data: step k of the monolithic model takes the
     # boundary values at t_k, and its nodal boundary rows hold them.
@@ -719,8 +740,9 @@ def test_mono_is_driven_by_the_reference_traces():
     assert not result.diverged
     stepper = RomStepper(result.ops, cfg.dt)
     vhat = result.basis.Psi.T @ fom.trajectory.states[:, 0]
+    trace = boundary_values(system, params)
     for j, t in enumerate(result.times):
-        g = boundary_values(system, params, t)
+        g = trace(t)
         if j > 0:
             vhat = stepper.step(vhat, g)
         np.testing.assert_array_equal(
@@ -848,12 +870,15 @@ def test_cli_empty_lambda_grid_rejected(capsys):
     assert "lambda grid" in capsys.readouterr().err
 
 
-def test_cli_divergence_exit_code(tmp_path, capsys):
+def test_cli_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    def poisoned(self, v_n, g_next, t_next, g_prev):
+        return np.full(v_n.shape, np.nan)
+
+    monkeypatch.setattr(ImplicitEulerStepper, "step", poisoned)
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("""
 problem.t_end = 0.02
 problem.dt = 0.01
-problem.forcing = constant:inf
 training.t_end = 0.02
 mesh.nx = 4
 mesh.ny = 4
@@ -862,7 +887,10 @@ decomposition.overlap = 0.5
     code = cli.main(["run-schwarz", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    # Subdomains are numbered from 1, as in the config keys.
+    assert "subdomain 1 produced a non-finite state" in err
 
 
 CAPPED_CFG_TEXT = """

@@ -204,18 +204,17 @@ def test_boundary_values_variants():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 2, 2)
     system = assemble(mesh, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0)))
     zero = boundary_values(
-        system, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0)), 0.0)
+        system, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0)))(0.0)
     np.testing.assert_array_equal(zero, np.zeros(8))
 
     const = boundary_values(
-        system, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0), dirichlet=2.0), 0.0)
+        system, CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0), dirichlet=2.0))(0.0)
     np.testing.assert_array_equal(const, np.full(8, 2.0))
 
     trace = boundary_values(
         system,
         CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0),
-                  dirichlet=lambda x, y, t: x),
-        0.0)
+                  dirichlet=lambda x, y, t: x))(0.0)
     np.testing.assert_allclose(trace, mesh.coords[system.boundary_map, 0],
                                atol=1e-15)
 
@@ -231,7 +230,7 @@ def test_galerkin_reproduces_affine_solution():
         dirichlet=lambda x, y, t: u(x, y))
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 8, 8)
     system = assemble(mesh, params)
-    g = boundary_values(system, params, 0.0)
+    g = boundary_values(system, params)(0.0)
     v = spsolve(system.A_II.tocsc(),
                 system.load(0.0) - system.A_IB @ g)
     coords = mesh.coords[system.interior_map]

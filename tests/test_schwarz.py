@@ -166,9 +166,9 @@ def test_gather_plan_matches_direct_interpolation():
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5),
                        forcing=lambda x, y, t: x + y)
     solvers = make_fe_solvers(config, params, table)
-    schwarz_window(solvers, table, 0.0, 0.05, tol=1e-9, max_iters=50)
-
     plan = GatherPlan(table, solvers)
+    schwarz_window(plan, 0.0, 0.05, tol=1e-9, max_iters=50)
+
     for i, entry in enumerate(table.entries):
         got = plan.gather(i)
         want = np.empty(entry.n_gamma)
@@ -224,8 +224,8 @@ def test_fe_gathers_are_bitwise_on_unaligned_meshes():
     solvers = make_fe_solvers(config, params, table)
     plan = GatherPlan(table, solvers)
     for w in range(config.n_windows):
-        schwarz_window(solvers, table, w * config.dt, (w + 1) * config.dt,
-                       config.tol, config.max_iters, plan)
+        schwarz_window(plan, w * config.dt, (w + 1) * config.dt,
+                       config.tol, config.max_iters)
         for i, entry in enumerate(table.entries):
             got = plan.gather(i)
             for j, idx, _ in plan.groups(i):
@@ -252,8 +252,7 @@ def steady_strip_setup(overlap, tol=1e-10, h=0.02):
 def test_sweep_contracts_geometrically():
     config, _, table, solvers = steady_strip_setup(overlap=0.2)
     plan = RecordingPlan(table, solvers)
-    iters, ok = schwarz_window(solvers, table, 0.0, 1e6, config.tol,
-                               config.max_iters, plan=plan)
+    iters, ok = schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
     assert ok and iters >= 3
 
     history = [vals for (i, vals) in plan.log if i == 0]
@@ -269,8 +268,8 @@ def test_wider_overlap_converges_faster():
     results = {}
     for overlap in (0.08, 0.2):
         config, _, table, solvers = steady_strip_setup(overlap=overlap)
-        iters, ok = schwarz_window(solvers, table, 0.0, 1e6, config.tol,
-                                   config.max_iters)
+        iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0, 1e6,
+                                   config.tol, config.max_iters)
         assert ok
         results[overlap] = iters
     assert results[0.2] < results[0.08]
@@ -279,8 +278,8 @@ def test_wider_overlap_converges_faster():
 def test_converged_strips_match_monolithic_steady_solution():
     config, params, table, solvers = steady_strip_setup(overlap=0.2,
                                                         tol=1e-12)
-    iters, ok = schwarz_window(solvers, table, 0.0, 1e6, config.tol,
-                               config.max_iters)
+    iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0, 1e6,
+                               config.tol, config.max_iters)
     assert ok
 
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 50, 50)
@@ -298,8 +297,7 @@ def test_sweep_is_multiplicative_not_jacobi():
     # subdomain's freshly advanced field, not its window-start field.
     config, params, table, solvers = steady_strip_setup(overlap=0.2)
     plan = RecordingPlan(table, solvers)
-    schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters,
-                   plan=plan)
+    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
     first_gather_0 = next(v for (i, v) in plan.log if i == 0)
     first_gather_1 = next(v for (i, v) in plan.log if i == 1)
 
@@ -319,17 +317,16 @@ def test_sweep_is_multiplicative_not_jacobi():
 def test_first_gather_of_cold_start_is_zero():
     config, _, table, solvers = steady_strip_setup(overlap=0.2)
     plan = RecordingPlan(table, solvers)
-    schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters,
-                   plan=plan)
+    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
     np.testing.assert_array_equal(plan.log[0][1], 0.0)
 
 
 def test_rerunning_converged_window_is_idempotent():
     config, _, table, solvers = steady_strip_setup(overlap=0.2, tol=1e-9)
-    schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters)
+    plan = GatherPlan(table, solvers)
+    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
     fields = [s.full_field().copy() for s in solvers]
-    iters, ok = schwarz_window(solvers, table, 0.0, 1e6, config.tol,
-                               config.max_iters)
+    iters, ok = schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
     assert ok and iters == 1
     for s, before in zip(solvers, fields):
         np.testing.assert_allclose(s.full_field(), before, rtol=0, atol=1e-6)
@@ -337,24 +334,17 @@ def test_rerunning_converged_window_is_idempotent():
 
 def test_window_requires_solvers_at_start_time():
     config, _, table, solvers = steady_strip_setup(overlap=0.2)
-    schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters)
+    plan = GatherPlan(table, solvers)
+    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
     with pytest.raises(ConfigurationError, match="window start"):
-        schwarz_window(solvers, table, 5e5, 1e6, config.tol, config.max_iters)
-
-
-def test_window_rejects_plan_built_for_other_solvers():
-    config, params, table, solvers = steady_strip_setup(overlap=0.2)
-    plan = GatherPlan(table, make_fe_solvers(config, params, table))
-    with pytest.raises(ConfigurationError, match="other solvers"):
-        schwarz_window(solvers, table, 0.0, 1e6, config.tol,
-                       config.max_iters, plan)
+        schwarz_window(plan, 5e5, 1e6, config.tol, config.max_iters)
 
 
 def test_unconverged_window_reports_flag():
     config, params, table, solvers = steady_strip_setup(overlap=0.2,
                                                         tol=1e-14)
-    iters, ok = schwarz_window(solvers, table, 0.0, 1e6, tol=1e-14,
-                               max_iters=1)
+    iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0, 1e6,
+                               tol=1e-14, max_iters=1)
     assert iters == 1 and not ok
 
 
@@ -379,7 +369,8 @@ def test_divergent_state_raises():
                               table.entries[i].gamma_positions)
                for i, spec in enumerate(config.subdomains)]
     with pytest.raises(DivergenceError):
-        schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters)
+        schwarz_window(GatherPlan(table, solvers), 0.0, 1e6, config.tol,
+                       config.max_iters)
 
 
 def test_divergent_reduced_state_raises():
@@ -388,8 +379,9 @@ def test_divergent_reduced_state_raises():
     config, params, table, solvers = steady_strip_setup(overlap=0.2)
     solvers[0] = make_rom_solver(config, params, table, 0)
     solvers[0].state = np.full(solvers[0].state.shape[0], np.nan)
-    with pytest.raises(DivergenceError, match="subdomain 0 .*non-finite"):
-        schwarz_window(solvers, table, 0.0, 1e6, config.tol, config.max_iters)
+    with pytest.raises(DivergenceError, match="subdomain 1 .*non-finite"):
+        schwarz_window(GatherPlan(table, solvers), 0.0, 1e6, config.tol,
+                       config.max_iters)
 
 
 @pytest.mark.parametrize("steps_per_window", [1, 3])
@@ -522,21 +514,36 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
     # Late rows whose window-start values are a polynomial of the window
     # index are predicted exactly one window ahead once the history holds
     # at least `degree` earlier anchors; earlier-donor rows are untouched.
+    # The solvers' coordinates are a polynomial of the window index, so
+    # every gathered value is one too.
     config = SchwarzConfig(subdomains=three_strip_specs(h=0.1), dt=0.1,
                            t_end=1.0)
     table = build_interfaces(config)
-    history = LateRowHistory(table)
+    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0))
+    solvers = make_fe_solvers(config, params, table)
+    plan = GatherPlan(table, solvers)
+    history = LateRowHistory(plan)
     rng = np.random.default_rng(degree)
-    coeffs = [rng.standard_normal((degree + 1, e.n_gamma))
-              for e in table.entries]
+    coeffs = rng.standard_normal((degree + 1, int(plan.columns[-1])))
+
+    def move_to(w):
+        coords = sum(c * float(w) ** d for d, c in enumerate(coeffs))
+        for k, s in enumerate(solvers):
+            s.state, s.g_cur = np.split(
+                coords[plan.columns[k]:plan.columns[k + 1]],
+                [s.state.shape[0]])
 
     def data(i, w):
-        return sum(c * float(w) ** d for d, c in enumerate(coeffs[i]))
+        move_to(w)
+        return plan.gather(i)
 
     for w in range(PREDICTOR_DEPTH + 3):
+        move_to(w)
+        history.start_window()
         for i, entry in enumerate(table.entries):
             gathered = data(i, w)
-            out = history.predict(i, gathered.copy())
+            out = gathered.copy()
+            history.impose(out, plan.offsets[i], plan.offsets[i + 1])
             late = entry.donors > i
             np.testing.assert_array_equal(out[~late], gathered[~late])
             if w == 0:
@@ -566,9 +573,8 @@ def test_predictor_cuts_sweeps_and_keeps_window_zero():
     lagged = []
     for w in range(config.n_windows):
         t_w = w * config.window_dt
-        iters, ok = schwarz_window(solvers, table, t_w,
-                                   t_w + config.window_dt, config.tol,
-                                   config.max_iters, plan)
+        iters, ok = schwarz_window(plan, t_w, t_w + config.window_dt,
+                                   config.tol, config.max_iters)
         assert ok
         lagged.append(iters)
         if w == 0:
@@ -598,14 +604,13 @@ def test_rows_from_earlier_donors_are_never_extrapolated():
 
     solvers[1].set_interface_values = recording_impose
     plan = RecordingPlan(table, solvers)
-    history = LateRowHistory(table)
+    history = LateRowHistory(plan)
     for w in range(config.n_windows):
         plan.log.clear()
         imposed.clear()
         t_w = w * config.dt
-        iters, ok = schwarz_window(solvers, table, t_w, t_w + config.dt,
-                                   config.tol, config.max_iters, plan,
-                                   history)
+        iters, ok = schwarz_window(plan, t_w, t_w + config.dt, config.tol,
+                                   config.max_iters, history)
         assert ok and iters >= 2
         gathered = next(v for (i, v) in plan.log if i == 1)
         np.testing.assert_array_equal(imposed[0][donors == 0],
@@ -645,11 +650,39 @@ def test_rom_solver_validates_shapes():
 # Reduced blocks
 
 
-def per_visit_window(solvers, interfaces, t_n, t_next, tol, max_iters, plan,
-                     history):
+class PerReceiverHistory:
+    """The first-sweep predictor kept receiver by receiver: each visit
+    stores the late rows of its own gather as the newest anchor and
+    overwrites them with the polynomial through its anchors, one window
+    ahead. The reference for :class:`LateRowHistory`, which samples every
+    late row once per window."""
+
+    def __init__(self, plan):
+        self._late = [np.flatnonzero(plan.donors[a:b] > i) for i, (a, b)
+                      in enumerate(zip(plan.offsets[:-1], plan.offsets[1:]))]
+        self._anchors = [np.empty((PREDICTOR_DEPTH + 1, rows.shape[0]))
+                         for rows in self._late]
+        self._held = [0] * len(self._late)
+
+    def predict(self, i, vals):
+        rows, anchors, k = self._late[i], self._anchors[i], self._held[i]
+        anchors[1:] = anchors[:-1]
+        anchors[0] = vals[rows]
+        self._held[i] = min(k + 1, PREDICTOR_DEPTH)
+        # Lagrange weights of the anchors at 0, -1, ..., -k evaluated at 1.
+        nodes = -np.arange(k + 1.0)
+        weights = np.array([[np.prod([(1.0 - b) / (a - b)
+                                      for b in nodes if b != a])]
+                            for a in nodes])
+        vals[rows] = np.add.reduce(weights * anchors[:k + 1], axis=0)
+        return vals
+
+
+def per_visit_window(plan, t_n, t_next, tol, max_iters, history):
     """The sweep visit by visit, each reduced subdomain advanced through its
     own ``advance_window`` and checked on its own: the reference the
     composed reduced blocks of ``schwarz_window`` must reproduce."""
+    solvers = plan.solvers
     for s in solvers:
         s._window_snapshot = s.snapshot_state()
     prev = [s.interface_values() for s in solvers]
@@ -669,20 +702,20 @@ def per_visit_window(solvers, interfaces, t_n, t_next, tol, max_iters, plan,
     return max_iters, False
 
 
-def march(config, make_solvers, window):
+def march(config, make_solvers, window, predictor=LateRowHistory):
     """Sweeps per window and each window's recorded states and traces of a
-    predictor-seeded march over ``config`` with ``window``."""
+    march over ``config`` with ``window``, seeded by ``predictor``."""
     table = build_interfaces(config)
     solvers = make_solvers(table)
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(table)
+    history = predictor(plan)
     for i, s in enumerate(solvers):
         s.set_interface_values(plan.gather(i))
     sweeps, records = [], []
     for w in range(config.n_windows):
         t_w = w * config.window_dt
-        iters, _ = window(solvers, table, t_w, t_w + config.window_dt,
-                          config.tol, config.max_iters, plan, history)
+        iters, _ = window(plan, t_w, t_w + config.window_dt, config.tol,
+                          config.max_iters, history)
         sweeps.append(iters)
         records.append([(np.array(s.last_states), np.array(s.last_traces))
                          for s in solvers])
@@ -691,7 +724,8 @@ def march(config, make_solvers, window):
 
 def assert_marches_agree(config, make_solvers):
     sweeps, records = march(config, make_solvers, schwarz_window)
-    ref_sweeps, ref_records = march(config, make_solvers, per_visit_window)
+    ref_sweeps, ref_records = march(config, make_solvers, per_visit_window,
+                                    PerReceiverHistory)
     assert sweeps == ref_sweeps
     assert max(sweeps) > 1
     scale = max(1.0, max(np.max(np.abs(x)) for window in ref_records
@@ -804,12 +838,12 @@ def test_reduced_block_follows_moving_dirichlet_data():
     for i in (0, 1, 3):
         solvers[i] = make_rom_solver(config, params, table, i, seed=i)
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(table)
+    history = LateRowHistory(plan)
     for w in range(config.n_windows):
         t_w = w * config.window_dt
         start = [np.array(s.state) for s in solvers]
-        schwarz_window(solvers, table, t_w, t_w + config.window_dt,
-                       config.tol, config.max_iters, plan, history)
+        schwarz_window(plan, t_w, t_w + config.window_dt, config.tol,
+                       config.max_iters, history)
         for i in (0, 1, 3):
             s = solvers[i]
             xy = table.meshes[i].coords[s.boundary_map[s.physical_positions]]
@@ -881,8 +915,8 @@ def test_reduced_block_never_visits_members(monkeypatch):
     plan = GatherPlan(table, solvers)
     assert isinstance(plan.units[1], ReducedBlock)
     for w in range(config.n_windows):
-        schwarz_window(solvers, table, w * config.dt, (w + 1) * config.dt,
-                       config.tol, config.max_iters, plan)
+        schwarz_window(plan, w * config.dt, (w + 1) * config.dt, config.tol,
+                       config.max_iters)
     assert solvers[1].t == pytest.approx(config.t_end)
     assert solvers[1].last_states.shape == (solvers[1].ops.r, 1)
 
@@ -900,8 +934,8 @@ def test_reduced_block_maps_do_not_grow_with_substeps():
         for i in (0, 1):
             solvers[i] = make_rom_solver(config, params, table, i, seed=i)
         plan = GatherPlan(table, solvers)
-        schwarz_window(solvers, table, 0.0, config.window_dt, config.tol,
-                       config.max_iters, plan)
+        schwarz_window(plan, 0.0, config.window_dt, config.tol,
+                       config.max_iters)
         block = plan.units[0]
         shapes.append(block._M.shape)
         assert solvers[1].last_states.shape == (solvers[1].ops.r,
@@ -917,7 +951,8 @@ def test_schwarz_window_rejects_max_iters_below_one():
     solvers = make_fe_solvers(config, params, table)
     solvers[1] = make_rom_solver(config, params, table, 1)
     with pytest.raises(ConfigurationError, match="max_iters must be >= 1"):
-        schwarz_window(solvers, table, 0.0, config.dt, config.tol, 0)
+        schwarz_window(GatherPlan(table, solvers), 0.0, config.dt,
+                       config.tol, 0)
 
 
 def test_divergence_in_second_block_member_names_it():
@@ -937,9 +972,9 @@ def test_divergence_in_second_block_member_names_it():
     solvers[0] = make_rom_solver(config, params, table, 0, seed=0)
     solvers[1] = make_rom_solver(config, params, table, 1, seed=1)
     with pytest.raises(DivergenceError,
-                       match=r"^subdomain 1 produced a non-finite state"):
-        schwarz_window(solvers, table, 0.0, config.dt, config.tol,
-                       config.max_iters)
+                       match=r"^subdomain 2 produced a non-finite state"):
+        schwarz_window(GatherPlan(table, solvers), 0.0, config.dt,
+                       config.tol, config.max_iters)
 
 
 def test_segmented_relative_sup_change():
