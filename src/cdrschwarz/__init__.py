@@ -23,6 +23,11 @@ from .driver import (ComparisonReport, cmd_compare, cmd_run_fom,
                      cmd_run_hybrid, cmd_run_mono_opinf, cmd_run_schwarz,
                      cmd_train, error_metric, error_metric_detail)
 from .matio import export_field_csv, load_matrix, save_matrix
+from .kernels import single_thread_blas
+
+# The imports above have loaded numpy's and scipy's OpenBLAS; set each to
+# one thread now, once per process (see ``kernels``).
+single_thread_blas()
 
 __version__ = "0.1.0"
 

@@ -19,6 +19,7 @@ from . import matio
 from .config import GLOBAL_RECT
 from .errors import ConfigurationError
 from .fem import assemble, boundary_values
+from .kernels import blas_threads
 from .mesh import build_mesh
 from .rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
                   train_opinf)
@@ -335,8 +336,8 @@ def cmd_train(cfg, out_dir=None):
             continue
         traj = run.trajectories[i]
         basis = compute_pod(traj.states, spec.rom_dim)
-        ops = train_opinf(basis, traj.states, traj.boundary_traces,
-                          cfg.dt, spec.rom_lambda)
+        ops, = train_opinf(basis, traj.states, traj.boundary_traces,
+                           cfg.dt, (spec.rom_lambda,))
         trained[i] = TrainedSubdomain(
             index=i, basis=basis, ops=ops, lam=spec.rom_lambda,
             energy=_retained_energy(basis.svals, spec.rom_dim))
@@ -542,13 +543,10 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
         grid = (float(cfg.mono_lambda),)
     else:
         grid = DEFAULT_LAMBDA_GRID
-    grid_errors = np.empty(len(grid))
-    candidates = []
     projection = _TrainingProjection.of(basis, train_states, train_traces)
-    for k, lam in enumerate(grid):
-        ops = train_opinf(basis, train_states, train_traces, cfg.dt, lam)
-        candidates.append(ops)
-        grid_errors[k] = _mono_reprojection_error(ops, cfg.dt, projection)
+    candidates = train_opinf(basis, train_states, train_traces, cfg.dt, grid)
+    grid_errors = np.array([_mono_reprojection_error(ops, cfg.dt, projection)
+                            for ops in candidates])
     best = int(np.argmin(grid_errors))
     ops = candidates[best]
     lam = grid[best]
@@ -660,12 +658,15 @@ class ComparisonReport:
 
 
 def _blas_threads_note():
-    """The BLAS thread setting in force, as OpenBLAS reads it."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value:
-            return f"BLAS threads: {name}={value}"
-    return "BLAS threads: library default"
+    """The thread count of each OpenBLAS in the process, read back."""
+    counts = blas_threads()
+    if not counts:
+        return "BLAS threads: no OpenBLAS found, library default"
+    if len(set(counts)) == 1:
+        return (f"BLAS threads: {counts[0]} in each of {len(counts)} "
+                f"OpenBLAS libraries")
+    return (f"BLAS threads: {', '.join(map(str, counts))} in "
+            f"{len(counts)} OpenBLAS libraries")
 
 
 def _environment_note():

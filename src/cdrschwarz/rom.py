@@ -7,7 +7,9 @@ state ``vhat``, the learned dynamics are
 
 where ``g`` is the subdomain boundary trace. Operators are fit by ridge
 regression on projected snapshot data; the constant ``fhat`` absorbs the
-(uncentered) snapshot offset and any constant forcing.
+(uncentered) snapshot offset and any constant forcing. One SVD of the data
+matrix serves every ridge weight: each fit applies its own filter factors
+to the same singular vectors (see :func:`fit_operators`).
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +20,8 @@ import scipy.linalg
 
 from .errors import ConfigurationError, FactorizationError
 
-#: Relative singular value cutoff used by the least-squares solver.
+#: Relative singular value cutoff of the operator fits, as a least-squares
+#: solver's ``rcond``.
 LSTSQ_RCOND = 1e-13
 
 
@@ -78,7 +81,7 @@ def time_derivatives(Y, dt):
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """How well posed an operator-inference fit was, read from its solve.
+    """How well posed an operator-inference fit was, read from its SVD.
 
     ``data_shape`` is the shape of ``D = [Y^T G^T 1]``; ``rank`` its
     numerical rank at ``LSTSQ_RCOND`` (of ``D`` with its ridge rows when
@@ -138,13 +141,20 @@ class OpInfOperators:
         return self.Bhat.shape[1]
 
 
-def fit_operators(Y, Ydot, G, lam=0.0):
-    """Ridge regression for reduced operators from data triplets.
+def fit_operators(Y, Ydot, G, lams):
+    """Ridge regressions for reduced operators, one per weight in ``lams``.
 
-    Solves ``min || D O - Ydot^T ||_F^2 + lam^2 ||O||_F^2`` with data matrix
-    ``D = [Y^T  G^T  1]`` and unknown ``O = [Khat  Bhat  fhat]^T``; the
-    penalty is applied by row augmentation so a rank-deficient problem at
-    ``lam = 0`` falls back to the minimum-norm solution.
+    Each solves ``min || D O - Ydot^T ||_F^2 + lam^2 ||O||_F^2`` with data
+    matrix ``D = [Y^T  G^T  1]`` and unknown ``O = [Khat  Bhat  fhat]^T``,
+    and all of them come from one SVD ``D = U diag(s) V^T``. The singular
+    values of ``D`` stacked on ``lam I`` are ``sigma_i = hypot(s_i, lam)``
+    (and ``lam`` once more per column beyond ``len(s)``), and the fit is
+    ``O = V diag(f) U^T Ydot^T`` with filter factors ``f_i = (s_i / sigma_i)
+    / sigma_i``. A direction is kept when ``sigma_i > LSTSQ_RCOND *
+    hypot(s_0, lam)``, the cutoff a least-squares solve of the stacked
+    system applies, so a rank-deficient problem at ``lam = 0`` falls back to
+    the minimum-norm solution. Dividing by ``sigma_i`` twice lets ``f``
+    underflow to 0 for huge ``lam`` instead of overflowing ``sigma_i^2``.
     """
     Y = np.asarray(Y, dtype=float)
     Ydot = np.asarray(Ydot, dtype=float)
@@ -156,34 +166,48 @@ def fit_operators(Y, Ydot, G, lam=0.0):
     if G.ndim != 2 or G.shape[1] != Y.shape[1]:
         raise ConfigurationError(
             f"boundary data has shape {G.shape}, expected (m, {Y.shape[1]})")
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ConfigurationError(f"regularization must be >= 0, got {lam}")
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        if not (np.isfinite(lam) and lam >= 0.0):
+            raise ConfigurationError(
+                f"regularization must be >= 0, got {lam}")
     r, n_t = Y.shape
     m = G.shape[0]
     data = np.hstack([Y.T, G.T, np.ones((n_t, 1))])
     target = Ydot.T
-    fit_data, fit_target = data, target
-    if lam > 0.0:
-        data = np.vstack([data, lam * np.eye(r + m + 1)])
-        target = np.vstack([target, np.zeros((r + m + 1, r))])
-    ops, _, rank, svals = np.linalg.lstsq(data, target, rcond=LSTSQ_RCOND)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fit = FitDiagnostics(
-            data_shape=fit_data.shape, rank=int(rank),
-            min_kept_over_cutoff=float(
-                svals[rank - 1] / (LSTSQ_RCOND * svals[0]) if rank > 0
-                else np.nan),
-            residual=float(np.linalg.norm(fit_data @ ops - fit_target)
-                           / np.linalg.norm(fit_target)))
-    return OpInfOperators(Khat=ops[:r].T.copy(), Bhat=ops[r:r + m].T.copy(),
-                          fhat=ops[r + m].copy(), lam=float(lam), fit=fit)
+    u, s, vt = np.linalg.svd(data, full_matrices=False)
+    coef = u.T @ target
+    n_extra = data.shape[1] - s.shape[0]
+    fits = []
+    for lam in lams:
+        sigma = np.hypot(s, lam)
+        cutoff = LSTSQ_RCOND * np.hypot(s[0], lam)
+        kept = sigma > cutoff
+        f = np.zeros_like(s)
+        f[kept] = (s[kept] / sigma[kept]) / sigma[kept]
+        ops = vt.T @ (f[:, None] * coef)
+        # [D; lam I] has n_extra more singular values, each equal to lam.
+        extra = n_extra if lam > cutoff else 0
+        kept_svals = np.append(sigma[kept], np.full(extra, lam))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = FitDiagnostics(
+                data_shape=data.shape, rank=kept_svals.size,
+                min_kept_over_cutoff=float(
+                    kept_svals.min() / cutoff if kept_svals.size else np.nan),
+                residual=float(np.linalg.norm(data @ ops - target)
+                               / np.linalg.norm(target)))
+        fits.append(OpInfOperators(
+            Khat=ops[:r].T.copy(), Bhat=ops[r:r + m].T.copy(),
+            fhat=ops[r + m].copy(), lam=lam, fit=fit))
+    return fits
 
 
-def train_opinf(basis, states, traces, dt, lam=0.0):
+def train_opinf(basis, states, traces, dt, lams):
     """Infer reduced operators from full-order snapshots and traces.
 
     Snapshots are projected onto ``basis``, differentiated in time, and
-    regressed against the reduced state and the boundary trace. Only rows
+    regressed against the reduced state and the boundary trace, once per
+    ridge weight in ``lams`` (see :func:`fit_operators`). Only rows
     whose derivative target comes from a central stencil enter the
     regression: the one-sided stencils at the first and last snapshot
     carry a large systematic error when the trajectory starts or ends
@@ -203,7 +227,7 @@ def train_opinf(basis, states, traces, dt, lam=0.0):
     Ydot = time_derivatives(Y, dt)
     if Y.shape[1] >= 5:
         Y, Ydot, traces = Y[:, 1:-1], Ydot[:, 1:-1], traces[:, 1:-1]
-    return fit_operators(Y, Ydot, traces, lam)
+    return fit_operators(Y, Ydot, traces, lams)
 
 
 class RomStepper:
@@ -242,10 +266,8 @@ class RomStepper:
         ``P = (I - dt Khat)^-1``, ``Q = dt P Bhat`` and ``q = dt P fhat``
         come from one solve, so a caller taking many steps trades each solve
         for small matvecs; results agree with :meth:`step` to rounding. The
-        solve is numpy's, like the least-squares fits: scipy's LAPACK runs
-        on a second OpenBLAS thread pool, and a multi-column solve there
-        between two fits left its threads competing with the next fit's,
-        which then took about twice as long.
+        solve is numpy's; a scipy solve would change the propagators, and
+        every reduced march, at rounding.
         """
         ops = self.ops
         P = np.linalg.solve(np.eye(ops.r) - self.dt * ops.Khat,

@@ -238,7 +238,7 @@ def test_criterion_7_operator_inference_oracle():
         ydot = k0 @ y + b0 @ g + f0[:, None]
 
         # Exact recovery from exactly consistent data, unregularized.
-        ops = fit_operators(y, ydot, g, lam=0.0)
+        ops, = fit_operators(y, ydot, g, (0.0,))
         scale = max(1.0, np.linalg.norm(k0))
         recovery = max(np.max(np.abs(ops.Khat - k0)),
                        np.max(np.abs(ops.Bhat - b0)),
@@ -247,7 +247,7 @@ def test_criterion_7_operator_inference_oracle():
 
         # Independent oracle: the regularized normal equations.
         lam = float(10.0 ** rng.uniform(-6.0, 0.0))
-        ops_reg = fit_operators(y, ydot, g, lam=lam)
+        ops_reg, = fit_operators(y, ydot, g, (lam,))
         o = np.vstack([ops_reg.Khat.T, ops_reg.Bhat.T, ops_reg.fhat[None, :]])
         d = np.hstack([y.T, g.T, np.ones((n_t, 1))])
         rhs = d.T @ ydot.T

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from cdrschwarz.errors import ConfigurationError, FactorizationError
 from cdrschwarz.fem import CdrParams, assemble
 from cdrschwarz.mesh import Rect, build_mesh
-from cdrschwarz.rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
-                            fit_operators, time_derivatives, train_opinf)
+from cdrschwarz.rom import (LSTSQ_RCOND, OpInfOperators, PodBasis,
+                            RomStepper, compute_pod, fit_operators,
+                            time_derivatives, train_opinf)
 from cdrschwarz.timestep import ImplicitEulerStepper, integrate
 
 
@@ -138,7 +139,7 @@ def test_time_derivatives_needs_three_snapshots():
 def test_fit_operators_exact_recovery():
     rng = np.random.default_rng(5)
     y, ydot, g, k0, b0, f0 = _consistent_data(rng, r=6, m=4, n_t=40)
-    ops = fit_operators(y, ydot, g, lam=0.0)
+    ops, = fit_operators(y, ydot, g, (0.0,))
     np.testing.assert_allclose(ops.Khat, k0, atol=1e-8)
     np.testing.assert_allclose(ops.Bhat, b0, atol=1e-8)
     np.testing.assert_allclose(ops.fhat, f0, atol=1e-8)
@@ -154,7 +155,7 @@ def test_fit_operators_satisfies_normal_equations(lam):
     y = rng.standard_normal((r, n_t))
     g = rng.standard_normal((m, n_t))
     ydot = rng.standard_normal((r, n_t))  # noisy: no exact model exists
-    ops = fit_operators(y, ydot, g, lam=lam)
+    ops, = fit_operators(y, ydot, g, (lam,))
     d = np.hstack([y.T, g.T, np.ones((n_t, 1))])
     gram = d.T @ d + lam ** 2 * np.eye(r + m + 1)
     residual = gram @ _stack_operators(ops) - d.T @ ydot.T
@@ -165,8 +166,7 @@ def test_fit_operators_satisfies_normal_equations(lam):
 def test_fit_operators_ridge_shrinks_solution():
     rng = np.random.default_rng(7)
     y, ydot, g, *_ = _consistent_data(rng, r=4, m=2, n_t=25)
-    free = fit_operators(y, ydot, g, lam=0.0)
-    shrunk = fit_operators(y, ydot, g, lam=1e8)
+    free, shrunk = fit_operators(y, ydot, g, (0.0, 1e8))
     assert np.linalg.norm(_stack_operators(shrunk)) <= \
         1e-6 * np.linalg.norm(_stack_operators(free))
 
@@ -180,8 +180,8 @@ def test_fit_operators_lambda_tradeoff_monotone():
     ydot = rng.standard_normal((r, n_t))
     d = np.hstack([y.T, g.T, np.ones((n_t, 1))])
     residuals, norms = [], []
-    for lam in (0.0, 1e-4, 1e-2, 1.0):
-        o = _stack_operators(fit_operators(y, ydot, g, lam=lam))
+    for ops in fit_operators(y, ydot, g, (0.0, 1e-4, 1e-2, 1.0)):
+        o = _stack_operators(ops)
         residuals.append(np.linalg.norm(d @ o - ydot.T))
         norms.append(np.linalg.norm(o))
     assert all(a <= b + 1e-12 for a, b in zip(residuals, residuals[1:]))
@@ -196,7 +196,7 @@ def test_fit_operators_minimum_norm_when_rank_deficient():
     y = rng.standard_normal((r, n_t))
     g = rng.standard_normal((m, n_t))
     ydot = rng.standard_normal((r, n_t))
-    ops = fit_operators(y, ydot, g, lam=0.0)
+    ops, = fit_operators(y, ydot, g, (0.0,))
     d = np.hstack([y.T, g.T, np.ones((n_t, 1))])
     o = _stack_operators(ops)
     residual = d.T @ (d @ o - ydot.T)
@@ -208,22 +208,95 @@ def test_fit_operators_minimum_norm_when_rank_deficient():
 def test_fit_operators_recovery_property(r, m, seed):
     rng = np.random.default_rng(seed)
     y, ydot, g, k0, b0, f0 = _consistent_data(rng, r, m, n_t=r + m + 12)
-    ops = fit_operators(y, ydot, g, lam=0.0)
+    ops, = fit_operators(y, ydot, g, (0.0,))
     scale = max(np.linalg.norm(k0), np.linalg.norm(b0), np.linalg.norm(f0))
     assert np.linalg.norm(ops.Khat - k0) <= 1e-6 * scale
     assert np.linalg.norm(ops.Bhat - b0) <= 1e-6 * scale
     assert np.linalg.norm(ops.fhat - f0) <= 1e-6 * scale
 
 
+def _random_fit_data(rng, r, m, n_t):
+    """Noisy random (Y, Ydot, G) and the data matrix D = [Y^T G^T 1]."""
+    y = rng.standard_normal((r, n_t))
+    g = rng.standard_normal((m, n_t))
+    ydot = rng.standard_normal((r, n_t))
+    return y, ydot, g, np.hstack([y.T, g.T, np.ones((n_t, 1))])
+
+
+def test_fit_operators_grid_matches_lstsq_on_stacked_system():
+    # Every weight of one call against a least-squares solve of its own
+    # ridge-stacked system [D; lam I] O = [Ydot^T; 0].
+    rng = np.random.default_rng(12)
+    y, ydot, g, d = _random_fit_data(rng, r=5, m=3, n_t=40)
+    lams = (0.0, 1e-3, 1e-1, 3.0)
+    fits = fit_operators(y, ydot, g, lams)
+    assert [ops.lam for ops in fits] == list(lams)
+    n_cols = d.shape[1]
+    for lam, ops in zip(lams, fits):
+        stacked = np.vstack([d, lam * np.eye(n_cols)])
+        target = np.vstack([ydot.T, np.zeros((n_cols, y.shape[0]))])
+        want = np.linalg.lstsq(stacked, target, rcond=LSTSQ_RCOND)[0]
+        np.testing.assert_allclose(_stack_operators(ops), want, rtol=1e-10,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_fit_operators_zero_weight_is_minimum_norm():
+    # Fewer snapshots than unknowns: the lam = 0 fit is pinv(D) Ydot^T.
+    rng = np.random.default_rng(13)
+    y, ydot, g, d = _random_fit_data(rng, r=4, m=5, n_t=7)
+    ops, _ = fit_operators(y, ydot, g, (0.0, 0.5))
+    np.testing.assert_allclose(_stack_operators(ops),
+                               np.linalg.pinv(d) @ ydot.T, rtol=1e-10,
+                               atol=1e-12)
+    assert ops.fit.rank == d.shape[0]
+
+
+@pytest.mark.parametrize("lam", [1e-16, 1e-3, 1.0])
+def test_fit_diagnostics_match_svd_of_stacked_system(lam):
+    # A wide D (8 rows, 12 columns): [D; lam I] has 8 singular values
+    # hypot(s_i, lam) and 4 equal to lam, which fall below the cutoff at
+    # lam = 1e-16 and count towards the rank otherwise.
+    rng = np.random.default_rng(14)
+    y, ydot, g, d = _random_fit_data(rng, r=5, m=6, n_t=8)
+    ops, = fit_operators(y, ydot, g, (lam,))
+    stacked = np.vstack([d, lam * np.eye(d.shape[1])])
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    cutoff = LSTSQ_RCOND * svals[0]
+    rank = int(np.count_nonzero(svals > cutoff))
+    assert rank == (d.shape[0] if lam < 1e-12 else d.shape[1])
+    assert ops.fit.data_shape == d.shape
+    assert ops.fit.rank == rank
+    assert ops.fit.min_kept_over_cutoff == pytest.approx(
+        svals[rank - 1] / cutoff, rel=1e-10)
+    o = _stack_operators(ops)
+    assert ops.fit.residual == pytest.approx(
+        np.linalg.norm(d @ o - ydot.T) / np.linalg.norm(ydot.T), rel=1e-8)
+
+
+def test_fit_operators_huge_weights_give_zero_operators():
+    # The filter factors underflow to 0 instead of overflowing sigma^2.
+    rng = np.random.default_rng(15)
+    y, ydot, g, d = _random_fit_data(rng, r=4, m=3, n_t=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = fit_operators(y, ydot, g, (1e200, 1e300))
+    for ops in fits:
+        assert not _stack_operators(ops).any()
+        assert ops.fit.rank == d.shape[1]
+        assert ops.fit.min_kept_over_cutoff == pytest.approx(
+            1.0 / LSTSQ_RCOND)
+        assert ops.fit.residual == pytest.approx(1.0)
+
+
 def test_fit_operators_validation():
     y = np.zeros((3, 10))
     g = np.zeros((2, 10))
     with pytest.raises(ConfigurationError):
-        fit_operators(y, np.zeros((3, 9)), g)
+        fit_operators(y, np.zeros((3, 9)), g, (0.0,))
     with pytest.raises(ConfigurationError):
-        fit_operators(y, y, np.zeros((2, 9)))
+        fit_operators(y, y, np.zeros((2, 9)), (0.0,))
     with pytest.raises(ConfigurationError):
-        fit_operators(y, y, g, lam=-1.0)
+        fit_operators(y, y, g, (0.0, -1.0))
 
 
 def test_operator_container_validation():
@@ -251,24 +324,24 @@ def test_train_opinf_uses_central_difference_rows():
     states = rng.standard_normal((n, n_t))
     traces = rng.standard_normal((3, n_t))
     basis = compute_pod(states, r)
-    got = train_opinf(basis, states, traces, dt, lam=1e-3)
+    got, = train_opinf(basis, states, traces, dt, (1e-3,))
     y = basis.Psi.T @ states
     ydot = time_derivatives(y, dt)
-    want = fit_operators(y[:, 1:-1], ydot[:, 1:-1], traces[:, 1:-1], lam=1e-3)
+    want, = fit_operators(y[:, 1:-1], ydot[:, 1:-1], traces[:, 1:-1], (1e-3,))
     np.testing.assert_array_equal(got.Khat, want.Khat)
     np.testing.assert_array_equal(got.Bhat, want.Bhat)
     np.testing.assert_array_equal(got.fhat, want.fhat)
 
-    short = train_opinf(basis, states[:, :4], traces[:, :4], dt)
+    short, = train_opinf(basis, states[:, :4], traces[:, :4], dt, (0.0,))
     y4 = basis.Psi.T @ states[:, :4]
-    want4 = fit_operators(y4, time_derivatives(y4, dt), traces[:, :4])
+    want4, = fit_operators(y4, time_derivatives(y4, dt), traces[:, :4], (0.0,))
     np.testing.assert_array_equal(short.Khat, want4.Khat)
 
 
 def test_train_opinf_validates_snapshot_rows():
     basis = compute_pod(np.random.default_rng(11).standard_normal((20, 10)), 3)
     with pytest.raises(ConfigurationError):
-        train_opinf(basis, np.zeros((19, 10)), np.zeros((2, 10)), 0.1)
+        train_opinf(basis, np.zeros((19, 10)), np.zeros((2, 10)), 0.1, (0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +423,7 @@ def test_reduced_model_tracks_training_trajectory():
     basis = compute_pod(traj.states, 8)
     energy = np.sum(basis.svals[:8] ** 2) / np.sum(basis.svals ** 2)
     assert energy >= 0.9999
-    ops = train_opinf(basis, traj.states, traj.boundary_traces, dt)
+    ops, = train_opinf(basis, traj.states, traj.boundary_traces, dt, (0.0,))
     stepper = RomStepper(ops, dt)
     vhat = basis.Psi.T @ traj.states[:, 0]
     g = np.zeros(system.n_boundary)
