@@ -24,7 +24,8 @@ training window.
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from .errors import ConfigurationError
@@ -32,9 +33,6 @@ from .fem import CdrParams, time_independent
 from .mesh import Rect
 from .schwarz import GLOBAL_RECT, SchwarzConfig, SubdomainSpec
 from .timestep import n_steps_for
-
-_SUBDOMAIN_KEY = re.compile(
-    r"^subdomain\.(\d+)\.(rect|nx|ny|model|r|lambda)$")
 
 
 @time_independent
@@ -84,20 +82,47 @@ def _parse_mono_lambda(key, text):
     return None if text.strip().lower() == "grid" else _as_float(key, text)
 
 
-#: ``key: (RunConfig attribute, parser)``; a parser takes ``(key, text)``.
+def _parse_rect(key, text):
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ConfigurationError(f"{key} needs 'x0,x1,y0,y1'")
+    return Rect(*(_as_float(key, p) for p in parts))
+
+
+def _parse_model(key, text):
+    model = text.strip().lower()
+    if model not in ("fe", "rom"):
+        raise ConfigurationError(f"{key} must be fe or rom, got {text!r}")
+    return model
+
+
+#: ``key: (attribute, parser)``; a parser takes ``(key, text)``. A value
+#: goes to the ``RunConfig`` attribute; under a ``subdomain.<k>`` key (``k``
+#: from 1) to ``RunConfig.per_subdomain[k - 1][attribute]``; without an
+#: attribute it is combined with others once the whole file is read.
 _KEYS = {
     "problem.epsilon": ("epsilon", _as_float),
     "problem.sigma": ("sigma", _as_float),
+    "problem.b_angle_degrees": (None, _as_float),
+    "problem.bx": (None, _as_float),
+    "problem.by": (None, _as_float),
     "problem.forcing": ("forcing", _parse_field_selector),
     "problem.dirichlet": ("dirichlet", _parse_field_selector),
     "problem.t_end": ("t_end", _as_float),
     "problem.dt": ("dt", _as_float),
     "mesh.nx": ("nx", _as_int),
     "mesh.ny": ("ny", _as_int),
+    "mesh.h": (None, _as_float),
     "decomposition.layout": ("layout", lambda key, text: text.strip().lower()),
     "decomposition.split": ("split", _as_float),
     "decomposition.overlap": ("overlap", _as_float),
     "decomposition.count": ("n_custom", _as_int),
+    "subdomain.<k>.rect": ("rect", _parse_rect),
+    "subdomain.<k>.nx": ("nx", _as_int),
+    "subdomain.<k>.ny": ("ny", _as_int),
+    "subdomain.<k>.model": ("model", _parse_model),
+    "subdomain.<k>.r": ("r", _as_int),
+    "subdomain.<k>.lambda": ("lambda", _as_float),
     "training.t_end": ("training_t_end", _as_float),
     "training.r": ("training_r", _as_int),
     "training.lambda": ("training_lambda", _as_float),
@@ -111,9 +136,9 @@ _KEYS = {
         _as_float(key, p) for p in text.split(",") if p.strip()]),
 }
 
-#: Numeric keys resolved together once the whole file is read.
-_COLLECTED = {"problem.b_angle_degrees", "problem.bx", "problem.by",
-              "mesh.h"}
+#: Keys that exclude each other: the first, or any of the rest.
+_EITHER = (("problem.b_angle_degrees", ("problem.bx", "problem.by")),
+           ("mesh.h", ("mesh.nx", "mesh.ny")))
 
 
 def _cells_along(key, length, h):
@@ -124,18 +149,6 @@ def _cells_along(key, length, h):
             f"{key}: extent {length} is not an integer number of cells "
             f"of size {h}")
     return n
-
-
-@dataclass
-class SubdomainOverride:
-    """Per-subdomain settings collected from ``subdomain.<i>.*`` keys."""
-
-    rect: Optional[Rect] = None
-    nx: Optional[int] = None
-    ny: Optional[int] = None
-    model: Optional[str] = None
-    r: Optional[int] = None
-    lam: Optional[float] = None
 
 
 @dataclass
@@ -154,7 +167,8 @@ class RunConfig:
     layout: str = "quadrants"
     split: float = 0.5
     overlap: float = 0.08
-    overrides: dict = field(default_factory=dict)
+    #: ``{index from 0: {setting: value}}`` of ``subdomain.<k>.*`` keys.
+    per_subdomain: dict = field(default_factory=dict)
     n_custom: int = 0
     training_t_end: float = 0.5
     training_r: int = 10
@@ -171,10 +185,6 @@ class RunConfig:
         return CdrParams(eps=self.epsilon, sigma=self.sigma, b=self.b,
                          forcing=self.forcing, dirichlet=self.dirichlet)
 
-    @property
-    def h(self):
-        return GLOBAL_RECT.width / self.nx
-
     def _layout_rects(self):
         if self.layout == "quadrants":
             lo = self.split - 0.5 * self.overlap
@@ -185,13 +195,11 @@ class RunConfig:
                     f"the domain")
             return [Rect(0.0, hi, 0.0, hi), Rect(lo, 1.0, 0.0, hi),
                     Rect(0.0, hi, lo, 1.0), Rect(lo, 1.0, lo, 1.0)]
-        rects = []
-        for k in range(self.n_custom):
-            over = self.overrides.get(k)
-            if over is None or over.rect is None:
-                raise ConfigurationError(
-                    f"custom layout: subdomain.{k + 1}.rect is missing")
-            rects.append(over.rect)
+        rects = [self.per_subdomain.get(k, {}).get("rect")
+                 for k in range(self.n_custom)]
+        if None in rects:
+            raise ConfigurationError(f"custom layout: subdomain."
+                                     f"{rects.index(None) + 1}.rect is missing")
         return rects
 
     def subdomain_specs(self, force_model=None):
@@ -206,47 +214,49 @@ class RunConfig:
         hy = GLOBAL_RECT.height / self.ny
         specs = []
         for k, rect in enumerate(rects):
-            over = self.overrides.get(k, SubdomainOverride())
-            if force_model is not None:
-                model = force_model
-            elif over.model is not None:
-                model = over.model
-            else:
-                model = "fe" if k == n - 1 else "rom"
-            nx = over.nx if over.nx is not None else _cells_along(
+            over = self.per_subdomain.get(k, {})
+            model = force_model or over.get("model",
+                                            "fe" if k == n - 1 else "rom")
+            nx = over["nx"] if "nx" in over else _cells_along(
                 f"subdomain.{k + 1}.nx", rect.width, hx)
-            ny = over.ny if over.ny is not None else _cells_along(
+            ny = over["ny"] if "ny" in over else _cells_along(
                 f"subdomain.{k + 1}.ny", rect.height, hy)
-            r = over.r if over.r is not None else self.training_r
-            lam = over.lam if over.lam is not None else self.training_lambda
+            r = over.get("r", self.training_r)
+            lam = over.get("lambda", self.training_lambda)
             specs.append(SubdomainSpec(
                 rect=rect, nx=nx, ny=ny, model=model,
                 rom_dim=r if model == "rom" else None,
                 rom_lambda=lam if model == "rom" else 0.0))
         return tuple(specs)
 
-    def schwarz_config(self, force_model=None, t_end=None, tol=None,
-                       max_iters=None, steps_per_window=None):
+    def schwarz_config(self, force_model=None):
         return SchwarzConfig(
-            subdomains=self.subdomain_specs(force_model),
-            dt=self.dt,
-            t_end=self.t_end if t_end is None else t_end,
-            tol=self.tol if tol is None else tol,
-            max_iters=self.max_iters if max_iters is None else max_iters,
-            steps_per_window=(self.steps_per_window if steps_per_window is None
-                              else steps_per_window))
+            subdomains=self.subdomain_specs(force_model), dt=self.dt,
+            t_end=self.t_end, tol=self.tol, max_iters=self.max_iters,
+            steps_per_window=self.steps_per_window)
+
+    def training_schwarz_config(self):
+        """The training data run's: all-FE over the training horizon,
+        coupled at every time step (see :func:`~cdrschwarz.driver.cmd_train`).
+        """
+        return replace(self.schwarz_config(force_model="fe"),
+                       t_end=self.training_t_end, steps_per_window=1)
 
     def resolved_field_times(self):
         return [self.t_end] if self.field_times is None else self.field_times
 
     def validate(self):
+        """Check every setting by arithmetic on the fields, building no
+        mesh. Only the coupling geometry is left to the first coupled run's
+        meshes: a Gamma node inside no other subdomain, or a global node
+        that no subdomain covers.
+        """
         if self.nx < 2 or self.ny < 2:
             raise ConfigurationError(
                 f"global mesh must have at least 2 cells per direction, "
                 f"got {self.nx}x{self.ny}")
         self.params()  # checks epsilon/sigma/b
-        n_steps_for(0.0, self.t_end, self.dt)
-        n_steps_for(0.0, self.training_t_end, self.dt)
+        n_steps = n_steps_for(0.0, self.t_end, self.dt)
         if self.training_t_end > self.t_end + 1e-12:
             raise ConfigurationError(
                 f"training horizon {self.training_t_end} exceeds the run "
@@ -257,17 +267,39 @@ class RunConfig:
         if self.layout == "custom" and self.n_custom < 1:
             raise ConfigurationError(
                 "custom layout needs decomposition.count >= 1")
-        if self.mono_r < 1:
-            raise ConfigurationError(f"mono.r must be >= 1, got {self.mono_r}")
         if self.mono_lambda is not None and self.mono_lambda < 0.0:
             raise ConfigurationError(
                 f"mono.lambda must be >= 0, got {self.mono_lambda}")
         for t in self.resolved_field_times():
-            if not (self.dt - 1e-12 <= t <= self.t_end + 1e-12):
+            if n_steps_for(0.0, t, self.dt) > n_steps:
                 raise ConfigurationError(
                     f"output field time {t} outside (0, {self.t_end}]")
-        self.subdomain_specs()  # checks layout geometry and divisibility
+        specs = self.schwarz_config().subdomains
+        if any(k >= len(specs) for k in self.per_subdomain):
+            raise ConfigurationError(
+                f"subdomain.{max(self.per_subdomain) + 1}.* is given, but "
+                f"the decomposition has {len(specs)} subdomains")
+        snapshots = self.training_schwarz_config().n_windows + 1
+        ranks = [(f"r of subdomain {k + 1}", s.rom_dim, s.nx, s.ny)
+                 for k, s in enumerate(specs) if s.model == "rom"]
+        ranks.append(("mono.r", self.mono_r, self.nx, self.ny))
+        for name, r, nx, ny in ranks:
+            interior = (nx - 1) * (ny - 1)
+            if not 1 <= r <= min(snapshots, interior):
+                raise ConfigurationError(
+                    f"POD rank {name} = {r} must be in [1, "
+                    f"{min(snapshots, interior)}]: {snapshots} training "
+                    f"snapshots, {interior} interior nodes")
         return self
+
+
+@contextmanager
+def _at(path, lineno):
+    """Prefix a :class:`ConfigurationError` raised inside with the line."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
 
 
 def _read_pairs(path):
@@ -288,71 +320,50 @@ def _read_pairs(path):
 
 
 def parse_config(path):
-    """Read, validate, and default-fill an experiment configuration."""
+    """Read, validate, and default-fill an experiment configuration.
+
+    Each key is parsed by its entry in ``_KEYS``; every parse error names
+    the file and line.
+    """
     cfg = RunConfig()
-    seen = set()
-    collected = {}
-    for lineno, key, value in _read_pairs(path):
-        if key in seen:
-            raise ConfigurationError(
-                f"{path}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
-        sub = _SUBDOMAIN_KEY.match(key)
-        if sub is not None:
-            idx = int(sub.group(1)) - 1
-            if idx < 0:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: subdomain indices start at 1")
-            over = cfg.overrides.setdefault(idx, SubdomainOverride())
-            fld = sub.group(2)
-            if fld == "rect":
-                parts = [p.strip() for p in value.split(",")]
-                if len(parts) != 4:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: rect needs 'x0,x1,y0,y1'")
-                x0, x1, y0, y1 = (_as_float(key, p) for p in parts)
-                over.rect = Rect(x0, x1, y0, y1)
-            elif fld == "nx":
-                over.nx = _as_int(key, value)
-            elif fld == "ny":
-                over.ny = _as_int(key, value)
-            elif fld == "model":
-                model = value.strip().lower()
-                if model not in ("fe", "rom"):
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: model must be fe or rom, "
-                        f"got {value!r}")
-                over.model = model
-            elif fld == "r":
-                over.r = _as_int(key, value)
+    lines, collected = {}, {}
+    for lineno, key, text in _read_pairs(path):
+        with _at(path, lineno):
+            sub = re.fullmatch(r"subdomain\.(\d+)\.(\w+)", key)
+            name = f"subdomain.<k>.{sub.group(2)}" if sub else key
+            if key in lines:
+                raise ConfigurationError(f"duplicate key {key!r}")
+            if name not in _KEYS:
+                raise ConfigurationError(f"unknown key {key!r}")
+            if sub and int(sub.group(1)) < 1:
+                raise ConfigurationError("subdomain indices start at 1")
+            lines[key] = lineno
+            attr, parse = _KEYS[name]
+            value = parse(key, text)
+            if attr is None:
+                collected[key] = value
+            elif sub:
+                cfg.per_subdomain.setdefault(int(sub.group(1)) - 1,
+                                             {})[attr] = value
             else:
-                over.lam = _as_float(key, value)
-            continue
-        if key in _COLLECTED:
-            collected[key] = _as_float(key, value)
-        elif key in _KEYS:
-            attr, parse = _KEYS[key]
-            setattr(cfg, attr, parse(key, value))
-        else:
-            raise ConfigurationError(
-                f"{path}:{lineno}: unknown key {key!r}")
-    b_angle = collected.get("problem.b_angle_degrees")
-    b_given = "problem.bx" in collected or "problem.by" in collected
-    if b_angle is not None and b_given:
-        raise ConfigurationError(
-            "give either problem.b_angle_degrees or problem.bx/by, not both")
-    if b_angle is not None:
-        rad = math.radians(b_angle)
+                setattr(cfg, attr, value)
+    for one, rest in _EITHER:
+        given = [k for k in (one,) + rest if k in lines]
+        if one in lines and len(given) > 1:
+            with _at(path, max(lines[k] for k in given)):
+                raise ConfigurationError(
+                    f"give either {one} or {'/'.join(rest)}, not both")
+    if "problem.b_angle_degrees" in collected:
+        rad = math.radians(collected["problem.b_angle_degrees"])
         cfg.b = (math.cos(rad), math.sin(rad))
-    elif b_given:
+    elif "problem.bx" in collected or "problem.by" in collected:
         cfg.b = (collected.get("problem.bx", 0.0),
                  collected.get("problem.by", 0.0))
-    mesh_h = collected.get("mesh.h")
-    if mesh_h is not None:
-        if "mesh.nx" in seen or "mesh.ny" in seen:
-            raise ConfigurationError("give either mesh.h or mesh.nx/ny")
-        if mesh_h <= 0.0:
-            raise ConfigurationError(f"mesh.h must be > 0, got {mesh_h}")
-        cfg.nx = _cells_along("mesh.h", GLOBAL_RECT.width, mesh_h)
-        cfg.ny = _cells_along("mesh.h", GLOBAL_RECT.height, mesh_h)
+    if "mesh.h" in collected:
+        with _at(path, lines["mesh.h"]):
+            h = collected["mesh.h"]
+            if h <= 0.0:
+                raise ConfigurationError(f"mesh.h must be > 0, got {h}")
+            cfg.nx = _cells_along("mesh.h", GLOBAL_RECT.width, h)
+            cfg.ny = _cells_along("mesh.h", GLOBAL_RECT.height, h)
     return cfg.validate()

@@ -23,8 +23,7 @@ from .kernels import blas_threads
 from .mesh import build_mesh
 from .rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
                   train_opinf)
-from .schwarz import (FESubdomainSolver, RomSubdomainSolver, RunResult,
-                      StitchPlan, run_coupled)
+from .schwarz import RunResult, StitchPlan, check_rank, run_coupled
 from .timestep import (ImplicitEulerStepper, Trajectory, integrate,
                        n_steps_for)
 
@@ -112,55 +111,13 @@ def stitch_history(run, global_mesh):
     return plan.apply(fields)
 
 
-def fe_factory(params):
-    """Coupled-solver factory assigning finite elements everywhere."""
-    def factory(spec, mesh, entry, config):
-        return FESubdomainSolver(spec, mesh, params, config.dt,
-                                 entry.gamma_positions)
-    return factory
-
-
-def _check_rank(index, spec, basis):
-    if basis.r != spec.rom_dim:
-        raise ConfigurationError(
-            f"subdomain {index + 1} asks for a reduced model of "
-            f"rank r = {spec.rom_dim}, but its trained operators have "
-            f"rank {basis.r}; retrain with the current config")
-
-
-def hybrid_factory(params, trained):
-    """Coupled-solver factory honoring each subdomain's model assignment."""
-    def factory(spec, mesh, entry, config):
-        if spec.model == "fe":
-            return FESubdomainSolver(spec, mesh, params, config.dt,
-                                     entry.gamma_positions)
-        if entry.index not in trained:
-            raise ConfigurationError(
-                f"subdomain {entry.index + 1} is reduced but has no "
-                f"trained operators; run training first")
-        item = trained[entry.index]
-        _check_rank(entry.index, spec, item.basis)
-        return RomSubdomainSolver(spec, mesh, params, config.dt,
-                                  entry.gamma_positions, item.basis,
-                                  item.ops)
-    return factory
-
-
-def _time_index(cfg, t):
-    idx = int(round((t - 0.0) / cfg.dt))
-    if abs(idx * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ConfigurationError(
-            f"output time {t} is not on the dt={cfg.dt} grid")
-    return idx
-
-
 def _export_stitched_fields(cfg, stitched, global_mesh, out_dir, prefix):
     """Write the columns of a stitched history at the output field times."""
     os.makedirs(out_dir, exist_ok=True)
     for t in cfg.resolved_field_times():
         matio.export_field_csv(
             os.path.join(out_dir, f"{prefix}_field_t{t:g}.csv"),
-            global_mesh, stitched[:, _time_index(cfg, t)])
+            global_mesh, stitched[:, n_steps_for(0.0, t, cfg.dt)])
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +171,7 @@ def cmd_run_fom(cfg, out_dir=None):
 
 def cmd_run_schwarz(cfg, out_dir=None):
     """All-FE coupled run over the full horizon."""
-    params = cfg.params()
-    run = run_coupled(cfg.schwarz_config(force_model="fe"),
-                      fe_factory(params))
+    run = run_coupled(cfg.schwarz_config(force_model="fe"), cfg.params())
     if out_dir is not None:
         global_mesh = build_global_mesh(cfg)
         _export_stitched_fields(cfg, stitch_history(run, global_mesh),
@@ -323,12 +278,8 @@ def cmd_train(cfg, out_dir=None):
     holds each interface trace constant across its substeps, and operators
     fitted to such piecewise-constant inputs come out unstable.
     """
-    params = cfg.params()
     specs = cfg.subdomain_specs()
-    training_cfg = cfg.schwarz_config(force_model="fe",
-                                      t_end=cfg.training_t_end,
-                                      steps_per_window=1)
-    run = run_coupled(training_cfg, fe_factory(params))
+    run = run_coupled(cfg.training_schwarz_config(), cfg.params())
     trained = {}
     t0 = time.perf_counter()
     for i, spec in enumerate(specs):
@@ -394,7 +345,7 @@ def load_trained(cfg, out_dir):
                     f"missing trained operator file {p}; run training first")
         basis = PodBasis(Psi=matio.load_matrix(paths["basis"]),
                          svals=matio.load_matrix(paths["svals"]).ravel())
-        _check_rank(i, spec, basis)
+        check_rank(i, spec, basis)
         meta = matio.load_meta(paths["meta"])
         _check_fingerprint(i, paths["meta"], meta.get("fingerprint"),
                            training_fingerprint(cfg, spec))
@@ -436,8 +387,7 @@ def cmd_run_hybrid(cfg, out_dir=None, *, trained):
     ``trained`` maps each reduced subdomain to its operators, as from
     :func:`hybrid_operators`, whose training run the caller judges.
     """
-    params = cfg.params()
-    run = run_coupled(cfg.schwarz_config(), hybrid_factory(params, trained))
+    run = run_coupled(cfg.schwarz_config(), cfg.params(), trained)
     if out_dir is not None:
         global_mesh = build_global_mesh(cfg)
         _export_stitched_fields(cfg, stitch_history(run, global_mesh),

@@ -31,10 +31,6 @@ class Rect:
                 f"degenerate rectangle [{self.x0}, {self.x1}] x "
                 f"[{self.y0}, {self.y1}]")
 
-    def contains(self, x, y, tol=BOUNDARY_TOL):
-        return (self.x0 - tol <= x <= self.x1 + tol
-                and self.y0 - tol <= y <= self.y1 + tol)
-
     def contains_points(self, points, tol=BOUNDARY_TOL):
         p = np.asarray(points, dtype=float)
         return ((p[:, 0] >= self.x0 - tol) & (p[:, 0] <= self.x1 + tol)
@@ -100,15 +96,6 @@ class StructuredMesh:
         return np.column_stack(
             [base, base + 1, base + self.nx + 1, base + self.nx + 2]
         ).astype(np.int64)
-
-    def node_id(self, i, j):
-        return j * (self.nx + 1) + i
-
-    def locate(self, point):
-        """Cell index and local coordinates ``(xi, eta)`` of one point."""
-        ci, cj, xi, eta = self.locate_many([[point[0], point[1]]])
-        cell = int(cj[0] * self.nx + ci[0])
-        return cell, (float(xi[0]), float(eta[0]))
 
     def locate_many(self, points):
         """Cell indices and local coordinates ``(ci, cj, xi, eta)`` of points.

@@ -196,10 +196,6 @@ class InterfaceTable:
     entries: tuple
     meshes: tuple
 
-    def donor_set(self, i):
-        """Distinct donor indices feeding subdomain ``i``."""
-        return sorted(set(self.entries[i].donors.tolist()))
-
 
 def build_interfaces(config):
     """Identify Schwarz-boundary nodes and pick a donor for each.
@@ -263,15 +259,6 @@ class GatherPlan:
 
     def __init__(self, table, solvers):
         self.solvers = tuple(solvers)
-        self._groups = []
-        for entry in table.entries:
-            groups = []
-            for j in sorted(set(entry.donors.tolist())):
-                idx = np.flatnonzero(entry.donors == j)
-                matrix = table.meshes[j].interpolation_matrix(
-                    entry.gamma_points[idx])
-                groups.append((j, idx, matrix))
-            self._groups.append(groups)
         counts = np.array([e.n_gamma for e in table.entries], dtype=np.int64)
         #: Receiver ``i``'s rows in a sweep's concatenated Gamma values are
         #: ``offsets[i]:offsets[i + 1]``; ``starts`` are the nonempty ones.
@@ -284,9 +271,12 @@ class GatherPlan:
             [s.state.shape[0] + s.g_cur.shape[0] for s in solvers])))
         empty = np.zeros(0, dtype=np.int64)
         rows, cols, data = [empty], [empty], [np.zeros(0)]
-        for i, groups in enumerate(self._groups):
-            for j, idx, matrix in groups:
-                block = csr_matrix(solvers[j].coordinate_operator(matrix))
+        for i, entry in enumerate(table.entries):
+            for j in sorted(set(entry.donors.tolist())):
+                idx = np.flatnonzero(entry.donors == j)
+                block = csr_matrix(solvers[j].coordinate_operator(
+                    table.meshes[j].interpolation_matrix(
+                        entry.gamma_points[idx])))
                 rows.append(np.repeat(self.offsets[i] + idx,
                                       np.diff(block.indptr)))
                 cols.append(block.indices + self.columns[j])
@@ -312,10 +302,6 @@ class GatherPlan:
                 self.units.append(ReducedBlock(list(run), self))
             else:
                 self.units.extend(run)
-
-    def groups(self, i):
-        """``(donor, Gamma rows, sampling matrix)`` of receiver ``i``."""
-        return self._groups[i]
 
     def coordinates(self):
         """The solvers' current ``[state; g_cur]``, concatenated."""
@@ -423,14 +409,10 @@ class _SubdomainSolverBase:
 
     # -- sampling ------------------------------------------------------
 
-    def interior_values(self):
-        """Current interior nodal values (lifted for a reduced solver)."""
-        return self.lift(self.state)
-
     def full_field(self):
         """Current nodal field: interior state merged with boundary trace."""
         f = np.empty(self.mesh.n_nodes)
-        f[self.interior_map] = self.interior_values()
+        f[self.interior_map] = self.lift(self.state)
         f[self.boundary_map] = self.g_cur
         return f
 
@@ -939,20 +921,49 @@ class RunResult:
         return self.table.meshes
 
 
-def run_coupled(config, solver_factory):
+def check_rank(index, spec, basis):
+    """Raise unless reduced subdomain ``index``'s ``basis`` has the rank its
+    ``spec`` asks for."""
+    if basis.r != spec.rom_dim:
+        raise ConfigurationError(
+            f"subdomain {index + 1} asks for a reduced model of "
+            f"rank r = {spec.rom_dim}, but its trained operators have "
+            f"rank {basis.r}; retrain with the current config")
+
+
+def build_solvers(config, table, params, trained=None):
+    """One solver per subdomain of ``config``, by ``spec.model``: finite
+    element, or reduced on the ``basis`` and ``ops`` of ``trained[index]``.
+    """
+    solvers = []
+    for i, spec in enumerate(config.subdomains):
+        args = (spec, table.meshes[i], params, config.dt,
+                table.entries[i].gamma_positions)
+        if spec.model == "fe":
+            solvers.append(FESubdomainSolver(*args))
+            continue
+        if i not in (trained or {}):
+            raise ConfigurationError(
+                f"subdomain {i + 1} is reduced but has no trained "
+                f"operators; run training first")
+        check_rank(i, spec, trained[i].basis)
+        solvers.append(RomSubdomainSolver(*args, trained[i].basis,
+                                          trained[i].ops))
+    return solvers
+
+
+def run_coupled(config, params, trained=None):
     """March coupled subdomains over the full horizon, window by window.
 
-    ``solver_factory(spec, mesh, interface_entry, config)`` builds each
-    subdomain solver. Every substep state and imposed boundary trace is
-    recorded (the traces double as reduced-model training inputs); wall
-    clock is split into a setup phase and a solve phase. One
-    :class:`LateRowHistory` spans the run and seeds every window's first
-    sweep.
+    The solvers come from :func:`build_solvers`. Every substep state and
+    imposed boundary trace is recorded (the traces double as reduced-model
+    training inputs); wall clock is split into a setup phase and a solve
+    phase. One :class:`LateRowHistory` spans the run and seeds every
+    window's first sweep.
     """
     t0 = time.perf_counter()
     table = build_interfaces(config)
-    solvers = [solver_factory(spec, table.meshes[i], table.entries[i], config)
-               for i, spec in enumerate(config.subdomains)]
+    solvers = build_solvers(config, table, params, trained)
     plan = GatherPlan(table, solvers)
     history = LateRowHistory(plan)
     for i, s in enumerate(solvers):

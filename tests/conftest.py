@@ -5,6 +5,8 @@ monolithic reduced model) is computed once per session and shared by the
 acceptance tests; everything else runs on small meshes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,8 @@ def tight_schwarz(default_cfg):
     gm = driver.build_global_mesh(cfg)
     fom = driver.cmd_run_fom(cfg)
     run = driver.run_coupled(
-        cfg.schwarz_config(force_model="fe", tol=1e-12, max_iters=100),
-        driver.fe_factory(cfg.params()))
+        replace(cfg, tol=1e-12, max_iters=100).schwarz_config(
+            force_model="fe"), cfg.params())
     err, _, _ = driver.error_metric_detail(
         (run.times, driver.stitch_history(run, gm)),
         (fom.trajectory.times, fom.nodal_states))

@@ -176,9 +176,8 @@ def test_criterion_5_hybrid_speedup(study):
     fe_times, hybrid_times = [], []
     for _ in range(3):
         run_fe = driver.run_coupled(cfg.schwarz_config(force_model="fe"),
-                                    driver.fe_factory(params))
-        run_hybrid = driver.run_coupled(cfg.schwarz_config(),
-                                        driver.hybrid_factory(params, trained))
+                                    params)
+        run_hybrid = driver.run_coupled(cfg.schwarz_config(), params, trained)
         fe_times.append(run_fe.timings["solve_seconds"])
         hybrid_times.append(run_hybrid.timings["solve_seconds"])
     hybrid, all_fe = min(hybrid_times), min(fe_times)
@@ -310,10 +309,10 @@ def test_criterion_9_coupling_bookkeeping(default_cfg):
                     donors_ok = False
 
     # Convergence flags stay honest when iterations are capped.
-    cfg = small_cfg(t_end=0.05, dt=0.01, training_t_end=0.05)
-    capped = driver.run_coupled(
-        cfg.schwarz_config(force_model="fe", max_iters=1),
-        driver.fe_factory(cfg.params()))
+    cfg = small_cfg(t_end=0.05, dt=0.01, training_t_end=0.05, mono_r=6,
+                    max_iters=1)
+    capped = driver.run_coupled(cfg.schwarz_config(force_model="fe"),
+                                cfg.params())
     honest = (not capped.converged) and (not capped.window_converged.all())
 
     # Bitwise determinism of repeated identical runs.

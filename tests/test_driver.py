@@ -3,12 +3,13 @@ and the command line interface."""
 
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cdrschwarz import cli, driver, kernels, matio
+from cdrschwarz import cli, config, driver, kernels, matio
 from cdrschwarz.config import (RunConfig, corner_source, parse_config)
 from cdrschwarz.driver import (DEFAULT_LAMBDA_GRID, cmd_compare, cmd_run_fom,
                                cmd_run_hybrid, cmd_run_mono_opinf,
@@ -162,10 +163,57 @@ def test_config_forcing_selectors(tmp_path):
     ("training.t_end = nan\n", "expected a finite number"),
     ("problem.forcing = constant:nan\n", "expected a finite number"),
     ("problem.dirichlet = constant:inf\n", "expected a finite number"),
+    ("schwarz.tol = -1\n", "tolerance must be > 0"),
+    ("schwarz.max_iters = 0\n", "max_iters must be >= 1"),
+    ("schwarz.steps_per_window = 3\n", "integer number of steps"),
+    ("output.field_times = 0.0025\n", "integer number of steps"),
+    ("mono.r = 5000\n", r"POD rank mono\.r = 5000 must be in \[1, 101\]"),
+    ("mono.r = 0\n", r"POD rank mono\.r = 0"),
+    ("training.r = 20\ntraining.t_end = 0.05\n",
+     r"POD rank r of subdomain 1 = 20 must be in \[1, 11\]"),
+    ("subdomain.2.r = 700\n",
+     r"subdomain 2 = 700 .*101 training snapshots, 676 interior nodes"),
+    ("subdomain.5.r = 3\n", r"subdomain\.5\.\* is given.* 4 subdomains"),
 ])
 def test_config_rejections(tmp_path, text, match):
     with pytest.raises(ConfigurationError, match=match):
         parse_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("problem.sigma = 1\nproblem.epsilon = abc\n", 2),
+    ("\n# comment\nsubdomain.1.rect = 0,1,0\n", 3),
+    ("subdomain.1.rect = 0,0,0,1\n", 1),
+    ("subdomain.0.nx = 5\n", 1),
+    ("mesh.nx = 10\n\nmesh.h = 0.3\n", 3),
+    ("problem.bx = 1\nproblem.b_angle_degrees = 30\nproblem.by = 0\n", 3),
+    ("output.field_times = 1, x\n", 1),
+])
+def test_config_parse_errors_name_file_and_line(tmp_path, text, line):
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigurationError) as caught:
+        parse_config(path)
+    assert str(caught.value).startswith(f"{path}:{line}: ")
+
+
+def test_readme_config_table_lists_every_key(tmp_path):
+    # One key per row of the table under "## Configuration file".
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("## Configuration file")[1]
+    cells = [line.split("|")[1].strip()
+             for line in section.split("\n## ")[0].splitlines()
+             if line.startswith("| `")]
+    assert all(re.fullmatch(r"`[^`]+`", c) for c in cells), cells
+    keys = sorted(c.strip("`") for c in cells)
+    assert keys == sorted(config._KEYS)
+    for key in keys:  # every row is accepted, whatever its value
+        try:
+            parse_config(write_cfg(tmp_path, f"{key.replace('<k>', '1')} "
+                                             f"= ?\n"))
+        except ConfigurationError as exc:
+            assert "unknown key" not in str(exc)
 
 
 def test_config_missing_file():
@@ -759,10 +807,11 @@ def test_mono_is_driven_by_the_reference_traces():
             result.basis.Psi @ vhat, rtol=0, atol=1e-12)
 
 
-def test_field_time_not_on_grid_is_rejected(tmp_path):
-    cfg = small_cfg(field_times=[0.015])  # between dt multiples
-    with pytest.raises(ConfigurationError, match="not on the dt"):
-        cmd_run_schwarz(cfg, out_dir=str(tmp_path))
+def test_field_time_not_on_grid_is_rejected():
+    # Validation rejects it, before any stage runs.
+    with pytest.raises(ConfigurationError,
+                       match=r"0\.015\] is not an integer number of steps"):
+        small_cfg(field_times=[0.015])  # between dt multiples
 
 
 def test_schwarz_field_export_times(tmp_path):
@@ -872,6 +921,23 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "output.field_times = 0.0025\n",
+    "schwarz.tol = -1\n",
+    "schwarz.max_iters = 0\n",
+    "schwarz.steps_per_window = 3\n",
+    "mono.r = 5000\n",
+    "training.r = 20\ntraining.t_end = 0.05\n",
+])
+def test_cli_compare_reports_config_errors_before_any_output(tmp_path, capsys,
+                                                            text):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_empty_lambda_grid_rejected(capsys):
     assert cli.main(["run-mono-opinf", "--lambda-grid", ","]) == 2
     assert "lambda grid" in capsys.readouterr().err
@@ -887,6 +953,8 @@ def test_cli_divergence_exit_code(tmp_path, capsys, monkeypatch):
 problem.t_end = 0.02
 problem.dt = 0.01
 training.t_end = 0.02
+training.r = 2
+mono.r = 2
 mesh.nx = 4
 mesh.ny = 4
 decomposition.overlap = 0.5
@@ -977,6 +1045,7 @@ training.t_end = 0.1
 problem.dt = 0.01
 decomposition.overlap = 0.2
 schwarz.max_iters = 1
+mono.r = 10
 """
 
 

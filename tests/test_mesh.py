@@ -19,8 +19,9 @@ def test_rect_rejects_degenerate():
 def test_rect_geometry_helpers():
     r = Rect(0.0, 2.0, 1.0, 2.0)
     assert r.width == 2.0 and r.height == 1.0
-    assert r.contains(0.0, 1.0) and r.contains(2.0, 2.0)
-    assert not r.contains(2.1, 1.5)
+    np.testing.assert_array_equal(
+        r.contains_points([[0.0, 1.0], [2.0, 2.0], [2.1, 1.5]]),
+        [True, True, False])
     assert r.border_distance(0.5, 1.25) == 0.25
     np.testing.assert_array_equal(
         r.contains_points([[1.0, 1.5], [3.0, 1.5]]), [True, False])
@@ -29,8 +30,9 @@ def test_rect_geometry_helpers():
 def test_node_numbering_row_major():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 2, 2)
     assert mesh.n_nodes == 9 and mesh.n_cells == 4
-    assert mesh.node_id(1, 2) == 7
+    # Node (i, j) has id j * (nx + 1) + i: (1, 2) is node 7.
     np.testing.assert_allclose(mesh.coords[7], [0.5, 1.0])
+    np.testing.assert_allclose(mesh.coords.reshape(3, 3, 2)[2, 1], [0.5, 1.0])
     # Cell (i, j) connects (i,j), (i+1,j), (i,j+1), (i+1,j+1).
     np.testing.assert_array_equal(mesh.connectivity[0], [0, 1, 3, 4])
     np.testing.assert_array_equal(mesh.connectivity[3], [4, 5, 7, 8])
@@ -60,19 +62,19 @@ def test_boundary_interior_partition(nx, ny):
 
 def test_locate_cell_and_local_coordinates():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 4, 2)
-    cell, (xi, eta) = mesh.locate((0.30, 0.75))
-    assert cell == 1 * 4 + 1
-    np.testing.assert_allclose([xi, eta], [0.2, 0.5], atol=1e-12)
+    ci, cj, xi, eta = mesh.locate_many([[0.30, 0.75], [1.0, 1.0]])
+    cell = cj * mesh.nx + ci
+    assert cell[0] == 1 * 4 + 1
+    np.testing.assert_allclose([xi[0], eta[0]], [0.2, 0.5], atol=1e-12)
     # Points on the far border clamp into the last cell instead of falling out.
-    cell, (xi, eta) = mesh.locate((1.0, 1.0))
-    assert cell == mesh.n_cells - 1
-    np.testing.assert_allclose([xi, eta], [1.0, 1.0], atol=1e-12)
+    assert cell[1] == mesh.n_cells - 1
+    np.testing.assert_allclose([xi[1], eta[1]], [1.0, 1.0], atol=1e-12)
 
 
 def test_locate_rejects_outside_points():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 3, 3)
     with pytest.raises(OutOfDomainError):
-        mesh.locate((1.5, 0.5))
+        mesh.locate_many([[1.5, 0.5]])
     with pytest.raises(OutOfDomainError):
         mesh.locate_many(np.array([[0.5, 0.5], [0.5, -0.2]]))
 

@@ -11,9 +11,9 @@ from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.schwarz import (PREDICTOR_DEPTH, FESubdomainSolver,
                                 GatherPlan, LateRowHistory, ReducedBlock,
                                 RomSubdomainSolver, SchwarzConfig, StitchPlan,
-                                SubdomainSpec, build_interfaces, run_coupled,
-                                schwarz_window)
-from cdrschwarz.driver import cmd_train, fe_factory, hybrid_factory
+                                SubdomainSpec, build_interfaces,
+                                build_solvers, run_coupled, schwarz_window)
+from cdrschwarz.driver import cmd_train
 from cdrschwarz.rom import OpInfOperators, RomStepper, compute_pod
 from cdrschwarz.timestep import ImplicitEulerStepper, integrate
 
@@ -27,12 +27,6 @@ def strip_specs(overlap=0.2, h=0.05):
     ny = round(1.0 / h)
     return (SubdomainSpec(Rect(0.0, hi, 0.0, 1.0), round(hi / h), ny),
             SubdomainSpec(Rect(lo, 1.0, 0.0, 1.0), round((1.0 - lo) / h), ny))
-
-
-def make_fe_solvers(config, params, table):
-    return [FESubdomainSolver(spec, table.meshes[i], params, config.dt,
-                              table.entries[i].gamma_positions)
-            for i, spec in enumerate(config.subdomains)]
 
 
 def make_rom_solver(config, params, table, i, r=4, seed=0):
@@ -119,7 +113,8 @@ def test_two_strip_interfaces():
     assert right.n_gamma == 9  # x = 0.4
     np.testing.assert_allclose(right.gamma_points[:, 0], 0.4, atol=1e-14)
     np.testing.assert_array_equal(right.donors, 0)
-    assert table.donor_set(0) == [1] and table.donor_set(1) == [0]
+    assert sorted(set(left.donors.tolist())) == [1]
+    assert sorted(set(right.donors.tolist())) == [0]
 
 
 def test_quadrant_interfaces(default_cfg):
@@ -165,7 +160,7 @@ def test_gather_plan_matches_direct_interpolation():
     table = build_interfaces(config)
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5),
                        forcing=lambda x, y, t: x + y)
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
     schwarz_window(plan, 0.0, 0.05, tol=1e-9, max_iters=50)
 
@@ -192,7 +187,7 @@ def test_gather_plan_matches_lifted_reduced_donor():
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5),
                        forcing=lambda x, y, t: x + y,
                        dirichlet=lambda x, y, t: (1.0 + t) * (x - y))
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     solvers[1] = make_rom_solver(config, params, table, 1)
     rng = np.random.default_rng(3)
     solvers[1].state = rng.standard_normal(solvers[1].state.shape[0])
@@ -221,14 +216,15 @@ def test_fe_gathers_are_bitwise_on_unaligned_meshes():
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
                        dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
     table = build_interfaces(config)
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
     for w in range(config.n_windows):
         schwarz_window(plan, w * config.dt, (w + 1) * config.dt,
                        config.tol, config.max_iters)
         for i, entry in enumerate(table.entries):
             got = plan.gather(i)
-            for j, idx, _ in plan.groups(i):
+            for j in set(entry.donors.tolist()):
+                idx = np.flatnonzero(entry.donors == j)
                 np.testing.assert_array_equal(
                     got[idx], table.meshes[j].interpolate(
                         solvers[j].full_field(), entry.gamma_points[idx]))
@@ -245,7 +241,7 @@ def steady_strip_setup(overlap, tol=1e-10, h=0.02):
                            dt=1e6, t_end=1e6, tol=tol, max_iters=200)
     params = CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0), forcing=1.0)
     table = build_interfaces(config)
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     return config, params, table, solvers
 
 
@@ -302,7 +298,7 @@ def test_sweep_is_multiplicative_not_jacobi():
     first_gather_1 = next(v for (i, v) in plan.log if i == 1)
 
     # Replay subdomain 0's first advance on a fresh solver.
-    replay = make_fe_solvers(config, params, table)[0]
+    replay = build_solvers(config, table, params)[0]
     replay.set_interface_values(first_gather_0)
     replay.advance_window(0.0, 1e6)
     entry1 = table.entries[1]
@@ -418,7 +414,7 @@ def test_reduced_window_matches_substep_stepping(steps_per_window):
     assert solver.t == pytest.approx(t_next)
     np.testing.assert_allclose(solver.boundary_trace(), g, rtol=0,
                                atol=1e-15)
-    np.testing.assert_allclose(solver.interior_values(),
+    np.testing.assert_allclose(solver.lift(solver.state),
                                solver.basis.Psi @ vhat, rtol=0, atol=1e-13)
 
 
@@ -445,7 +441,7 @@ def test_single_subdomain_equals_direct_integration():
                        forcing=lambda x, y, t: x * y,
                        dirichlet=lambda x, y, t: t * (x + y))
     config = SchwarzConfig(subdomains=(spec,), dt=0.05, t_end=0.5)
-    run = run_coupled(config, fe_factory(params))
+    run = run_coupled(config, params)
     assert run.converged
     np.testing.assert_array_equal(run.iterations, 1)
 
@@ -464,9 +460,9 @@ def test_single_subdomain_equals_direct_integration():
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9])
 def test_coupled_error_scales_with_tolerance(tol):
-    cfg = small_cfg(t_end=0.1, dt=0.01, training_t_end=0.1)
-    config = cfg.schwarz_config(force_model="fe", tol=tol)
-    run = run_coupled(config, fe_factory(cfg.params()))
+    cfg = small_cfg(t_end=0.1, dt=0.01, training_t_end=0.1, tol=tol)
+    config = cfg.schwarz_config(force_model="fe")
+    run = run_coupled(config, cfg.params())
     assert run.converged
 
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), cfg.nx, cfg.ny)
@@ -485,8 +481,8 @@ def test_coupled_error_scales_with_tolerance(tol):
 def test_coupled_runs_are_deterministic():
     cfg = small_cfg(t_end=0.1, dt=0.01, training_t_end=0.1)
     config = cfg.schwarz_config(force_model="fe")
-    run_a = run_coupled(config, fe_factory(cfg.params()))
-    run_b = run_coupled(config, fe_factory(cfg.params()))
+    run_a = run_coupled(config, cfg.params())
+    run_b = run_coupled(config, cfg.params())
     assert np.array_equal(run_a.iterations, run_b.iterations)
     for ta, tb in zip(run_a.trajectories, run_b.trajectories):
         assert np.array_equal(ta.states, tb.states)
@@ -494,9 +490,10 @@ def test_coupled_runs_are_deterministic():
 
 
 def test_coupled_max_iters_one_reports_unconverged():
-    cfg = small_cfg(t_end=0.05, dt=0.01, training_t_end=0.05)
-    config = cfg.schwarz_config(force_model="fe", max_iters=1)
-    run = run_coupled(config, fe_factory(cfg.params()))
+    cfg = small_cfg(t_end=0.05, dt=0.01, training_t_end=0.05, mono_r=6,
+                    max_iters=1)
+    config = cfg.schwarz_config(force_model="fe")
+    run = run_coupled(config, cfg.params())
     assert not run.converged
     assert not run.window_converged.all()
 
@@ -520,7 +517,7 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
                            t_end=1.0)
     table = build_interfaces(config)
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0))
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
     history = LateRowHistory(plan)
     rng = np.random.default_rng(degree)
@@ -559,14 +556,12 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
 def test_predictor_cuts_sweeps_and_keeps_window_zero():
     cfg = small_cfg()
     config = cfg.schwarz_config(force_model="fe")
-    run = run_coupled(config, fe_factory(cfg.params()))
+    run = run_coupled(config, cfg.params())
 
     # The same march without a history: every first sweep feeds late rows
     # their window-start values.
-    factory = fe_factory(cfg.params())
     table = build_interfaces(config)
-    solvers = [factory(spec, table.meshes[i], table.entries[i], config)
-               for i, spec in enumerate(config.subdomains)]
+    solvers = build_solvers(config, table, cfg.params())
     plan = GatherPlan(table, solvers)
     for i, s in enumerate(solvers):
         s.set_interface_values(plan.gather(i))
@@ -594,7 +589,7 @@ def test_rows_from_earlier_donors_are_never_extrapolated():
     table = build_interfaces(config)
     donors = table.entries[1].donors
     assert set(donors.tolist()) == {0, 2}
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     imposed = []
     impose = solvers[1].set_interface_values
 
@@ -632,7 +627,7 @@ def test_rom_solver_validates_shapes():
     spec = config.subdomains[0]
     solver = RomSubdomainSolver(spec, mesh, params, config.dt,
                                 entry.gamma_positions, basis, good_ops)
-    assert solver.interior_values().shape == (n_i,)
+    assert solver.lift(solver.state).shape == (n_i,)
 
     bad_rank = OpInfOperators(Khat=-np.eye(3), Bhat=np.zeros((3, n_b)),
                               fhat=np.zeros(3))
@@ -747,15 +742,29 @@ def small_trained():
 def test_reduced_block_matches_visits_on_trained_quadrants(small_trained,
                                                            steps_per_window):
     # Quadrants 0-2 are reduced and form one block ahead of the FE quadrant.
-    cfg = small_cfg(t_end=0.3)
-    config = cfg.schwarz_config(steps_per_window=steps_per_window)
-    factory = hybrid_factory(cfg.params(), small_trained)
+    cfg = small_cfg(t_end=0.3, steps_per_window=steps_per_window)
+    config = cfg.schwarz_config()
 
     def make_solvers(table):
-        return [factory(spec, table.meshes[i], table.entries[i], config)
-                for i, spec in enumerate(config.subdomains)]
+        return build_solvers(config, table, cfg.params(), small_trained)
 
     assert_marches_agree(config, make_solvers)
+
+
+def test_build_solvers_checks_trained_operators(small_trained):
+    cfg = small_cfg(t_end=0.3)
+    config = cfg.schwarz_config()
+    table = build_interfaces(config)
+    solvers = build_solvers(config, table, cfg.params(), small_trained)
+    assert [type(s) for s in solvers] == [RomSubdomainSolver] * 3 + [
+        FESubdomainSolver]
+    with pytest.raises(ConfigurationError, match=r"^subdomain 1 is reduced "
+                       r"but has no trained operators; run training first"):
+        build_solvers(config, table, cfg.params())
+    with pytest.raises(ConfigurationError,
+                       match=r"subdomain 1 .*r = 4.*rank 6.*retrain"):
+        build_solvers(small_cfg(t_end=0.3, training_r=4).schwarz_config(),
+                      table, cfg.params(), small_trained)
 
 
 def four_strip_specs(h=0.05):
@@ -776,7 +785,7 @@ def test_reduced_blocks_match_visits_around_a_fe_strip(steps_per_window):
                        dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
 
     def make_solvers(table):
-        solvers = make_fe_solvers(config, params, table)
+        solvers = build_solvers(config, table, params)
         for i in (0, 1, 3):
             solvers[i] = make_rom_solver(config, params, table, i, seed=i)
         return solvers
@@ -803,7 +812,7 @@ def test_reduced_block_composes_gathers_from_member_traces():
                        dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
 
     def make_solvers(table):
-        solvers = make_fe_solvers(config, params, table)
+        solvers = build_solvers(config, table, params)
         for i in (0, 1):
             solvers[i] = make_rom_solver(config, params, table, i, seed=i)
         return solvers
@@ -813,7 +822,10 @@ def test_reduced_block_composes_gathers_from_member_traces():
     plan = GatherPlan(table, solvers)
     for receiver, donor, kinds in ((1, 0, ("gamma", "physical")),
                                    (2, 1, ("physical",))):
-        j, _, matrix = plan.groups(receiver)[0]
+        entry = table.entries[receiver]
+        j = int(entry.donors.min())
+        matrix = table.meshes[j].interpolation_matrix(
+            entry.gamma_points[entry.donors == j])
         trace = matrix.tocsc()[:, solvers[donor].boundary_map].toarray()
         assert j == donor
         for kind in kinds:
@@ -834,7 +846,7 @@ def test_reduced_block_follows_moving_dirichlet_data():
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
                        dirichlet=dirichlet)
     table = build_interfaces(config)
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     for i in (0, 1, 3):
         solvers[i] = make_rom_solver(config, params, table, i, seed=i)
     plan = GatherPlan(table, solvers)
@@ -909,7 +921,7 @@ def test_reduced_block_never_visits_members(monkeypatch):
                            t_end=0.03)
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0), forcing=1.0)
     table = build_interfaces(config)
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     solvers[1] = make_rom_solver(config, params, table, 1)
     monkeypatch.setattr(RomSubdomainSolver, "advance_window", refuse)
     plan = GatherPlan(table, solvers)
@@ -930,7 +942,7 @@ def test_reduced_block_maps_do_not_grow_with_substeps():
         config = SchwarzConfig(subdomains=four_strip_specs(), dt=0.01,
                                t_end=0.4, steps_per_window=steps_per_window)
         table = build_interfaces(config)
-        solvers = make_fe_solvers(config, params, table)
+        solvers = build_solvers(config, table, params)
         for i in (0, 1):
             solvers[i] = make_rom_solver(config, params, table, i, seed=i)
         plan = GatherPlan(table, solvers)
@@ -948,7 +960,7 @@ def test_schwarz_window_rejects_max_iters_below_one():
                            t_end=0.01)
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0), forcing=1.0)
     table = build_interfaces(config)
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     solvers[1] = make_rom_solver(config, params, table, 1)
     with pytest.raises(ConfigurationError, match="max_iters must be >= 1"):
         schwarz_window(GatherPlan(table, solvers), 0.0, config.dt,
@@ -968,7 +980,7 @@ def test_divergence_in_second_block_member_names_it():
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0), forcing=1.0,
                        dirichlet=dirichlet)
     table = build_interfaces(config)
-    solvers = make_fe_solvers(config, params, table)
+    solvers = build_solvers(config, table, params)
     solvers[0] = make_rom_solver(config, params, table, 0, seed=0)
     solvers[1] = make_rom_solver(config, params, table, 1, seed=1)
     with pytest.raises(DivergenceError,
