@@ -28,10 +28,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .fem import CdrParams, time_independent
-from .mesh import Rect
-from .schwarz import GLOBAL_RECT, SchwarzConfig, SubdomainSpec
+from .mesh import Rect, build_mesh
+from .schwarz import (GLOBAL_RECT, SchwarzConfig, SubdomainSpec,
+                      build_interfaces)
 from .timestep import n_steps_for
 
 
@@ -246,10 +249,10 @@ class RunConfig:
         return [self.t_end] if self.field_times is None else self.field_times
 
     def validate(self):
-        """Check every setting by arithmetic on the fields, building no
-        mesh. Only the coupling geometry is left to the first coupled run's
-        meshes: a Gamma node inside no other subdomain, or a global node
-        that no subdomain covers.
+        """Check every setting before any stage runs, the coupling geometry
+        included: every Gamma node needs a donor, by the rule of
+        :func:`~cdrschwarz.schwarz.build_interfaces`, and every global node
+        a subdomain that covers it.
         """
         if self.nx < 2 or self.ny < 2:
             raise ConfigurationError(
@@ -274,11 +277,17 @@ class RunConfig:
             if n_steps_for(0.0, t, self.dt) > n_steps:
                 raise ConfigurationError(
                     f"output field time {t} outside (0, {self.t_end}]")
-        specs = self.schwarz_config().subdomains
+        config = self.schwarz_config()
+        specs = config.subdomains
         if any(k >= len(specs) for k in self.per_subdomain):
             raise ConfigurationError(
                 f"subdomain.{max(self.per_subdomain) + 1}.* is given, but "
                 f"the decomposition has {len(specs)} subdomains")
+        for k, spec in enumerate(specs):
+            if spec.nx < 2 or spec.ny < 2:
+                raise ConfigurationError(
+                    f"subdomain {k + 1} mesh must have at least 2 cells per "
+                    f"direction, got {spec.nx}x{spec.ny}")
         snapshots = self.training_schwarz_config().n_windows + 1
         ranks = [(f"r of subdomain {k + 1}", s.rom_dim, s.nx, s.ny)
                  for k, s in enumerate(specs) if s.model == "rom"]
@@ -290,6 +299,14 @@ class RunConfig:
                     f"POD rank {name} = {r} must be in [1, "
                     f"{min(snapshots, interior)}]: {snapshots} training "
                     f"snapshots, {interior} interior nodes")
+        build_interfaces(config)
+        nodes = build_mesh(GLOBAL_RECT, self.nx, self.ny).coords
+        covered = np.any([s.rect.contains_points(nodes) for s in specs],
+                         axis=0)
+        if not covered.all():
+            x, y = nodes[np.argmin(covered)]
+            raise ConfigurationError(
+                f"global node ({x}, {y}) is covered by no subdomain")
         return self
 
 

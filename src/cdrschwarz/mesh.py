@@ -123,17 +123,6 @@ class StructuredMesh:
         eta = np.clip(ry - cj, 0.0, 1.0)
         return ci, cj, xi, eta
 
-    def interpolate(self, field, points):
-        """Evaluate a nodal field at arbitrary points (bilinear)."""
-        field = np.asarray(field, dtype=float)
-        if field.shape != (self.n_nodes,):
-            raise ConfigurationError(
-                f"field has shape {field.shape}, expected ({self.n_nodes},)")
-        p = np.asarray(points, dtype=float)
-        if p.ndim == 1:
-            p = p[None, :]
-        return self.interpolation_matrix(p) @ field
-
     def interpolation_matrix(self, points):
         """Sparse operator mapping nodal fields to values at ``points``.
 

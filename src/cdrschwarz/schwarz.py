@@ -20,10 +20,14 @@ as one :class:`ReducedBlock`: its visits are affine maps of the window-start
 states and Gamma values, which forward substitution composes, once per run,
 into one dense map that every sweep applies, sized by the run's reduced
 ranks and Gamma rows but not by the substeps per window. The loop's
-bookkeeping is per window and per sweep, not per visit: a reduced state is
+bookkeeping is per window and per sweep, not per visit: every state is
 snapshot by reference, finiteness and convergence are checked once per
 sweep on the concatenated values, and the block replays and records the
 substep ``last_states``/``last_traces`` after the final sweep only.
+
+A window is ``steps`` substeps of ``dt``, both fixed per run and given to
+every solver when it is built; solvers keep no clock, and
+:func:`schwarz_window` is told the window start ``t_n``.
 
 A :class:`GatherPlan`, built once per coupled run, holds the solvers and
 hands them to every window. Solvers are duck-typed, so tests can
@@ -32,15 +36,16 @@ visited one at a time through this protocol:
 
 - ``state``: the solver's own coordinates, interior nodal values for a
   finite element solver and reduced coordinates ``vhat`` for a reduced one;
-  ``t``: the solver clock; ``boundary_map``: boundary node ids, whose count
-  sizes the recorded traces.
+  ``boundary_map``: boundary node ids, whose count sizes the recorded
+  traces; ``dt`` and ``steps``: the substep and the substeps per window.
 - ``snapshot_state()`` / ``restore_state(snap)``: save and rewind
-  ``(state, boundary trace, t)``.
+  ``(state, boundary trace)``, the state by reference (``state`` arrays are
+  replaced, never written in place) and the trace by copy.
 - ``set_interface_values(vals)`` / ``interface_values()`` /
   ``boundary_trace()``: the Gamma part and the whole boundary trace.
-- ``advance_window(t_n, t_next)``: integrate the window with Gamma values
-  held fixed, leaving ``last_states`` (one column of ``state`` per
-  substep, so reduced coordinates for a reduced solver) and
+- ``advance_window(t_n)``: integrate the ``steps`` substeps from ``t_n``
+  with Gamma values held fixed, leaving ``last_states`` (one column of
+  ``state`` per substep, so reduced coordinates for a reduced solver) and
   ``last_traces`` (one imposed boundary trace per substep).
 - ``coordinate_operator(matrix)``: ``matrix``, an operator on the nodal
   field, as one on the coordinates ``[state; g_cur]``. The plan stacks
@@ -78,9 +83,6 @@ from . import kernels, timestep
 
 #: The global domain, the unit square; every coupled run starts at t = 0.
 GLOBAL_RECT = Rect(0.0, 1.0, 0.0, 1.0)
-
-#: Relative slack when matching solver clocks against window endpoints.
-_TIME_RTOL = 1e-9
 
 #: Degree of the first-sweep late-row extrapolation, which runs through up
 #: to ``PREDICTOR_DEPTH + 1`` window starts. Total sweeps on the default
@@ -363,13 +365,15 @@ class _SubdomainSolverBase:
     """Shared trace, sampling, and snapshot bookkeeping of subdomain solvers.
 
     Subclasses keep their own coordinates in ``state`` and map them to
-    interior nodal values with :meth:`lift`.
+    interior nodal values with :meth:`lift`. A window is ``steps`` substeps
+    of ``dt``.
     """
 
-    def __init__(self, spec, mesh, params, dt, gamma_positions):
+    def __init__(self, spec, mesh, params, dt, steps, gamma_positions):
         self.spec = spec
         self.mesh = mesh
         self.dt = float(dt)
+        self.steps = int(steps)
         self.boundary_map = mesh.boundary_node_ids
         self.interior_map = mesh.interior_node_ids
         n_b = self.boundary_map.shape[0]
@@ -383,11 +387,8 @@ class _SubdomainSolverBase:
             params.dirichlet, xy[:, 0], xy[:, 1])
         self.g_cur = np.zeros(n_b)
         self.g_cur[self.physical_positions] = self._physical_trace(0.0)
-        self.t = 0.0
         self.state = None
         self._window_snapshot = None
-        self._span_cache = None
-        self._span_n = 0
         self.last_states = None
         self.last_traces = None
 
@@ -427,24 +428,13 @@ class _SubdomainSolverBase:
     # -- state management ----------------------------------------------
 
     def snapshot_state(self):
-        return (self.state.copy(), self.g_cur.copy(), self.t)
+        # The state by reference: ``state`` arrays are replaced, never
+        # written in place; the trace is written in place.
+        return (self.state, self.g_cur.copy())
 
     def restore_state(self, snap):
-        state, g, t = snap
-        self.state = state.copy()
-        self.g_cur = g.copy()
-        self.t = t
-
-    def _n_substeps(self, t_n, t_next):
-        if self._span_cache != (t_n, t_next):
-            self._span_cache = (t_n, t_next)
-            self._span_n = timestep.n_steps_for(t_n, t_next, self.dt)
-        return self._span_n
-
-    def _finish_window(self, t_next, states, traces):
-        self.t = float(t_next)
-        self.last_states = states
-        self.last_traces = traces
+        self.state = snap[0]
+        self.g_cur = snap[1].copy()
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -452,7 +442,7 @@ class _SubdomainSolverBase:
         """Interior nodal values of ``state`` vectors (or their columns)."""
         raise NotImplementedError
 
-    def advance_window(self, t_n, t_next):
+    def advance_window(self, t_n):
         raise NotImplementedError
 
 
@@ -462,8 +452,8 @@ class FESubdomainSolver(_SubdomainSolverBase):
     ``state`` holds the interior nodal values.
     """
 
-    def __init__(self, spec, mesh, params, dt, gamma_positions):
-        super().__init__(spec, mesh, params, dt, gamma_positions)
+    def __init__(self, spec, mesh, params, dt, steps, gamma_positions):
+        super().__init__(spec, mesh, params, dt, steps, gamma_positions)
         self.system = assemble(mesh, params)
         self.stepper = timestep.ImplicitEulerStepper(self.system, dt)
         self.state = np.zeros(self.system.n_interior)
@@ -491,18 +481,17 @@ class FESubdomainSolver(_SubdomainSolverBase):
         # Only read, as is the snapshot's trace.
         self._g_committed = snap[1]
 
-    def advance_window(self, t_n, t_next):
-        """Integrate [t_n, t_next] holding Gamma values fixed.
+    def advance_window(self, t_n):
+        """Integrate the window from ``t_n`` holding Gamma values fixed.
 
         Physical boundary values follow the prescribed data at each substep
         time; the interface part of the trace stays as last set. The substep
         history is kept on the solver for the orchestrator to record.
         """
-        n = self._n_substeps(t_n, t_next)
-        states = np.empty((self.state.shape[0], n))
-        traces = np.empty((self.boundary_map.shape[0], n))
+        states = np.empty((self.state.shape[0], self.steps))
+        traces = np.empty((self.boundary_map.shape[0], self.steps))
         g_prev = self._g_committed
-        for j in range(n):
+        for j in range(self.steps):
             t_j = t_n + (j + 1) * self.dt
             if not self._steady:
                 self.g_cur[self.physical_positions] = self._physical_trace(t_j)
@@ -512,7 +501,7 @@ class FESubdomainSolver(_SubdomainSolverBase):
             traces[:, j] = self.g_cur
             g_prev = self.g_cur.copy()
         self._g_committed = g_prev
-        self._finish_window(t_next, states, traces)
+        self.last_states, self.last_traces = states, traces
 
 
 class RomSubdomainSolver(_SubdomainSolverBase):
@@ -524,8 +513,9 @@ class RomSubdomainSolver(_SubdomainSolverBase):
     training.
     """
 
-    def __init__(self, spec, mesh, params, dt, gamma_positions, basis, ops):
-        super().__init__(spec, mesh, params, dt, gamma_positions)
+    def __init__(self, spec, mesh, params, dt, steps, gamma_positions, basis,
+                 ops):
+        super().__init__(spec, mesh, params, dt, steps, gamma_positions)
         n_interior = self.interior_map.shape[0]
         n_b = self.boundary_map.shape[0]
         if basis.n != n_interior:
@@ -545,14 +535,9 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         self._Q_gamma = Q[:, self.gamma_positions]
         self._Q_physical = Q[:, self.physical_positions]
         self.state = np.zeros(ops.r)
-        self._window = None
 
     def lift(self, states):
         return self.basis.Psi @ states
-
-    def snapshot_state(self):
-        # By reference: ``state`` arrays are replaced, never written in place.
-        return (self.state, self.g_cur.copy(), self.t)
 
     def coordinate_operator(self, matrix):
         # Dense ``[W_I Psi | W_B]`` on ``[vhat; g_cur]``: the state is never
@@ -561,17 +546,16 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         return np.hstack((matrix[:, self.interior_map] @ self.basis.Psi,
                           matrix[:, self.boundary_map].toarray()))
 
-    def _prepare_window(self, t_n, t_next):
+    def _prepare_window(self, t_n):
         # Everything but the Gamma values is fixed within a window, so the
         # physical traces and their reduced forcing are computed once per
         # window and reused by every sweep.
-        n = self._n_substeps(t_n, t_next)
         physical = np.column_stack(
-            [self._physical_trace(t_n + (j + 1) * self.dt) for j in range(n)])
+            [self._physical_trace(t_n + (j + 1) * self.dt)
+             for j in range(self.steps)])
         self._forcing = self._Q_physical @ physical + self._q[:, None]
-        self._traces = np.empty((self.boundary_map.shape[0], n))
+        self._traces = np.empty((self.boundary_map.shape[0], self.steps))
         self._traces[self.physical_positions] = physical
-        self._window = (t_n, t_next)
 
     def _substeps(self, vhat, gamma, states):
         """Step ``vhat`` through the prepared window's first substeps, one
@@ -582,24 +566,24 @@ class RomSubdomainSolver(_SubdomainSolverBase):
             states[:, j] = vhat
         return vhat
 
-    def advance_window(self, t_n, t_next):
-        """Integrate [t_n, t_next] in reduced coordinates, Gamma held fixed.
+    def advance_window(self, t_n):
+        """Integrate the window from ``t_n`` in reduced coordinates, Gamma
+        held fixed.
 
         Each substep is the explicit implicit-Euler update ``vhat <- P vhat
         + Q_Gamma gamma + c(t_j)``, with ``c(t_j)`` the physical-trace and
         constant forcing at the substep time. ``last_states`` holds the
         reduced coordinates; nothing is lifted here.
         """
-        if self._window != (t_n, t_next):
-            self._prepare_window(t_n, t_next)
+        self._prepare_window(t_n)
         gamma = self.g_cur.take(self.gamma_positions)
-        states = np.empty((self.state.shape[0], self._forcing.shape[1]))
+        states = np.empty((self.state.shape[0], self.steps))
         self.state = self._substeps(self.state, gamma, states)
         traces = self._traces.copy()
         traces[self.gamma_positions] = gamma[:, None]
         self.g_cur[self.physical_positions] = \
             traces[self.physical_positions, -1]
-        self._finish_window(t_next, states, traces)
+        self.last_states, self.last_traces = states, traces
 
 
 class ReducedBlock:
@@ -611,8 +595,8 @@ class ReducedBlock:
     ``F`` the sum of ``P^(n-1-l) c(t_l)`` over the substeps. A gather from a
     reduced donor is affine in its window-end ``vhat`` and trace. A sweep
     through the run is therefore one block Gauss-Seidel step, which forward
-    substitution composes, once per window length, into one dense map ``y =
-    M z`` whose size does not grow with the number of substeps ``n``.
+    substitution composes, once per run, into one dense map ``y = M z``
+    whose size does not grow with the number of substeps ``n``.
 
     ``y`` stacks every member's window-end state, then the run's Gamma
     values, so each receiver's convergence measure and predictor anchors
@@ -654,13 +638,12 @@ class ReducedBlock:
         donors = plan.donors[self.lo:self.hi]
         receivers = np.repeat(members, np.diff(self._goff))
         #: Input Gamma rows, ascending.
-        self._inputs = np.flatnonzero((donors < members[0])
-                                      | (donors > receivers))
-        self._sample = plan.operator[self.lo + self._inputs]
-        self._n = None
-
-    def _compose(self, n):
-        R, so, goff, inputs = self._R, self._so, self._goff, self._inputs
+        self._inputs = inputs = np.flatnonzero((donors < members[0])
+                                               | (donors > receivers))
+        self._sample = plan.operator[self.lo + inputs]
+        # The map, composed once: every window has the run's ``n`` substeps.
+        R, so, goff = self._R, self._so, self._goff
+        n = self.solvers[0].steps
         physical = [s.physical_positions for s in self.solvers]
         hoff = np.concatenate(([0], np.cumsum([p.size for p in physical])))
         h0 = 2 * R  # after the window-start states and the forcing
@@ -669,13 +652,13 @@ class ReducedBlock:
         gamma = np.zeros((goff[-1], n_z))
         gamma[inputs, base + np.arange(inputs.size)] = 1.0
         states, traces = [], []
-        columns = self._plan.columns[self.members]
+        columns = plan.columns[members]
         for m, s in enumerate(self.solvers):
             g = gamma[goff[m]:goff[m + 1]]
             if m > 0:
                 # The operator's columns of the earlier members' coordinates,
                 # times those coordinates as maps of z; zero on input rows.
-                weights = self._plan.operator[
+                weights = plan.operator[
                     self.lo + goff[m]:self.lo + goff[m + 1],
                     columns[0]:columns[m]].toarray()
                 g += weights @ np.vstack(
@@ -704,21 +687,16 @@ class ReducedBlock:
                                            & (h_used < hoff[m + 1])]
                                     - hoff[m]]
                         for m in range(len(self.solvers))]
-        self._n = n
         self._fixed = None
 
-    def start_window(self, t_n, t_next):
+    def start_window(self, t_n):
         """Prepare the members' window and the inputs fixed within it."""
-        n = self.solvers[0]._n_substeps(t_n, t_next)
-        if n != self._n:
-            self._compose(n)
         if self._fixed is None or not self._steady:
             folded = []
             for s in self.solvers:
-                if s._window != (t_n, t_next):
-                    s._prepare_window(t_n, t_next)
+                s._prepare_window(t_n)
                 f = s._forcing[:, 0]
-                for k in range(1, n):
+                for k in range(1, s.steps):
                     f = s._P @ f + s._forcing[:, k]
                 folded.append(f)
             # Each member's folded forcing, then the physical trace values
@@ -730,7 +708,6 @@ class ReducedBlock:
             self._traces = np.concatenate([s._traces for s in self.solvers])
         self._w = np.concatenate([s._window_snapshot[0] for s in self.solvers]
                                  + [self._fixed])
-        self._t_next = t_next
 
     def sweep(self, first, gamma, history):
         """Advance every member once, filling ``gamma``, the run's slice of
@@ -764,13 +741,13 @@ class ReducedBlock:
         traces = self._traces.copy()
         traces[self._trace_gamma] = self._y[self._R:, None]
         for m, s in enumerate(self.solvers):
-            states = np.empty((self._so[m + 1] - self._so[m], self._n))
+            states = np.empty((self._so[m + 1] - self._so[m], s.steps))
             states[:, -1] = s.state
-            if self._n > 1:
+            if s.steps > 1:
                 s._substeps(s._window_snapshot[0],
                             s.g_cur.take(s.gamma_positions), states[:, :-1])
-            s._finish_window(self._t_next, states,
-                             traces[self._boff[m]:self._boff[m + 1]])
+            s.last_states = states
+            s.last_traces = traces[self._boff[m]:self._boff[m + 1]]
 
     def first_failure(self):
         """``(subdomain, gathered)`` of the first member whose Gamma values
@@ -794,13 +771,12 @@ class ReducedBlock:
         return None
 
 
-def _matches(t_a, t_b):
-    return abs(t_a - t_b) <= _TIME_RTOL * max(1.0, abs(t_a), abs(t_b))
-
-
-def _raise_divergence(plan, gamma, t_next):
+def _raise_divergence(plan, gamma, t_n):
     """Raise :class:`DivergenceError` for the sweep's first subdomain, in
-    sweep order, with non-finite gathered Gamma values or states."""
+    sweep order, with non-finite gathered Gamma values or states; the
+    message names the end of the window that starts at ``t_n``."""
+    s = plan.solvers[0]
+    t_next = t_n + s.dt * s.steps
     offsets = plan.offsets
     for unit in plan.units:
         if isinstance(unit, ReducedBlock):
@@ -821,11 +797,11 @@ def _raise_divergence(plan, gamma, t_next):
                 f"t={t_next}")
 
 
-def schwarz_window(plan, t_n, t_next, tol, max_iters, history=None):
-    """One multiplicative Schwarz fixed point of ``plan.solvers`` over [t_n,
-    t_next].
+def schwarz_window(plan, t_n, tol, max_iters, history=None):
+    """One multiplicative Schwarz fixed point of ``plan.solvers`` over the
+    window that starts at ``t_n``, where the solvers are.
 
-    Sweeps the subdomains in ascending order: gather Gamma values from the
+    Snapshots every solver, then sweeps the subdomains in ascending order: gather Gamma values from the
     donors' current fields (subdomains already advanced this iteration
     contribute their new state), rewind to the window start, impose, and
     advance. A run of consecutive reduced subdomains is advanced by its
@@ -844,29 +820,21 @@ def schwarz_window(plan, t_n, t_next, tol, max_iters, history=None):
     values.
 
     Returns ``(iterations, converged)``; the converged states live in the
-    solvers, with ``last_states``/``last_traces`` from the final sweep. A
-    solver already advanced through this very window is rewound from its
-    remembered window-start snapshot, so re-running a converged window
-    terminates after one cheap iteration.
+    solvers, at the window end, with ``last_states``/``last_traces`` from
+    the final sweep.
     """
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     solvers = plan.solvers
-    for k, s in enumerate(solvers):
-        if _matches(s.t, t_n):
-            s._window_snapshot = s.snapshot_state()
-        elif not (s._window_snapshot is not None
-                  and _matches(s._window_snapshot[2], t_n)):
-            raise ConfigurationError(
-                f"solver {k + 1} is at t={s.t}, not at the window start "
-                f"t={t_n}, and has no snapshot there")
+    for s in solvers:
+        s._window_snapshot = s.snapshot_state()
     units = plan.units
     blocks = [u for u in units if isinstance(u, ReducedBlock)]
     prev = np.concatenate([s.interface_values() for s in solvers])
     if history is not None:
         history.start_window()
     for block in blocks:
-        block.start_window(t_n, t_next)
+        block.start_window(t_n)
     offsets = plan.offsets
     converged = False
     for iteration in range(1, max_iters + 1):
@@ -884,11 +852,11 @@ def schwarz_window(plan, t_n, t_next, tol, max_iters, history=None):
                 history.impose(vals, offsets[unit], offsets[unit + 1])
             s.restore_state(s._window_snapshot)
             s.set_interface_values(vals)
-            s.advance_window(t_n, t_next)
+            s.advance_window(t_n)
             gamma[offsets[unit]:offsets[unit + 1]] = vals
             checked.append(s.last_states.ravel())
         if not kernels.all_finite(np.concatenate(checked)):
-            _raise_divergence(plan, gamma, t_next)
+            _raise_divergence(plan, gamma, t_n)
         change = kernels.relative_sup_change(gamma, prev, plan.starts)
         prev = gamma
         if change <= tol:
@@ -938,7 +906,7 @@ def build_solvers(config, table, params, trained=None):
     solvers = []
     for i, spec in enumerate(config.subdomains):
         args = (spec, table.meshes[i], params, config.dt,
-                table.entries[i].gamma_positions)
+                config.steps_per_window, table.entries[i].gamma_positions)
         if spec.model == "fe":
             solvers.append(FESubdomainSolver(*args))
             continue
@@ -989,8 +957,8 @@ def run_coupled(config, params, trained=None):
     t1 = time.perf_counter()
     for w in range(n_windows):
         t_w = w * config.window_dt
-        iters, ok = schwarz_window(plan, t_w, t_w + config.window_dt,
-                                   config.tol, config.max_iters, history)
+        iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters,
+                                   history)
         iterations[w] = iters
         window_converged[w] = ok
         lo = 1 + w * spw

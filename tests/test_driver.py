@@ -928,6 +928,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     "schwarz.steps_per_window = 3\n",
     "mono.r = 5000\n",
     "training.r = 20\ntraining.t_end = 0.05\n",
+    "subdomain.4.nx = 1\n",
+    # Strips with a gap: a Schwarz-boundary node inside no other subdomain.
+    "mesh.nx = 10\nmesh.ny = 10\ndecomposition.layout = custom\n"
+    "decomposition.count = 2\nsubdomain.1.rect = 0,0.4,0,1\n"
+    "subdomain.2.rect = 0.6,1,0,1\n",
+    # Every Schwarz-boundary node has a donor, but the corner x > 0.7,
+    # y > 0.6 is covered by no subdomain.
+    "mesh.nx = 10\nmesh.ny = 10\ndecomposition.layout = custom\n"
+    "decomposition.count = 2\nsubdomain.1.rect = 0,0.7,0,1\n"
+    "subdomain.1.nx = 2\nsubdomain.1.ny = 2\nsubdomain.1.model = fe\n"
+    "subdomain.2.rect = 0.2,1,0,0.6\nsubdomain.2.nx = 2\n"
+    "subdomain.2.ny = 2\n",
 ])
 def test_cli_compare_reports_config_errors_before_any_output(tmp_path, capsys,
                                                             text):

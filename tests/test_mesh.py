@@ -82,7 +82,7 @@ def test_locate_rejects_outside_points():
 def test_interpolation_constant_field():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 5, 7)
     pts = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 2))
-    vals = mesh.interpolate(np.full(mesh.n_nodes, 3.25), pts)
+    vals = mesh.interpolation_matrix(pts) @ np.full(mesh.n_nodes, 3.25)
     np.testing.assert_allclose(vals, 3.25, rtol=0, atol=1e-14)
 
 
@@ -90,21 +90,21 @@ def test_interpolation_exact_for_affine_field():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 4, 6)
     field = mesh.coords[:, 0] + 2.0 * mesh.coords[:, 1]
     pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(50, 2))
-    vals = mesh.interpolate(field, pts)
+    vals = mesh.interpolation_matrix(pts) @ field
     np.testing.assert_allclose(vals, pts[:, 0] + 2.0 * pts[:, 1], atol=1e-14)
 
 
 def test_interpolation_single_cell_center():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 1, 1)
-    vals = mesh.interpolate(np.array([0.0, 1.0, 2.0, 3.0]),
-                            np.array([[0.5, 0.5]]))
+    vals = mesh.interpolation_matrix(np.array([[0.5, 0.5]])) @ np.array(
+        [0.0, 1.0, 2.0, 3.0])
     np.testing.assert_allclose(vals, [1.5], atol=1e-14)
 
 
 def test_interpolation_at_nodes_returns_nodal_values():
     mesh = build_mesh(Rect(0.0, 2.0, -1.0, 1.0), 6, 5)
     field = np.random.default_rng(2).standard_normal(mesh.n_nodes)
-    vals = mesh.interpolate(field, mesh.coords)
+    vals = mesh.interpolation_matrix(mesh.coords) @ field
     np.testing.assert_allclose(vals, field, rtol=0, atol=1e-13)
 
 
@@ -116,7 +116,7 @@ def test_bilinear_reproduction_on_one_cell(a, b, c, d, px, py):
     x = mesh.coords[:, 0]
     y = mesh.coords[:, 1]
     field = a + b * x + c * y + d * x * y
-    val = mesh.interpolate(field, np.array([[px, py]]))[0]
+    val = (mesh.interpolation_matrix(np.array([[px, py]])) @ field)[0]
     assert abs(val - (a + b * px + c * py + d * px * py)) <= 1e-12
 
 
@@ -127,8 +127,14 @@ def test_interpolation_matrix_matches_interpolate():
     pts = np.column_stack([rng.uniform(0.2, 0.9, 30),
                            rng.uniform(0.1, 0.8, 30)])
     matrix = mesh.interpolation_matrix(pts)
-    np.testing.assert_allclose(matrix @ field, mesh.interpolate(field, pts),
-                               rtol=0, atol=1e-14)
+    # Bilinear interpolation point by point, from the located cells.
+    ci, cj, xi, eta = mesh.locate_many(pts)
+    corners = field[(cj * (mesh.nx + 1) + ci)[:, None]
+                    + np.array([0, 1, mesh.nx + 1, mesh.nx + 2])]
+    want = ((1.0 - xi) * (1.0 - eta) * corners[:, 0]
+            + xi * (1.0 - eta) * corners[:, 1]
+            + (1.0 - xi) * eta * corners[:, 2] + xi * eta * corners[:, 3])
+    np.testing.assert_allclose(matrix @ field, want, rtol=0, atol=1e-14)
     # Rows are convex combinations of four corner values.
     np.testing.assert_allclose(np.asarray(matrix.sum(axis=1)).ravel(), 1.0,
                                atol=1e-13)
@@ -136,5 +142,7 @@ def test_interpolation_matrix_matches_interpolate():
 
 def test_interpolation_validates_field_length():
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 2, 2)
-    with pytest.raises(ConfigurationError):
-        mesh.interpolate(np.zeros(4), np.array([[0.5, 0.5]]))
+    matrix = mesh.interpolation_matrix(np.array([[0.5, 0.5]]))
+    assert matrix.shape == (1, mesh.n_nodes)
+    with pytest.raises(ValueError):
+        matrix @ np.zeros(4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from cdrschwarz import kernels
+from cdrschwarz import kernels, schwarz
 from cdrschwarz.errors import ConfigurationError, DivergenceError
 from cdrschwarz.fem import CdrParams, assemble, time_independent
 from cdrschwarz.mesh import Rect, build_mesh
@@ -40,6 +40,7 @@ def make_rom_solver(config, params, table, i, r=4, seed=0):
                          Bhat=0.1 * rng.standard_normal((r, n_b)),
                          fhat=rng.standard_normal(r))
     return RomSubdomainSolver(config.subdomains[i], mesh, params, config.dt,
+                              config.steps_per_window,
                               table.entries[i].gamma_positions, basis, ops)
 
 
@@ -162,15 +163,15 @@ def test_gather_plan_matches_direct_interpolation():
                        forcing=lambda x, y, t: x + y)
     solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
-    schwarz_window(plan, 0.0, 0.05, tol=1e-9, max_iters=50)
+    schwarz_window(plan, 0.0, tol=1e-9, max_iters=50)
 
     for i, entry in enumerate(table.entries):
         got = plan.gather(i)
         want = np.empty(entry.n_gamma)
         for j in set(entry.donors.tolist()):
             sel = entry.donors == j
-            want[sel] = table.meshes[j].interpolate(
-                solvers[j].full_field(), entry.gamma_points[sel])
+            want[sel] = table.meshes[j].interpolation_matrix(
+                entry.gamma_points[sel]) @ solvers[j].full_field()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -193,13 +194,13 @@ def test_gather_plan_matches_lifted_reduced_donor():
     solvers[1].state = rng.standard_normal(solvers[1].state.shape[0])
     solvers[1].set_interface_values(
         rng.standard_normal(table.entries[1].n_gamma))
-    solvers[1].advance_window(0.0, 0.05)
+    solvers[1].advance_window(0.0)
 
     plan = GatherPlan(table, solvers)
     entry = table.entries[0]
     got = plan.gather(0)
-    want = table.meshes[1].interpolate(solvers[1].full_field(),
-                                       entry.gamma_points)
+    want = table.meshes[1].interpolation_matrix(
+        entry.gamma_points) @ solvers[1].full_field()
     assert np.max(np.abs(want)) > 1e-2
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -219,15 +220,14 @@ def test_fe_gathers_are_bitwise_on_unaligned_meshes():
     solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
     for w in range(config.n_windows):
-        schwarz_window(plan, w * config.dt, (w + 1) * config.dt,
-                       config.tol, config.max_iters)
+        schwarz_window(plan, w * config.dt, config.tol, config.max_iters)
         for i, entry in enumerate(table.entries):
             got = plan.gather(i)
             for j in set(entry.donors.tolist()):
                 idx = np.flatnonzero(entry.donors == j)
                 np.testing.assert_array_equal(
-                    got[idx], table.meshes[j].interpolate(
-                        solvers[j].full_field(), entry.gamma_points[idx]))
+                    got[idx], table.meshes[j].interpolation_matrix(
+                        entry.gamma_points[idx]) @ solvers[j].full_field())
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def steady_strip_setup(overlap, tol=1e-10, h=0.02):
 def test_sweep_contracts_geometrically():
     config, _, table, solvers = steady_strip_setup(overlap=0.2)
     plan = RecordingPlan(table, solvers)
-    iters, ok = schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
+    iters, ok = schwarz_window(plan, 0.0, config.tol, config.max_iters)
     assert ok and iters >= 3
 
     history = [vals for (i, vals) in plan.log if i == 0]
@@ -264,7 +264,7 @@ def test_wider_overlap_converges_faster():
     results = {}
     for overlap in (0.08, 0.2):
         config, _, table, solvers = steady_strip_setup(overlap=overlap)
-        iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0, 1e6,
+        iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0,
                                    config.tol, config.max_iters)
         assert ok
         results[overlap] = iters
@@ -274,7 +274,7 @@ def test_wider_overlap_converges_faster():
 def test_converged_strips_match_monolithic_steady_solution():
     config, params, table, solvers = steady_strip_setup(overlap=0.2,
                                                         tol=1e-12)
-    iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0, 1e6,
+    iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0,
                                config.tol, config.max_iters)
     assert ok
 
@@ -293,17 +293,17 @@ def test_sweep_is_multiplicative_not_jacobi():
     # subdomain's freshly advanced field, not its window-start field.
     config, params, table, solvers = steady_strip_setup(overlap=0.2)
     plan = RecordingPlan(table, solvers)
-    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
+    schwarz_window(plan, 0.0, config.tol, config.max_iters)
     first_gather_0 = next(v for (i, v) in plan.log if i == 0)
     first_gather_1 = next(v for (i, v) in plan.log if i == 1)
 
     # Replay subdomain 0's first advance on a fresh solver.
     replay = build_solvers(config, table, params)[0]
     replay.set_interface_values(first_gather_0)
-    replay.advance_window(0.0, 1e6)
+    replay.advance_window(0.0)
     entry1 = table.entries[1]
-    fresh_field_sample = table.meshes[0].interpolate(replay.full_field(),
-                                                     entry1.gamma_points)
+    fresh_field_sample = table.meshes[0].interpolation_matrix(
+        entry1.gamma_points) @ replay.full_field()
     np.testing.assert_allclose(first_gather_1, fresh_field_sample,
                                rtol=0, atol=1e-12)
     # A Jacobi sweep would have sampled the window-start field instead.
@@ -313,33 +313,14 @@ def test_sweep_is_multiplicative_not_jacobi():
 def test_first_gather_of_cold_start_is_zero():
     config, _, table, solvers = steady_strip_setup(overlap=0.2)
     plan = RecordingPlan(table, solvers)
-    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
+    schwarz_window(plan, 0.0, config.tol, config.max_iters)
     np.testing.assert_array_equal(plan.log[0][1], 0.0)
-
-
-def test_rerunning_converged_window_is_idempotent():
-    config, _, table, solvers = steady_strip_setup(overlap=0.2, tol=1e-9)
-    plan = GatherPlan(table, solvers)
-    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
-    fields = [s.full_field().copy() for s in solvers]
-    iters, ok = schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
-    assert ok and iters == 1
-    for s, before in zip(solvers, fields):
-        np.testing.assert_allclose(s.full_field(), before, rtol=0, atol=1e-6)
-
-
-def test_window_requires_solvers_at_start_time():
-    config, _, table, solvers = steady_strip_setup(overlap=0.2)
-    plan = GatherPlan(table, solvers)
-    schwarz_window(plan, 0.0, 1e6, config.tol, config.max_iters)
-    with pytest.raises(ConfigurationError, match="window start"):
-        schwarz_window(plan, 5e5, 1e6, config.tol, config.max_iters)
 
 
 def test_unconverged_window_reports_flag():
     config, params, table, solvers = steady_strip_setup(overlap=0.2,
                                                         tol=1e-14)
-    iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0, 1e6,
+    iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0,
                                tol=1e-14, max_iters=1)
     assert iters == 1 and not ok
 
@@ -356,16 +337,17 @@ def test_sweep_check_kernels():
 
 def test_divergent_state_raises():
     class PoisonedSolver(FESubdomainSolver):
-        def advance_window(self, t_n, t_next):
-            super().advance_window(t_n, t_next)
+        def advance_window(self, t_n):
+            super().advance_window(t_n)
             self.last_states = self.last_states * np.nan
 
     config, params, table, _ = steady_strip_setup(overlap=0.2)
     solvers = [PoisonedSolver(spec, table.meshes[i], params, config.dt,
+                              config.steps_per_window,
                               table.entries[i].gamma_positions)
                for i, spec in enumerate(config.subdomains)]
     with pytest.raises(DivergenceError):
-        schwarz_window(GatherPlan(table, solvers), 0.0, 1e6, config.tol,
+        schwarz_window(GatherPlan(table, solvers), 0.0, config.tol,
                        config.max_iters)
 
 
@@ -376,7 +358,7 @@ def test_divergent_reduced_state_raises():
     solvers[0] = make_rom_solver(config, params, table, 0)
     solvers[0].state = np.full(solvers[0].state.shape[0], np.nan)
     with pytest.raises(DivergenceError, match="subdomain 1 .*non-finite"):
-        schwarz_window(GatherPlan(table, solvers), 0.0, 1e6, config.tol,
+        schwarz_window(GatherPlan(table, solvers), 0.0, config.tol,
                        config.max_iters)
 
 
@@ -395,8 +377,7 @@ def test_reduced_window_matches_substep_stepping(steps_per_window):
     gamma = rng.standard_normal(table.entries[0].n_gamma)
     solver.state = v0.copy()
     solver.set_interface_values(gamma)
-    t_next = config.window_dt
-    solver.advance_window(0.0, t_next)
+    solver.advance_window(0.0)
 
     coords = table.meshes[0].coords[solver.boundary_map]
     stepper = RomStepper(solver.ops, config.dt)
@@ -411,7 +392,6 @@ def test_reduced_window_matches_substep_stepping(steps_per_window):
         np.testing.assert_allclose(solver.last_traces[:, j], g,
                                    rtol=0, atol=1e-15)
     assert solver.last_states.shape == (solver.ops.r, steps_per_window)
-    assert solver.t == pytest.approx(t_next)
     np.testing.assert_allclose(solver.boundary_trace(), g, rtol=0,
                                atol=1e-15)
     np.testing.assert_allclose(solver.lift(solver.state),
@@ -424,11 +404,10 @@ def test_snapshot_restore_round_trip():
     snap = s.snapshot_state()
     before = s.full_field().copy()
     s.set_interface_values(np.ones(table.entries[0].n_gamma))
-    s.advance_window(0.0, 1e6)
+    s.advance_window(0.0)
     assert np.max(np.abs(s.full_field() - before)) > 1e-3
     s.restore_state(snap)
     np.testing.assert_array_equal(s.full_field(), before)
-    assert s.t == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +547,7 @@ def test_predictor_cuts_sweeps_and_keeps_window_zero():
     lagged = []
     for w in range(config.n_windows):
         t_w = w * config.window_dt
-        iters, ok = schwarz_window(plan, t_w, t_w + config.window_dt,
-                                   config.tol, config.max_iters)
+        iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters)
         assert ok
         lagged.append(iters)
         if w == 0:
@@ -604,8 +582,8 @@ def test_rows_from_earlier_donors_are_never_extrapolated():
         plan.log.clear()
         imposed.clear()
         t_w = w * config.dt
-        iters, ok = schwarz_window(plan, t_w, t_w + config.dt, config.tol,
-                                   config.max_iters, history)
+        iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters,
+                                   history)
         assert ok and iters >= 2
         gathered = next(v for (i, v) in plan.log if i == 1)
         np.testing.assert_array_equal(imposed[0][donors == 0],
@@ -625,19 +603,19 @@ def test_rom_solver_validates_shapes():
     good_ops = OpInfOperators(Khat=-np.eye(4), Bhat=np.zeros((4, n_b)),
                               fhat=np.zeros(4))
     spec = config.subdomains[0]
-    solver = RomSubdomainSolver(spec, mesh, params, config.dt,
+    solver = RomSubdomainSolver(spec, mesh, params, config.dt, 1,
                                 entry.gamma_positions, basis, good_ops)
     assert solver.lift(solver.state).shape == (n_i,)
 
     bad_rank = OpInfOperators(Khat=-np.eye(3), Bhat=np.zeros((3, n_b)),
                               fhat=np.zeros(3))
     with pytest.raises(ConfigurationError):
-        RomSubdomainSolver(spec, mesh, params, config.dt,
+        RomSubdomainSolver(spec, mesh, params, config.dt, 1,
                            entry.gamma_positions, basis, bad_rank)
     bad_inputs = OpInfOperators(Khat=-np.eye(4), Bhat=np.zeros((4, n_b - 1)),
                                 fhat=np.zeros(4))
     with pytest.raises(ConfigurationError):
-        RomSubdomainSolver(spec, mesh, params, config.dt,
+        RomSubdomainSolver(spec, mesh, params, config.dt, 1,
                            entry.gamma_positions, basis, bad_inputs)
 
 
@@ -673,7 +651,7 @@ class PerReceiverHistory:
         return vals
 
 
-def per_visit_window(plan, t_n, t_next, tol, max_iters, history):
+def per_visit_window(plan, t_n, tol, max_iters, history):
     """The sweep visit by visit, each reduced subdomain advanced through its
     own ``advance_window`` and checked on its own: the reference the
     composed reduced blocks of ``schwarz_window`` must reproduce."""
@@ -689,7 +667,7 @@ def per_visit_window(plan, t_n, t_next, tol, max_iters, history):
                 vals = history.predict(i, vals)
             s.restore_state(s._window_snapshot)
             s.set_interface_values(vals)
-            s.advance_window(t_n, t_next)
+            s.advance_window(t_n)
             change = max(change, kernels.relative_sup_change(vals, prev[i]))
             prev[i] = vals
         if change <= tol:
@@ -709,8 +687,7 @@ def march(config, make_solvers, window, predictor=LateRowHistory):
     sweeps, records = [], []
     for w in range(config.n_windows):
         t_w = w * config.window_dt
-        iters, _ = window(plan, t_w, t_w + config.window_dt, config.tol,
-                          config.max_iters, history)
+        iters, _ = window(plan, t_w, config.tol, config.max_iters, history)
         sweeps.append(iters)
         records.append([(np.array(s.last_states), np.array(s.last_traces))
                          for s in solvers])
@@ -854,8 +831,7 @@ def test_reduced_block_follows_moving_dirichlet_data():
     for w in range(config.n_windows):
         t_w = w * config.window_dt
         start = [np.array(s.state) for s in solvers]
-        schwarz_window(plan, t_w, t_w + config.window_dt, config.tol,
-                       config.max_iters, history)
+        schwarz_window(plan, t_w, config.tol, config.max_iters, history)
         for i in (0, 1, 3):
             s = solvers[i]
             xy = table.meshes[i].coords[s.boundary_map[s.physical_positions]]
@@ -895,7 +871,7 @@ def test_time_independent_dirichlet_data_are_evaluated_once():
 
         def make_solvers(table):
             fe = FESubdomainSolver(config.subdomains[2], table.meshes[2],
-                                   params, config.dt,
+                                   params, config.dt, config.steps_per_window,
                                    table.entries[2].gamma_positions)
             return [fe if i == 2 else
                     make_rom_solver(config, params, table, i, seed=i)
@@ -914,7 +890,7 @@ def test_time_independent_dirichlet_data_are_evaluated_once():
 
 
 def test_reduced_block_never_visits_members(monkeypatch):
-    def refuse(self, t_n, t_next):
+    def refuse(self, t_n):
         raise AssertionError("a reduced subdomain was visited on its own")
 
     config = SchwarzConfig(subdomains=three_strip_specs(), dt=0.01,
@@ -927,10 +903,10 @@ def test_reduced_block_never_visits_members(monkeypatch):
     plan = GatherPlan(table, solvers)
     assert isinstance(plan.units[1], ReducedBlock)
     for w in range(config.n_windows):
-        schwarz_window(plan, w * config.dt, (w + 1) * config.dt, config.tol,
-                       config.max_iters)
-    assert solvers[1].t == pytest.approx(config.t_end)
+        schwarz_window(plan, w * config.dt, config.tol, config.max_iters)
     assert solvers[1].last_states.shape == (solvers[1].ops.r, 1)
+    np.testing.assert_array_equal(solvers[1].last_states[:, -1],
+                                  solvers[1].state)
 
 
 def test_reduced_block_maps_do_not_grow_with_substeps():
@@ -946,13 +922,57 @@ def test_reduced_block_maps_do_not_grow_with_substeps():
         for i in (0, 1):
             solvers[i] = make_rom_solver(config, params, table, i, seed=i)
         plan = GatherPlan(table, solvers)
-        schwarz_window(plan, 0.0, config.window_dt, config.tol,
-                       config.max_iters)
+        schwarz_window(plan, 0.0, config.tol, config.max_iters)
         block = plan.units[0]
         shapes.append(block._M.shape)
         assert solvers[1].last_states.shape == (solvers[1].ops.r,
                                                 steps_per_window)
     assert shapes[0] == shapes[1]
+
+
+def test_consecutive_windows_reproduce_run_coupled(small_trained,
+                                                   monkeypatch):
+    # A window is the run's fixed number of substeps: each call is told only
+    # its start, snapshots every solver there, and reuses the reduced
+    # block's map, composed once when the plan was built.
+    cfg = small_cfg(t_end=0.3, steps_per_window=2)
+    config = cfg.schwarz_config()
+    recorded = []
+
+    def recording_window(plan, *args):
+        result = schwarz_window(plan, *args)
+        recorded.append((result, [(s.last_states.copy(), s.last_traces.copy())
+                                  for s in plan.solvers]))
+        return result
+
+    monkeypatch.setattr(schwarz, "schwarz_window", recording_window)
+    run_coupled(config, cfg.params(), small_trained)
+    monkeypatch.undo()
+
+    table = build_interfaces(config)
+    solvers = build_solvers(config, table, cfg.params(), small_trained)
+    plan = GatherPlan(table, solvers)
+    history = LateRowHistory(plan)
+    for i, s in enumerate(solvers):
+        s.set_interface_values(plan.gather(i))
+    block = plan.units[0]
+    assert isinstance(block, ReducedBlock)
+    maps = []
+    for w in range(2):
+        starts = [s.state for s in solvers]
+        result = schwarz_window(plan, w * config.window_dt, config.tol,
+                                config.max_iters, history)
+        # Each solver was snapshot on entry, its state by reference.
+        assert all(s._window_snapshot[0] is start
+                   for s, start in zip(solvers, starts))
+        maps.append(block._M)
+        want, records = recorded[w]
+        assert result == want
+        for s, (states, traces) in zip(solvers, records):
+            np.testing.assert_array_equal(s.last_states, states)
+            np.testing.assert_array_equal(s.last_traces, traces)
+    assert maps[0] is maps[1]
+    assert max(recorded[w][0][0] for w in range(2)) > 1
 
 
 def test_schwarz_window_rejects_max_iters_below_one():
@@ -963,8 +983,7 @@ def test_schwarz_window_rejects_max_iters_below_one():
     solvers = build_solvers(config, table, params)
     solvers[1] = make_rom_solver(config, params, table, 1)
     with pytest.raises(ConfigurationError, match="max_iters must be >= 1"):
-        schwarz_window(GatherPlan(table, solvers), 0.0, config.dt,
-                       config.tol, 0)
+        schwarz_window(GatherPlan(table, solvers), 0.0, config.tol, 0)
 
 
 def test_divergence_in_second_block_member_names_it():
@@ -985,8 +1004,8 @@ def test_divergence_in_second_block_member_names_it():
     solvers[1] = make_rom_solver(config, params, table, 1, seed=1)
     with pytest.raises(DivergenceError,
                        match=r"^subdomain 2 produced a non-finite state"):
-        schwarz_window(GatherPlan(table, solvers), 0.0, config.dt,
-                       config.tol, config.max_iters)
+        schwarz_window(GatherPlan(table, solvers), 0.0, config.tol,
+                       config.max_iters)
 
 
 def test_segmented_relative_sup_change():

@@ -88,14 +88,15 @@ def test_fe_window_matches_three_term_right_hand_side():
                        forcing=lambda x, y, t: x + y * t,
                        dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
     solver = FESubdomainSolver(config.subdomains[0], table.meshes[0], params,
-                               config.dt, table.entries[0].gamma_positions)
+                               config.dt, config.steps_per_window,
+                               table.entries[0].gamma_positions)
     rng = np.random.default_rng(5)
     v0 = rng.standard_normal(solver.state.shape[0])
     gamma = rng.standard_normal(table.entries[0].n_gamma)
     g_prev = solver.boundary_trace().copy()
     solver.state = v0.copy()
     solver.set_interface_values(gamma)
-    solver.advance_window(0.0, config.window_dt)
+    solver.advance_window(0.0)
 
     system = solver.system
     m, m_ib = system.M.toarray(), system.M_IB.toarray()
