@@ -605,10 +605,10 @@ class ReducedBlock:
     physical trace values at the window end that in-run gathers read),
     then the input Gamma rows: every row not fed by an earlier member, that
     is, fed by a donor outside the run or by a later member. Inputs are
-    sampled from the donors' current states before any member moves: in a
-    window's first sweep from the window-start states, after which the
-    :class:`LateRowHistory` prediction replaces the late rows, and in later
-    sweeps from the previous sweep's. The substep states before the window
+    sampled from the donors' current states before any member moves, in
+    later sweeps from the previous sweep's; in a window's first sweep the
+    late rows take the :class:`LateRowHistory` prediction, and only the
+    others are sampled. The substep states before the window
     end are replayed once, after the final sweep.
     """
 
@@ -637,10 +637,13 @@ class ReducedBlock:
         self._plan = plan
         donors = plan.donors[self.lo:self.hi]
         receivers = np.repeat(members, np.diff(self._goff))
-        #: Input Gamma rows, ascending.
+        #: Input Gamma rows, ascending; the early ones, fed by a donor ahead
+        #: of the run, are the inputs that are not late.
         self._inputs = inputs = np.flatnonzero((donors < members[0])
                                                | (donors > receivers))
+        self._early = np.flatnonzero(donors < members[0])
         self._sample = plan.operator[self.lo + inputs]
+        self._early_sample = plan.operator[self.lo + self._early]
         # The map, composed once: every window has the run's ``n`` substeps.
         R, so, goff = self._R, self._so, self._goff
         n = self.solvers[0].steps
@@ -712,10 +715,17 @@ class ReducedBlock:
     def sweep(self, first, gamma, history):
         """Advance every member once, filling ``gamma``, the run's slice of
         the sweep's Gamma values, and leaving each member's new ``state``
-        and trace in place for the gathers that follow."""
-        gamma[self._inputs] = self._sample @ self._plan.coordinates()
+        and trace in place for the gathers that follow.
+
+        In a first sweep with a ``history`` the late inputs take its
+        prediction, so only the early ones are sampled."""
         if first and history is not None:
+            if self._early.size:
+                gamma[self._early] = (self._early_sample
+                                      @ self._plan.coordinates())
             history.impose(gamma, self.lo, self.hi)
+        else:
+            gamma[self._inputs] = self._sample @ self._plan.coordinates()
         self._z = np.concatenate((self._w, gamma.take(self._inputs)))
         self._y = y = self._M @ self._z
         gamma[:] = y[self._R:]
