@@ -449,18 +449,36 @@ class _SubdomainSolverBase:
 class FESubdomainSolver(_SubdomainSolverBase):
     """Finite element subdomain: assembled system plus implicit Euler.
 
-    ``state`` holds the interior nodal values.
+    ``state`` holds the interior nodal values. Within a window the step is
+    affine in the Gamma values, which are held fixed, so once an
+    :meth:`advance_window` from the window start has taken Gamma values
+    ``gamma_1`` to the window-end state ``v_1``, any other Gamma values
+    ``gamma`` give ``v_1 + Y (gamma - gamma_1)``: :meth:`respond`, with no
+    sparse solve. ``Y``, the Gamma response, is computed once per solver.
     """
 
     def __init__(self, spec, mesh, params, dt, steps, gamma_positions):
         super().__init__(spec, mesh, params, dt, steps, gamma_positions)
-        self.system = assemble(mesh, params)
-        self.stepper = timestep.ImplicitEulerStepper(self.system, dt)
-        self.state = np.zeros(self.system.n_interior)
+        self.system = system = assemble(mesh, params)
+        self.stepper = timestep.ImplicitEulerStepper(system, dt)
+        self.state = np.zeros(system.n_interior)
         # Trace the current state is consistent with: the one imposed while
         # stepping into the current time (feeds the moving-boundary mass
         # term of the next step).
         self._g_committed = self.g_cur.copy()
+        # Y, the window-end state's derivative in the Gamma values. The
+        # first substep sees them in the stiffness and moving-boundary mass
+        # terms (the committed trace is fixed); later substeps hold them, so
+        # only the stiffness term and the carried state depend on them.
+        stiffness = self.dt * system.A_IB[:, self.gamma_positions].toarray()
+        y = self.stepper.solve(
+            -stiffness - system.M_IB[:, self.gamma_positions].toarray())
+        for _ in range(1, self.steps):
+            y = self.stepper.solve(system.M @ y - stiffness)
+        self._response = y
+        #: The last advance's start ``(state, committed trace)`` and its
+        #: anchor ``(end state, Gamma values)``.
+        self._start = self._anchor = None
 
     def lift(self, states):
         return states
@@ -481,26 +499,63 @@ class FESubdomainSolver(_SubdomainSolverBase):
         # Only read, as is the snapshot's trace.
         self._g_committed = snap[1]
 
+    def _substeps(self, t_n, v, g_prev, states, traces):
+        """Step ``v``, stepped into trace ``g_prev``, from ``t_n`` through
+        the window's first substeps, one per column of ``states`` and
+        ``traces``, which receive them; returns the last state. Physical
+        boundary values follow the data; Gamma values stay as in ``g_cur``.
+        """
+        for j in range(states.shape[1]):
+            t_j = t_n + (j + 1) * self.dt
+            if not self._steady:
+                self.g_cur[self.physical_positions] = self._physical_trace(t_j)
+            v = self.stepper.step(v, self.g_cur, t_j, g_prev)
+            states[:, j] = v
+            traces[:, j] = self.g_cur
+            g_prev = traces[:, j]
+        return v
+
     def advance_window(self, t_n):
         """Integrate the window from ``t_n`` holding Gamma values fixed.
 
         Physical boundary values follow the prescribed data at each substep
         time; the interface part of the trace stays as last set. The substep
-        history is kept on the solver for the orchestrator to record.
+        history is kept on the solver for the orchestrator to record, and
+        the window end anchors :meth:`respond`.
         """
         states = np.empty((self.state.shape[0], self.steps))
         traces = np.empty((self.boundary_map.shape[0], self.steps))
-        g_prev = self._g_committed
-        for j in range(self.steps):
-            t_j = t_n + (j + 1) * self.dt
-            if not self._steady:
-                self.g_cur[self.physical_positions] = self._physical_trace(t_j)
-            self.state = self.stepper.step(self.state, self.g_cur, t_j,
-                                           g_prev)
-            states[:, j] = self.state
-            traces[:, j] = self.g_cur
-            g_prev = self.g_cur.copy()
-        self._g_committed = g_prev
+        self._start = (self.state, self._g_committed)
+        self.state = self._substeps(t_n, *self._start, states, traces)
+        self._g_committed = self.g_cur.copy()
+        self.last_states, self.last_traces = states, traces
+        self._anchor = (self.state, self.g_cur.take(self.gamma_positions))
+
+    def respond(self, values):
+        """Impose Gamma ``values`` on the window the last
+        :meth:`advance_window` integrated: its end state moved by the Gamma
+        response, its window-end physical trace kept. ``last_states`` and
+        ``last_traces`` wait for :meth:`finish_window`."""
+        self.set_interface_values(values)
+        state, gamma = self._anchor
+        self.state = state + self._response @ (
+            self.g_cur.take(self.gamma_positions) - gamma)
+
+    def finish_window(self, t_n):
+        """Record the window from ``t_n`` after :meth:`respond` moved its end.
+
+        The substeps before the window end are replayed from the last
+        advance's start with the final Gamma values; the window end is the
+        last response.
+        """
+        end = self.g_cur.copy()
+        states = np.empty((self.state.shape[0], self.steps))
+        traces = np.empty((end.shape[0], self.steps))
+        self._substeps(t_n, *self._start, states[:, :-1], traces[:, :-1])
+        states[:, -1] = self.state
+        traces[:, -1] = end
+        self.g_cur = end
+        self._g_committed = end.copy()
         self.last_states, self.last_traces = states, traces
 
 
@@ -793,7 +848,8 @@ def _raise_divergence(plan, gamma, t_n):
             hit = unit.first_failure()
         elif not np.isfinite(gamma[offsets[unit]:offsets[unit + 1]]).all():
             hit = (unit, True)
-        elif not np.isfinite(plan.solvers[unit].last_states).all():
+        elif not (np.isfinite(plan.solvers[unit].state).all()
+                  and np.isfinite(plan.solvers[unit].last_states).all()):
             hit = (unit, False)
         else:
             hit = None
@@ -858,13 +914,17 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
                 continue
             s = solvers[unit]
             vals = plan.gather(unit)
-            if history is not None and first:
-                history.impose(vals, offsets[unit], offsets[unit + 1])
-            s.restore_state(s._window_snapshot)
-            s.set_interface_values(vals)
-            s.advance_window(t_n)
+            if first:
+                if history is not None:
+                    history.impose(vals, offsets[unit], offsets[unit + 1])
+                s.restore_state(s._window_snapshot)
+                s.set_interface_values(vals)
+                s.advance_window(t_n)
+                checked.append(s.last_states.ravel())
+            else:
+                s.respond(vals)
+                checked.append(s.state)
             gamma[offsets[unit]:offsets[unit + 1]] = vals
-            checked.append(s.last_states.ravel())
         if not kernels.all_finite(np.concatenate(checked)):
             _raise_divergence(plan, gamma, t_n)
         change = kernels.relative_sup_change(gamma, prev, plan.starts)
@@ -872,8 +932,11 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
         if change <= tol:
             converged = True
             break
-    for block in blocks:
-        block.finish()
+    for unit in units:
+        if isinstance(unit, ReducedBlock):
+            unit.finish()
+        elif iteration > 1:
+            solvers[unit].finish_window(t_n)
     return iteration, converged
 
 

@@ -127,6 +127,13 @@ def test_criterion_2_schwarz_consistency(tight_schwarz):
         ok)
 
 
+def test_schwarz_consistency_at_the_default_tolerance(study):
+    # The all-FE run of the study itself, at tol = 1e-9: the Gamma-response
+    # updates of later sweeps must not drift from the reference.
+    err = study["schwarz_err"]
+    assert err <= 1e-13, f"all-FE DD error {err:.3e} at the default tol"
+
+
 # ---------------------------------------------------------------------------
 # 3. Hybrid accuracy
 

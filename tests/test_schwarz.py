@@ -29,6 +29,19 @@ def strip_specs(overlap=0.2, h=0.05):
             SubdomainSpec(Rect(lo, 1.0, 0.0, 1.0), round((1.0 - lo) / h), ny))
 
 
+def unaligned_strip_specs():
+    """Three vertical strips, narrowly overlapping on unaligned meshes."""
+    return (SubdomainSpec(Rect(0.0, 0.3, 0.0, 1.0), 6, 10),
+            SubdomainSpec(Rect(0.26, 0.6, 0.0, 1.0), 5, 13),
+            SubdomainSpec(Rect(0.5, 1.0, 0.0, 1.0), 10, 20))
+
+
+def moving_data_params():
+    """Problem data whose Dirichlet values move every substep."""
+    return CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
+                     dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+
+
 def make_rom_solver(config, params, table, i, r=4, seed=0):
     """Reduced solver for subdomain ``i`` with a random stable model."""
     mesh = table.meshes[i]
@@ -210,12 +223,9 @@ def test_fe_gathers_are_bitwise_on_unaligned_meshes():
     # gather that summed them in another order than the nodal interpolation
     # would differ in the last bit somewhere; moving Dirichlet data put
     # nonzero values on the donors' physical boundary rows too.
-    specs = (SubdomainSpec(Rect(0.0, 0.3, 0.0, 1.0), 6, 10),
-             SubdomainSpec(Rect(0.26, 0.6, 0.0, 1.0), 5, 13),
-             SubdomainSpec(Rect(0.5, 1.0, 0.0, 1.0), 10, 20))
-    config = SchwarzConfig(subdomains=specs, dt=0.01, t_end=0.03)
-    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
-                       dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+    config = SchwarzConfig(subdomains=unaligned_strip_specs(), dt=0.01,
+                           t_end=0.03)
+    params = moving_data_params()
     table = build_interfaces(config)
     solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
@@ -369,8 +379,7 @@ def test_reduced_window_matches_substep_stepping(steps_per_window):
     config = SchwarzConfig(subdomains=strip_specs(), dt=0.05, t_end=0.3,
                            steps_per_window=steps_per_window)
     table = build_interfaces(config)
-    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
-                       dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+    params = moving_data_params()
     solver = make_rom_solver(config, params, table, 0)
     rng = np.random.default_rng(7)
     v0 = rng.standard_normal(solver.state.shape[0])
@@ -652,9 +661,10 @@ class PerReceiverHistory:
 
 
 def per_visit_window(plan, t_n, tol, max_iters, history):
-    """The sweep visit by visit, each reduced subdomain advanced through its
-    own ``advance_window`` and checked on its own: the reference the
-    composed reduced blocks of ``schwarz_window`` must reproduce."""
+    """The sweep visit by visit, every subdomain advanced through its own
+    ``advance_window`` in every sweep and checked on its own: the reference
+    that the composed reduced blocks and the finite element Gamma responses
+    of ``schwarz_window`` must reproduce."""
     solvers = plan.solvers
     for s in solvers:
         s._window_snapshot = s.snapshot_state()
@@ -758,8 +768,7 @@ def test_reduced_blocks_match_visits_around_a_fe_strip(steps_per_window):
     # moving Dirichlet data, so the physical trace changes every window.
     config = SchwarzConfig(subdomains=four_strip_specs(), dt=0.01,
                            t_end=0.12, steps_per_window=steps_per_window)
-    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
-                       dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+    params = moving_data_params()
 
     def make_solvers(table):
         solvers = build_solvers(config, table, params)
@@ -780,13 +789,9 @@ def test_reduced_block_composes_gathers_from_member_traces():
     # the composed map carries its boundary trace, not only its state; and
     # the FE strip's gathers weigh the later member's physical rows, which
     # must follow the moving data.
-    specs = (SubdomainSpec(Rect(0.0, 0.3, 0.0, 1.0), 6, 10),
-             SubdomainSpec(Rect(0.26, 0.6, 0.0, 1.0), 5, 13),
-             SubdomainSpec(Rect(0.5, 1.0, 0.0, 1.0), 10, 20))
-    config = SchwarzConfig(subdomains=specs, dt=0.01, t_end=0.08,
-                           steps_per_window=2)
-    params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.5), forcing=1.0,
-                       dirichlet=lambda x, y, t: np.sin(3.0 * t) + x * y)
+    config = SchwarzConfig(subdomains=unaligned_strip_specs(), dt=0.01,
+                           t_end=0.08, steps_per_window=2)
+    params = moving_data_params()
 
     def make_solvers(table):
         solvers = build_solvers(config, table, params)
@@ -809,6 +814,67 @@ def test_reduced_block_composes_gathers_from_member_traces():
             rows = getattr(solvers[donor], f"{kind}_positions")
             assert np.any(trace[:, rows] != 0.0)
     assert_marches_agree(config, make_solvers)
+
+
+@pytest.mark.parametrize("steps_per_window", [1, 3])
+def test_fe_responses_match_visits_on_unaligned_strips(steps_per_window):
+    # All-FE, with moving Dirichlet data: every sweep after a window's first
+    # moves each strip's window end by its Gamma response, and a window of
+    # several substeps replays the earlier ones after its final sweep.
+    config = SchwarzConfig(subdomains=unaligned_strip_specs(), dt=0.01,
+                           t_end=0.12, steps_per_window=steps_per_window)
+    params = moving_data_params()
+
+    def make_solvers(table):
+        return build_solvers(config, table, params)
+
+    assert_marches_agree(config, make_solvers)
+
+
+@pytest.mark.parametrize("steps_per_window", [1, 3])
+def test_fe_response_equals_a_genuine_window(steps_per_window):
+    # A window advanced with some Gamma values and then moved to others by
+    # the Gamma response is the window advanced with the others: states,
+    # recorded traces, whose physical rows follow the data, and the trace
+    # the next window starts from.
+    config = SchwarzConfig(subdomains=unaligned_strip_specs(), dt=0.01,
+                           t_end=0.12, steps_per_window=steps_per_window)
+    params = moving_data_params()
+    table = build_interfaces(config)
+    solver = build_solvers(config, table, params)[1]
+    rng = np.random.default_rng(11)
+    n_gamma = table.entries[1].n_gamma
+    solver.state = rng.standard_normal(solver.state.shape[0])
+    solver.set_interface_values(rng.standard_normal(n_gamma))
+    # A window start: snapshot, then rewind, which commits the trace.
+    snap = solver.snapshot_state()
+    solver.restore_state(snap)
+    t_n = config.window_dt
+    gamma = rng.standard_normal(n_gamma)
+
+    solver.set_interface_values(rng.standard_normal(n_gamma))
+    solver.advance_window(t_n)
+    solver.respond(gamma)
+    solver.finish_window(t_n)
+    responded = (solver.state, solver.last_states, solver.last_traces,
+                 solver.boundary_trace(), solver._g_committed)
+
+    solver.restore_state(snap)
+    solver.set_interface_values(gamma)
+    solver.advance_window(t_n)
+    genuine = (solver.state, solver.last_states, solver.last_traces,
+               solver.boundary_trace(), solver._g_committed)
+    scale = max(np.max(np.abs(x)) for x in genuine)
+    for got, want in zip(responded, genuine):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+    xy = table.meshes[1].coords[solver.boundary_map[solver.physical_positions]]
+    for j in range(steps_per_window):
+        t_j = t_n + (j + 1) * config.dt
+        np.testing.assert_array_equal(
+            responded[2][solver.physical_positions, j],
+            np.sin(3.0 * t_j) + xy[:, 0] * xy[:, 1])
+        np.testing.assert_array_equal(
+            responded[2][solver.gamma_positions, j], gamma)
 
 
 def test_reduced_block_follows_moving_dirichlet_data():

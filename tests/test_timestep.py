@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
+from cdrschwarz import timestep
 from cdrschwarz.errors import ConfigurationError, FactorizationError
 from cdrschwarz.fem import CdrParams, SemiDiscreteSystem, assemble
 from cdrschwarz.mesh import Rect, build_mesh
@@ -243,3 +244,47 @@ def test_singular_matrix_raises_factorization_error():
         load=lambda t: np.zeros(1))
     with pytest.raises(FactorizationError):
         ImplicitEulerStepper(system, 1.0)
+
+
+def test_singular_narrow_band_matrix_raises_factorization_error():
+    # Tridiagonal but for an empty row: band LU meets a zero pivot.
+    n = 6
+    dense = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    dense[2] = 0.0
+    system = SemiDiscreteSystem(
+        M=csr_matrix(dense),
+        A_II=csr_matrix((n, n)),
+        A_IB=csr_matrix((n, 0)),
+        M_IB=csr_matrix((n, 0)),
+        interior_map=np.arange(n),
+        boundary_map=np.array([], dtype=np.int64),
+        load=lambda t: np.zeros(n))
+    with pytest.raises(FactorizationError, match="band LU"):
+        ImplicitEulerStepper(system, 1.0)
+
+
+def test_band_and_sparse_factorizations_agree(monkeypatch):
+    # One FE system through band LU and, with the band limit below its
+    # half-bandwidth, through SuperLU: the same solutions for one and for
+    # several right-hand sides, and the same step.
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 9, 7)
+    params = CdrParams(eps=0.05, sigma=0.2, b=(0.7, -0.3),
+                       forcing=lambda x, y, t: x * y + t)
+    system = assemble(mesh, params)
+    band = ImplicitEulerStepper(system, 0.05)
+    monkeypatch.setattr(timestep, "BAND_LIMIT", -1)
+    sparse = ImplicitEulerStepper(system, 0.05)
+    assert band._band is not None and sparse._band is None
+    rng = np.random.default_rng(2)
+    n = system.n_interior
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 4))):
+        want = sparse.solve(rhs)
+        got = band.solve(rhs)
+        assert got.shape == rhs.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+    v0 = rng.standard_normal(n)
+    g0, g1 = rng.standard_normal((2, system.n_boundary))
+    want = sparse.step(v0, g1, 0.05, g0)
+    np.testing.assert_allclose(band.step(v0, g1, 0.05, g0), want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
