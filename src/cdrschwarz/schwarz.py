@@ -23,7 +23,10 @@ ranks and Gamma rows but not by the substeps per window. The loop's
 bookkeeping is per window and per sweep, not per visit: every state is
 snapshot by reference, finiteness and convergence are checked once per
 sweep on the concatenated values, and the block replays and records the
-substep ``last_states``/``last_traces`` after the final sweep only.
+substep ``last_states``/``last_traces`` after the final sweep only. A
+finite element subdomain is advanced in a window's first sweep only; in
+later sweeps its window end moves by its Gamma response, computed once
+per solver (see :class:`FESubdomainSolver`).
 
 A window is ``steps`` substeps of ``dt``, both fixed per run and given to
 every solver when it is built; solvers keep no clock, and
@@ -46,7 +49,14 @@ visited one at a time through this protocol:
 - ``advance_window(t_n)``: integrate the ``steps`` substeps from ``t_n``
   with Gamma values held fixed, leaving ``last_states`` (one column of
   ``state`` per substep, so reduced coordinates for a reduced solver) and
-  ``last_traces`` (one imposed boundary trace per substep).
+  ``last_traces`` (one imposed boundary trace per substep). Only a
+  window's first sweep advances a visited solver.
+- ``respond(vals)``: in every later sweep, impose Gamma values ``vals``
+  on the window the last ``advance_window`` integrated and move ``state``
+  to that window's end, which is affine in them, without integrating.
+  ``finish_window(t_n)``: after a final sweep that was not the first,
+  record that window's ``last_states``/``last_traces`` for the values
+  last imposed.
 - ``coordinate_operator(matrix)``: ``matrix``, an operator on the nodal
   field, as one on the coordinates ``[state; g_cur]``. The plan stacks
   every (receiver, donor) interpolation matrix, so converted, into one CSR
@@ -663,8 +673,8 @@ class ReducedBlock:
     sampled from the donors' current states before any member moves, in
     later sweeps from the previous sweep's; in a window's first sweep the
     late rows take the :class:`LateRowHistory` prediction, and only the
-    others are sampled. The substep states before the window
-    end are replayed once, after the final sweep.
+    others are sampled. The substep states before the window end are
+    replayed once, after the final sweep.
     """
 
     def __init__(self, members, plan):
@@ -867,20 +877,27 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
     """One multiplicative Schwarz fixed point of ``plan.solvers`` over the
     window that starts at ``t_n``, where the solvers are.
 
-    Snapshots every solver, then sweeps the subdomains in ascending order: gather Gamma values from the
-    donors' current fields (subdomains already advanced this iteration
-    contribute their new state), rewind to the window start, impose, and
-    advance. A run of consecutive reduced subdomains is advanced by its
-    :class:`ReducedBlock`, the same step composed into one map. Converged
-    once the relative sup-norm trace change of every subdomain drops to
-    ``tol``; the first sweep's change is measured against the values
-    imposed in the previous window. Finiteness and convergence are checked
-    once per sweep, on the concatenated values; a non-finite value raises
-    :class:`DivergenceError` naming the first subdomain, in sweep order,
-    whose gathered values or states are not finite.
+    Snapshots every solver, then sweeps the units of the plan in order,
+    each subdomain taking Gamma values gathered from its donors' current
+    states, so subdomains already moved in this sweep contribute their new
+    window end. In the first sweep a visited solver is rewound to the
+    window start, takes its values, and advances the window; in every
+    later sweep it takes them through :meth:`~FESubdomainSolver.respond`,
+    with no integration, and after the final sweep, if that was not the
+    first, it records the window with ``finish_window``. A
+    :class:`ReducedBlock` moves its run of reduced subdomains by its
+    composed map in every sweep and records their window after the final
+    one.
 
-    In the first sweep a row fed by an earlier subdomain gets its fresh
-    state and a row fed by a later one its window-start state. Given a
+    Converged once the relative sup-norm change of every subdomain's Gamma
+    values drops to ``tol``; the first sweep's change is measured against
+    the values imposed in the previous window. Finiteness and convergence
+    are checked once per sweep, on the concatenated values; a non-finite
+    value raises :class:`DivergenceError` naming the first subdomain, in
+    sweep order, whose gathered values or states are not finite.
+
+    In the first sweep a row fed by an earlier subdomain gets that donor's
+    new state and a row fed by a later one its window-start state. Given a
     :class:`LateRowHistory` ``history``, built on ``plan``, the latter rows
     get its extrapolation instead; later sweeps always impose the gathered
     values.
