@@ -67,8 +67,8 @@ class ImplicitEulerStepper:
             raise ConfigurationError(f"time step must be > 0, got {dt}")
         self.system = system
         self.dt = float(dt)
+        # A sum of sparse matrices is canonical: no duplicate entries.
         matrix = (system.M + self.dt * system.A_II).tocoo()
-        matrix.sum_duplicates()
         offset = matrix.row - matrix.col
         # ``initial``: a matrix with no stored entry has bandwidth 0.
         kl = int(np.max(offset, initial=0))
