@@ -11,8 +11,13 @@ it vanishes for a steady trace, and it is what keeps a subdomain step
 identical to the matching rows of a monolithic step. ``M + dt * A_II`` is
 factored once per stepper and reused for every step at that ``dt``: by
 LAPACK's band LU when its half-bandwidth is at most :data:`BAND_LIMIT`, by
-SuperLU otherwise. :meth:`ImplicitEulerStepper.solve` serves both, for one
-right-hand side or a matrix of them.
+SuperLU otherwise. The symmetric part of these matrices is positive
+definite, and on every system of the study band LU makes no row
+interchange, so the stepper keeps its factors as two band triangles and a
+solve is two triangular band solves; a band LU that does interchange rows
+falls back to SuperLU.
+:meth:`ImplicitEulerStepper.solve` serves both, for one right-hand side or
+a matrix of them.
 
 The right-hand side apart from the load is one sparse product,
 
@@ -25,20 +30,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dtbtrs
 from scipy.sparse import hstack
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, FactorizationError
 
 #: Widest half-bandwidth of ``M + dt * A_II`` factored by band LU. Solve
-#: time of band LU over SuperLU's on Q1 systems (2 cores, best of 5), by
-#: half-bandwidth: 16 0.53, 28 0.64, 37 0.58, 50 0.74, 55 0.87, 100 2.13;
-#: band factorization is 2-14x faster throughout. At this limit the default
-#: quadrants (27) and strips (15-16) go banded, while the nx = 50 reference
-#: (50), which times the study, and every nx = 100 system (>= 54) stay on
-#: SuperLU.
-BAND_LIMIT = 40
+#: time in us on Q1 systems (2 cores, one BLAS thread, best of 7), SuperLU
+#: (MMD_AT_PLUS_A) against the two band triangles, by half-bandwidth: 27
+#: 24.9 / 10.2, 50 80.4 / 36.7, 100 352 / 250, 110 445 / 315, 120 545 / 647,
+#: 150 845 / 1765 (README, "Numerics"). At this limit every study system
+#: goes banded, the nx = 100 reference (100) included.
+BAND_LIMIT = 100
 
 
 @dataclass
@@ -73,24 +77,33 @@ class ImplicitEulerStepper:
         # ``initial``: a matrix with no stored entry has bandwidth 0.
         kl = int(np.max(offset, initial=0))
         ku = int(np.max(-offset, initial=0))
+        n = matrix.shape[0]
+        self._triangles = None
         failure = None
         if max(kl, ku) <= BAND_LIMIT:
-            # LAPACK band storage, with kl extra rows for the pivoting fill.
-            ab = np.zeros((2 * kl + ku + 1, matrix.shape[0]))
+            # LAPACK band storage, with kl extra rows for the pivoting fill;
+            # Fortran order, so that dgbtrf factors it in place.
+            ab = np.zeros((2 * kl + ku + 1, n), order="F")
             ab[kl + ku + offset, matrix.col] = matrix.data
             lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-            self._band = (lu, kl, ku, piv)
             if info > 0:
                 failure = f"band LU pivot {info - 1} is zero"
-        else:
-            self._band = None
+            elif np.array_equal(piv, np.arange(n)):
+                # No row interchange, so no fill: the unit lower triangle
+                # (kl subdiagonals) and the upper one (ku superdiagonals),
+                # each in triangular band storage, are the whole factor.
+                self._triangles = (np.asfortranarray(lu[kl + ku:]),
+                                   np.asfortranarray(lu[kl:kl + ku + 1]))
+        if self._triangles is None and failure is None:
             try:
-                self._lu = splu(matrix.tocsc())
+                # Beyond BAND_LIMIT this ordering solves 1.2-1.7x and
+                # factors about 2x faster than SuperLU's default COLAMD.
+                self._lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 failure = exc
         if failure is not None:
             raise FactorizationError(
-                f"implicit Euler matrix of size {matrix.shape[0]} is "
+                f"implicit Euler matrix of size {n} is "
                 f"singular at dt={dt}: {failure}")
         # One operator for the whole right-hand side but the load: a single
         # sparse product per step instead of one per term, which dominated
@@ -101,11 +114,17 @@ class ImplicitEulerStepper:
         self._load_vec = None
 
     def solve(self, rhs):
-        """``(M + dt * A_II)^-1 rhs`` for a vector or a matrix of columns."""
-        if self._band is None:
+        """``(M + dt * A_II)^-1 rhs`` for a vector or a matrix of columns,
+        as a new array; ``rhs`` is only read."""
+        if self._triangles is None:
             return self._lu.solve(rhs)
-        lu, kl, ku, piv = self._band
-        return dgbtrs(lu, kl, ku, rhs, piv)[0]
+        if rhs.size == 0:
+            # scipy's dtbtrs wrapper corrupts the heap on an empty matrix
+            # of right-hand sides (a subdomain with no Gamma values).
+            return np.zeros(rhs.shape)
+        lower, upper = self._triangles
+        y = dtbtrs(lower, rhs, uplo="L", diag="U")[0]
+        return dtbtrs(upper, y, overwrite_b=True)[0]
 
     def _scaled_load(self, t):
         # One-slot cache of dt * F(t): within a Schwarz window the same

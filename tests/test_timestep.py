@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from cdrschwarz import timestep
+from cdrschwarz import driver, timestep
+from cdrschwarz.config import parse_config
 from cdrschwarz.errors import ConfigurationError, FactorizationError
 from cdrschwarz.fem import CdrParams, SemiDiscreteSystem, assemble
 from cdrschwarz.mesh import Rect, build_mesh
@@ -274,7 +276,7 @@ def test_band_and_sparse_factorizations_agree(monkeypatch):
     band = ImplicitEulerStepper(system, 0.05)
     monkeypatch.setattr(timestep, "BAND_LIMIT", -1)
     sparse = ImplicitEulerStepper(system, 0.05)
-    assert band._band is not None and sparse._band is None
+    assert band._triangles is not None and sparse._triangles is None
     rng = np.random.default_rng(2)
     n = system.n_interior
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 4))):
@@ -288,3 +290,111 @@ def test_band_and_sparse_factorizations_agree(monkeypatch):
     want = sparse.step(v0, g1, 0.05, g0)
     np.testing.assert_allclose(band.step(v0, g1, 0.05, g0), want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
+
+
+def q1_system(nx=9, ny=7):
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), nx, ny)
+    return assemble(mesh, CdrParams(eps=0.05, sigma=0.2, b=(0.7, -0.3)))
+
+
+def matrix_system(dense):
+    n = dense.shape[0]
+    return SemiDiscreteSystem(
+        M=csr_matrix(dense),
+        A_II=csr_matrix((n, n)),
+        A_IB=csr_matrix((n, 0)),
+        M_IB=csr_matrix((n, 0)),
+        interior_map=np.arange(n),
+        boundary_map=np.array([], dtype=np.int64),
+        load=lambda t: np.zeros(n))
+
+
+def band_lu(matrix):
+    """LAPACK band LU of a sparse matrix: ``(lu, piv, info, kl, ku)``."""
+    matrix = matrix.tocoo()
+    offset = matrix.row - matrix.col
+    kl, ku = int(offset.max()), int(-offset.min())
+    ab = np.zeros((2 * kl + ku + 1, matrix.shape[0]))
+    ab[kl + ku + offset, matrix.col] = matrix.data
+    return dgbtrf(ab, kl, ku) + (kl, ku)
+
+
+def test_triangle_solves_are_bitwise_band_lu():
+    # The two triangular band solves against LAPACK's band LU solve of the
+    # same factorization, which made no row interchange.
+    system = q1_system()
+    stepper = ImplicitEulerStepper(system, 0.05)
+    assert stepper._triangles is not None
+    lu, piv, info, kl, ku = band_lu(system.M + 0.05 * system.A_II)
+    assert info == 0 and np.array_equal(piv, np.arange(system.n_interior))
+    rng = np.random.default_rng(4)
+    for rhs in (rng.standard_normal(system.n_interior),
+                rng.standard_normal((system.n_interior, 4))):
+        got = stepper.solve(rhs)
+        assert got.shape == rhs.shape
+        assert np.array_equal(got, dgbtrs(lu, kl, ku, rhs, piv)[0])
+
+
+def test_row_interchange_takes_the_sparse_path():
+    # A tiny leading diagonal makes band LU swap rows 0 and 1: the stepper
+    # then factors by SuperLU, and still solves the system.
+    n = 8
+    rng = np.random.default_rng(6)
+    dense = (4.0 * np.eye(n) + np.diag(rng.uniform(0.5, 1.5, n - 1), 1)
+             + np.diag(rng.uniform(0.5, 1.5, n - 1), -1))
+    dense[0, 0] = 1e-8
+    _, piv, info, _, _ = band_lu(csr_matrix(dense))
+    assert info == 0 and piv[0] == 1
+    stepper = ImplicitEulerStepper(matrix_system(dense), 1.0)
+    assert stepper._triangles is None
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        want = np.linalg.solve(dense, rhs)
+        np.testing.assert_allclose(stepper.solve(rhs), want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("band_limit", [timestep.BAND_LIMIT, -1])
+def test_solve_returns_a_new_array(monkeypatch, band_limit):
+    # Solver states are replaced, never written in place, so a solve must
+    # leave its right-hand side as it found it, on either path.
+    monkeypatch.setattr(timestep, "BAND_LIMIT", band_limit)
+    system = q1_system()
+    stepper = ImplicitEulerStepper(system, 0.05)
+    assert (stepper._triangles is None) == (band_limit < 0)
+    rng = np.random.default_rng(8)
+    for rhs in (rng.standard_normal(system.n_interior),
+                np.asfortranarray(rng.standard_normal((system.n_interior, 4)))):
+        kept = rhs.copy()
+        got = stepper.solve(rhs)
+        assert not np.shares_memory(got, rhs)
+        assert np.array_equal(rhs, kept)
+    # A subdomain with no Gamma values has an empty Gamma response.
+    assert stepper.solve(np.zeros((system.n_interior, 0))).shape == (
+        system.n_interior, 0)
+
+
+STRIPS = ((0.0, 0.30), (0.22, 0.54), (0.46, 0.78), (0.70, 1.0))
+
+
+@pytest.mark.parametrize("lines", [
+    (),
+    ("decomposition.layout = custom", "decomposition.count = 4")
+    + tuple(f"subdomain.{k + 1}.rect = {x0},{x1},0,1"
+            for k, (x0, x1) in enumerate(STRIPS)),
+], ids=["default", "strips"])
+def test_study_systems_factor_without_row_interchange(tmp_path, lines):
+    # The FE reference and every subdomain system of the default study and
+    # of the four-strip layout take the two-triangle path: band LU within
+    # BAND_LIMIT and no row interchange. Pivoting would send them to
+    # SuperLU, about twice as slow per solve.
+    path = tmp_path / "study.cfg"
+    path.write_text("".join(line + "\n" for line in lines))
+    cfg = parse_config(str(path))
+    params = cfg.params()
+    systems = [assemble(driver.build_global_mesh(cfg), params)]
+    config = cfg.schwarz_config(force_model="fe")
+    systems += [assemble(mesh, params)
+                for mesh in build_interfaces(config).meshes]
+    assert len(systems) == 5
+    for system in systems:
+        assert ImplicitEulerStepper(system, cfg.dt)._triangles is not None
