@@ -32,6 +32,19 @@ def scalar_system(m=1.0, a=0.5, load=None):
         load=load)
 
 
+def matrix_system(dense):
+    """System ``dense * v' = 0`` with no boundary nodes."""
+    n = dense.shape[0]
+    return SemiDiscreteSystem(
+        M=csr_matrix(dense),
+        A_II=csr_matrix((n, n)),
+        A_IB=csr_matrix((n, 0)),
+        M_IB=csr_matrix((n, 0)),
+        interior_map=np.arange(n),
+        boundary_map=np.array([], dtype=np.int64),
+        load=lambda t: np.zeros(n))
+
+
 def test_scalar_step_closed_form():
     # (1 + dt * 0.5) v1 = v0  =>  v1 = 2/3 at dt = 1.
     stepper = ImplicitEulerStepper(scalar_system(), 1.0)
@@ -236,16 +249,8 @@ def test_validation_errors():
 
 
 def test_singular_matrix_raises_factorization_error():
-    system = SemiDiscreteSystem(
-        M=csr_matrix((1, 1)),
-        A_II=csr_matrix((1, 1)),
-        A_IB=csr_matrix((1, 0)),
-        M_IB=csr_matrix((1, 0)),
-        interior_map=np.array([0]),
-        boundary_map=np.array([], dtype=np.int64),
-        load=lambda t: np.zeros(1))
     with pytest.raises(FactorizationError):
-        ImplicitEulerStepper(system, 1.0)
+        ImplicitEulerStepper(matrix_system(np.zeros((1, 1))), 1.0)
 
 
 def test_singular_narrow_band_matrix_raises_factorization_error():
@@ -253,16 +258,8 @@ def test_singular_narrow_band_matrix_raises_factorization_error():
     n = 6
     dense = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
     dense[2] = 0.0
-    system = SemiDiscreteSystem(
-        M=csr_matrix(dense),
-        A_II=csr_matrix((n, n)),
-        A_IB=csr_matrix((n, 0)),
-        M_IB=csr_matrix((n, 0)),
-        interior_map=np.arange(n),
-        boundary_map=np.array([], dtype=np.int64),
-        load=lambda t: np.zeros(n))
     with pytest.raises(FactorizationError, match="band LU"):
-        ImplicitEulerStepper(system, 1.0)
+        ImplicitEulerStepper(matrix_system(dense), 1.0)
 
 
 def test_band_and_sparse_factorizations_agree(monkeypatch):
@@ -295,18 +292,6 @@ def test_band_and_sparse_factorizations_agree(monkeypatch):
 def q1_system(nx=9, ny=7):
     mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), nx, ny)
     return assemble(mesh, CdrParams(eps=0.05, sigma=0.2, b=(0.7, -0.3)))
-
-
-def matrix_system(dense):
-    n = dense.shape[0]
-    return SemiDiscreteSystem(
-        M=csr_matrix(dense),
-        A_II=csr_matrix((n, n)),
-        A_IB=csr_matrix((n, 0)),
-        M_IB=csr_matrix((n, 0)),
-        interior_map=np.arange(n),
-        boundary_map=np.array([], dtype=np.int64),
-        load=lambda t: np.zeros(n))
 
 
 def band_lu(matrix):
