@@ -33,15 +33,37 @@ ZERO_NORM_FLOOR = 1e-14
 #: Default regularization grid: unregularized plus a log sweep of [1e-6, 1].
 DEFAULT_LAMBDA_GRID = (0.0,) + tuple(np.logspace(-6.0, 0.0, 13))
 
+#: Columns per block when a history is stitched, scored or lifted a block
+#: of times at a time, so that no whole-history temporary is built.
+BLOCK_COLUMNS = 64
+
 
 # ---------------------------------------------------------------------------
 # Error metric
 # ---------------------------------------------------------------------------
 
+def column_blocks(n):
+    """``(start, stop)`` of consecutive blocks of at most
+    :data:`BLOCK_COLUMNS` columns covering ``n``.
+
+    No block is a single column unless ``n`` is 1: numpy sums the rows of a
+    lone column pairwise, but those of a wider block, or of a whole history,
+    one after another, so norms taken block by block equal the whole
+    history's bitwise.
+    """
+    bounds = list(range(0, n, BLOCK_COLUMNS)) + [n]
+    if n > 1 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _coerce_history(obj):
-    """Accept a Trajectory, a (times, states) pair, or a bare states array."""
+    """Accept a Trajectory, a :class:`StitchedHistory`, a (times, states)
+    pair, or a bare states array."""
     if isinstance(obj, Trajectory):
         return obj.times, obj.states
+    if isinstance(obj, StitchedHistory):
+        return obj.times, obj
     if isinstance(obj, tuple) and len(obj) == 2:
         return np.asarray(obj[0], dtype=float), np.asarray(obj[1], dtype=float)
     return None, np.asarray(obj, dtype=float)
@@ -64,8 +86,22 @@ def error_metric_detail(model, reference):
     if t_m is not None and t_r is not None:
         if t_m.shape != t_r.shape or np.max(np.abs(t_m - t_r)) > 1e-9:
             raise ConfigurationError("trajectory time grids differ")
-    return _mean_relative(np.linalg.norm(u_m - u_r, axis=0),
-                          np.linalg.norm(u_r, axis=0))
+    return _mean_relative(*_column_norms(u_m, u_r))
+
+
+def _column_norms(u_m, u_r):
+    """Per-time L2 norms of ``u_m - u_r`` and of ``u_r``, a block of
+    columns at a time; bitwise those of ``np.linalg.norm(x, axis=0)``."""
+    diff_sq = np.empty(u_r.shape[1])
+    ref_sq = np.empty(u_r.shape[1])
+    for a, b in column_blocks(u_r.shape[1]):
+        r = u_r[:, a:b]
+        d = (u_m.columns(a, b) if isinstance(u_m, StitchedHistory)
+             else u_m[:, a:b]) - r
+        d *= d
+        diff_sq[a:b] = np.add.reduce(d, axis=0)
+        ref_sq[a:b] = np.add.reduce(r * r, axis=0)
+    return np.sqrt(diff_sq), np.sqrt(ref_sq)
 
 
 def _mean_relative(diff, ref):
@@ -103,21 +139,39 @@ def nodal_history(owner, trajectory):
     return full
 
 
+class StitchedHistory:
+    """A coupled run's history on a global mesh, stitched on demand from
+    the run's coordinates, a column or a block of columns at a time, so
+    that it is never held whole."""
+
+    def __init__(self, run, global_mesh):
+        self.times = run.times
+        self.shape = (global_mesh.n_nodes, run.times.shape[0])
+        self._plan = StitchPlan(run.config, global_mesh, run.solvers)
+        self._coordinates = run.coordinates
+
+    def column(self, j):
+        """The stitched field at ``times[j]``."""
+        return self._plan.apply(self._coordinates[:, j])
+
+    def columns(self, a, b):
+        """The stitched fields at ``times[a:b]``, one per column."""
+        return self._plan.apply(self._coordinates[:, a:b])
+
+
 def stitch_history(run, global_mesh):
-    """Stitch a coupled run's per-subdomain histories onto a global mesh."""
-    plan = StitchPlan(run.config, global_mesh, run.meshes)
-    fields = [nodal_history(s, traj)
-              for s, traj in zip(run.solvers, run.trajectories)]
-    return plan.apply(fields)
+    """A coupled run's whole history stitched onto a global mesh."""
+    return StitchedHistory(run, global_mesh).columns(0, run.times.shape[0])
 
 
 def _export_stitched_fields(cfg, stitched, global_mesh, out_dir, prefix):
-    """Write the columns of a stitched history at the output field times."""
+    """Write the fields of a :class:`StitchedHistory` at the output field
+    times."""
     os.makedirs(out_dir, exist_ok=True)
     for t in cfg.resolved_field_times():
         matio.export_field_csv(
             os.path.join(out_dir, f"{prefix}_field_t{t:g}.csv"),
-            global_mesh, stitched[:, n_steps_for(0.0, t, cfg.dt)])
+            global_mesh, stitched.column(n_steps_for(0.0, t, cfg.dt)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +228,7 @@ def cmd_run_schwarz(cfg, out_dir=None):
     run = run_coupled(cfg.schwarz_config(force_model="fe"), cfg.params())
     if out_dir is not None:
         global_mesh = build_global_mesh(cfg)
-        _export_stitched_fields(cfg, stitch_history(run, global_mesh),
+        _export_stitched_fields(cfg, StitchedHistory(run, global_mesh),
                                 global_mesh, out_dir, "schwarz")
     return run
 
@@ -390,7 +444,7 @@ def cmd_run_hybrid(cfg, out_dir=None, *, trained):
     run = run_coupled(cfg.schwarz_config(), cfg.params(), trained)
     if out_dir is not None:
         global_mesh = build_global_mesh(cfg)
-        _export_stitched_fields(cfg, stitch_history(run, global_mesh),
+        _export_stitched_fields(cfg, StitchedHistory(run, global_mesh),
                                 global_mesh, out_dir, "hybrid")
     return run
 
@@ -509,7 +563,8 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
     solve_seconds = time.perf_counter() - t1
 
     nodal = np.empty((fom.mesh.n_nodes, n_t))
-    nodal[system.interior_map] = basis.Psi @ reduced
+    for a, b in column_blocks(n_t):
+        nodal[system.interior_map, a:b] = basis.Psi @ reduced[:, a:b]
     nodal[system.boundary_map] = traces
     result = MonoOpinfResult(
         basis=basis, ops=ops, lam=lam, grid=grid, grid_errors=grid_errors,
@@ -636,18 +691,19 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     fom = cmd_run_fom(cfg, out_dir=out_dir)
     ref = (fom.trajectory.times, fom.nodal_states)
 
-    # Each coupled run is stitched once, for its error and its field files.
+    # Each coupled run is kept once, as its coordinates, and stitched from
+    # them a block of columns at a time for its error and a column at a
+    # time for its field files; no whole stitched history is built.
     schwarz_run = cmd_run_schwarz(cfg)
-    schwarz_hist = (schwarz_run.times, stitch_history(schwarz_run,
-                                                      global_mesh))
+    schwarz_hist = StitchedHistory(schwarz_run, global_mesh)
     if out_dir is not None:
-        _export_stitched_fields(cfg, schwarz_hist[1], global_mesh, out_dir,
+        _export_stitched_fields(cfg, schwarz_hist, global_mesh, out_dir,
                                 "schwarz")
     training = cmd_train(cfg, out_dir=out_dir)
     hybrid_run = cmd_run_hybrid(cfg, trained=training.trained)
-    hybrid_hist = (hybrid_run.times, stitch_history(hybrid_run, global_mesh))
+    hybrid_hist = StitchedHistory(hybrid_run, global_mesh)
     if out_dir is not None:
-        _export_stitched_fields(cfg, hybrid_hist[1], global_mesh, out_dir,
+        _export_stitched_fields(cfg, hybrid_hist, global_mesh, out_dir,
                                 "hybrid")
     mono = cmd_run_mono_opinf(cfg, out_dir=out_dir, fom=fom,
                               lambda_grid=lambda_grid)

@@ -64,9 +64,18 @@ visited one at a time through this protocol:
   row slice of it times those coordinates, and a reduced donor is sampled
   without lifting its state.
 - ``lift(states)``: interior nodal values of ``state`` columns.
-  :func:`run_coupled` records ``state`` columns and lifts each history
-  once, after the last window, for a :class:`StitchPlan` to average onto
-  the global mesh; ``full_field()`` lifts the current state on demand.
+  :func:`run_coupled` records one history, ``RunResult.coordinates``, in
+  the plan's coordinates ``[state; g_cur]`` of every solver, and lifts a
+  reduced solver's rows of it once, after the last window, into that
+  solver's trajectory; a finite element trajectory is a row view of it.
+  ``full_field()`` lifts the current state on demand.
+
+A :class:`StitchPlan` averages the record onto a global mesh without
+lifting it: each solver's interpolation onto the global nodes it covers
+goes through its ``coordinate_operator``, and the pieces are stacked, as
+in the :class:`GatherPlan`, into one CSR operator from the coordinates
+to the global nodes with the overlap average folded in, which stitches
+one column of the record or a block of columns per product.
 
 A :class:`RomSubdomainSolver` in a block is never visited on its own: the
 block reads its propagators and the plan's operator to compose the map,
@@ -255,6 +264,35 @@ def build_interfaces(config):
     return InterfaceTable(entries=tuple(entries), meshes=meshes)
 
 
+def coordinate_columns(solvers):
+    """Offsets of each solver's coordinates ``[state; g_cur]`` in their
+    concatenation: solver ``k``'s are ``columns[k]:columns[k + 1]``."""
+    return np.concatenate(([0], np.cumsum(
+        [s.state.shape[0] + s.g_cur.shape[0] for s in solvers])))
+
+
+def _stack_rows(pieces, shape):
+    """One CSR matrix of ``shape`` from ``(rows, block, column)`` pieces:
+    row ``k`` of ``block``, a sparse or dense matrix, lands in row
+    ``rows[k]``, its columns shifted by ``column``."""
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, data = [empty], [empty], [np.zeros(0)]
+    for idx, block, column in pieces:
+        block = csr_matrix(block)
+        rows.append(np.repeat(idx, np.diff(block.indptr)))
+        cols.append(block.indices + column)
+        data.append(block.data)
+    # A stable sort by row keeps each row's entries in the order its piece
+    # gave them, which is the order the product sums them in.
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(
+        np.bincount(rows, minlength=shape[0]))))
+    return csr_matrix(
+        (np.concatenate(data)[order], np.concatenate(cols)[order], indptr),
+        shape=shape)
+
+
 class GatherPlan:
     """One sparse sampling operator for every receiver's Gamma values.
 
@@ -279,29 +317,19 @@ class GatherPlan:
         #: The donor of each row of the concatenated Gamma values.
         self.donors = np.concatenate([e.donors for e in table.entries])
         #: Solver ``k``'s coordinates are ``columns[k]:columns[k + 1]``.
-        self.columns = np.concatenate(([0], np.cumsum(
-            [s.state.shape[0] + s.g_cur.shape[0] for s in solvers])))
-        empty = np.zeros(0, dtype=np.int64)
-        rows, cols, data = [empty], [empty], [np.zeros(0)]
+        self.columns = coordinate_columns(solvers)
+        pieces = []
         for i, entry in enumerate(table.entries):
             for j in sorted(set(entry.donors.tolist())):
                 idx = np.flatnonzero(entry.donors == j)
-                block = csr_matrix(solvers[j].coordinate_operator(
-                    table.meshes[j].interpolation_matrix(
-                        entry.gamma_points[idx])))
-                rows.append(np.repeat(self.offsets[i] + idx,
-                                      np.diff(block.indptr)))
-                cols.append(block.indices + self.columns[j])
-                data.append(block.data)
-        # A stable sort by row keeps each row's entries in the order its
-        # donor gave them, which is the order the product sums them in.
-        rows = np.concatenate(rows)
-        order = np.argsort(rows, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(
-            np.bincount(rows, minlength=int(self.offsets[-1])))))
-        self.operator = csr_matrix(
-            (np.concatenate(data)[order], np.concatenate(cols)[order], indptr),
-            shape=(int(self.offsets[-1]), int(self.columns[-1])))
+                pieces.append((
+                    self.offsets[i] + idx,
+                    solvers[j].coordinate_operator(
+                        table.meshes[j].interpolation_matrix(
+                            entry.gamma_points[idx])),
+                    self.columns[j]))
+        self.operator = _stack_rows(
+            pieces, (int(self.offsets[-1]), int(self.columns[-1])))
         self._rows = [self.operator[a:b]
                       for a, b in zip(self.offsets[:-1], self.offsets[1:])]
         #: The sweep in order: subdomain indices visited one at a time and a
@@ -334,9 +362,10 @@ class LateRowHistory:
     late row there at once, keeps the samples of the last
     ``PREDICTOR_DEPTH + 1`` window starts, and predicts each row by the
     polynomial through them, evaluated at the window end; :meth:`impose`
-    hands a receiver its rows of that prediction. The anchors are sampled
-    donor states, never the imposed (predicted) values, so prediction
-    errors do not accumulate.
+    hands a :class:`ReducedBlock` its rows of that prediction, and
+    :meth:`first_gather` a receiver visited on its own its whole first-sweep
+    Gamma values. The anchors are sampled donor states, never the imposed
+    (predicted) values, so prediction errors do not accumulate.
     """
 
     def __init__(self, plan):
@@ -348,6 +377,20 @@ class LateRowHistory:
         self._sample = plan.operator[self._rows]
         self._anchors = np.empty((PREDICTOR_DEPTH + 1, self._rows.shape[0]))
         self._held = 0
+        # Per receiver visited on its own: its early rows (fed by an earlier
+        # donor) with their operator rows, and its late rows with their
+        # span of the prediction. Every Gamma row is one or the other.
+        bounds = np.searchsorted(self._rows, plan.offsets)
+        self._visits = {}
+        for i in plan.units:
+            if isinstance(i, ReducedBlock):
+                continue
+            lo, hi = plan.offsets[i], plan.offsets[i + 1]
+            early = np.flatnonzero(plan.donors[lo:hi] < i)
+            sample = plan.operator[lo + early] if early.size else None
+            self._visits[i] = (hi - lo, early, sample,
+                               self._rows[bounds[i]:bounds[i + 1]] - lo,
+                               slice(bounds[i], bounds[i + 1]))
 
     def start_window(self):
         """Sample every late row from the solvers' current, window-start
@@ -369,6 +412,19 @@ class LateRowHistory:
         ``lo:hi``, which ``vals`` holds, with their prediction."""
         a, b = np.searchsorted(self._rows, (lo, hi))
         vals[self._rows[a:b] - lo] = self._prediction[a:b]
+
+    def first_gather(self, i):
+        """Receiver ``i``'s Gamma values in a window's first sweep: rows fed
+        by an earlier donor gathered from the current coordinates, the late
+        rows predicted. Equal to :meth:`GatherPlan.gather` followed by
+        :meth:`impose`, without sampling the rows the prediction replaces.
+        """
+        n, early, sample, late, span = self._visits[i]
+        vals = np.empty(n)
+        if sample is not None:
+            vals[early] = sample @ self._plan.coordinates()
+        vals[late] = self._prediction[span]
+        return vals
 
 
 class _SubdomainSolverBase:
@@ -930,10 +986,11 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
                 checked.append(unit.states)
                 continue
             s = solvers[unit]
-            vals = plan.gather(unit)
+            if first and history is not None:
+                vals = history.first_gather(unit)
+            else:
+                vals = plan.gather(unit)
             if first:
-                if history is not None:
-                    history.impose(vals, offsets[unit], offsets[unit + 1])
                 s.restore_state(s._window_snapshot)
                 s.set_interface_values(vals)
                 s.advance_window(t_n)
@@ -959,9 +1016,16 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
 
 @dataclass
 class RunResult:
-    """Everything a coupled run produces, including phase timings."""
+    """Everything a coupled run produces, including phase timings.
+
+    ``coordinates`` is the run's one record: column ``j`` holds every
+    solver's ``[state; boundary trace]`` at ``times[j]``, solver ``k``'s in
+    the rows :attr:`GatherPlan.columns` gives it. A finite element
+    trajectory is a row view of it; a reduced one holds its lifted states.
+    """
 
     times: np.ndarray
+    coordinates: np.ndarray
     trajectories: List[timestep.Trajectory]
     iterations: np.ndarray
     window_converged: np.ndarray
@@ -1030,14 +1094,14 @@ def run_coupled(config, params, trained=None):
 
     n_steps = timestep.n_steps_for(0.0, config.t_end, config.dt)
     times = config.dt * np.arange(n_steps + 1)
-    # States are recorded in each solver's own coordinates and lifted to
+    # One record in the plan's coordinates: each solver's substep states in
+    # its own coordinates, then its traces. Reduced states are lifted to
     # interior nodal values once, after the last window.
-    states = [np.empty((s.state.shape[0], n_steps + 1)) for s in solvers]
-    traces = [np.empty((s.boundary_map.shape[0], n_steps + 1))
-              for s in solvers]
-    for i, s in enumerate(solvers):
-        states[i][:, 0] = s.state
-        traces[i][:, 0] = s.boundary_trace()
+    columns = plan.columns
+    coordinates = np.empty((int(columns[-1]), n_steps + 1))
+    coordinates[:, 0] = plan.coordinates()
+    rows = [(slice(a, a + s.state.shape[0]), slice(a + s.state.shape[0], b))
+            for s, a, b in zip(solvers, columns[:-1], columns[1:])]
 
     n_windows = config.n_windows
     iterations = np.zeros(n_windows, dtype=np.int64)
@@ -1052,16 +1116,17 @@ def run_coupled(config, params, trained=None):
         iterations[w] = iters
         window_converged[w] = ok
         lo = 1 + w * spw
-        for i, s in enumerate(solvers):
-            states[i][:, lo:lo + spw] = s.last_states
-            traces[i][:, lo:lo + spw] = s.last_traces
-    states = [s.lift(x) for s, x in zip(solvers, states)]
+        for s, (state_rows, trace_rows) in zip(solvers, rows):
+            coordinates[state_rows, lo:lo + spw] = s.last_states
+            coordinates[trace_rows, lo:lo + spw] = s.last_traces
+    states = [s.lift(coordinates[r]) for s, (r, _) in zip(solvers, rows)]
     solve_seconds = time.perf_counter() - t1
 
-    trajectories = [timestep.Trajectory(times=times.copy(), states=states[i],
-                                        boundary_traces=traces[i])
-                    for i in range(len(solvers))]
-    return RunResult(times=times, trajectories=trajectories,
+    trajectories = [timestep.Trajectory(times=times.copy(), states=x,
+                                        boundary_traces=coordinates[r])
+                    for x, (_, r) in zip(states, rows)]
+    return RunResult(times=times, coordinates=coordinates,
+                     trajectories=trajectories,
                      iterations=iterations, window_converged=window_converged,
                      timings={"setup_seconds": setup_seconds,
                               "solve_seconds": solve_seconds},
@@ -1069,39 +1134,39 @@ def run_coupled(config, params, trained=None):
 
 
 class StitchPlan:
-    """Precomputed overlap-averaging operators onto a global mesh."""
+    """One sparse averaging operator from a coupled run's coordinates onto
+    a global mesh.
 
-    def __init__(self, config, global_mesh, meshes):
+    Built like :class:`GatherPlan`: each subdomain's bilinear interpolation
+    onto the global nodes its rectangle covers goes through its solver's
+    :meth:`coordinate_operator`, and the pieces are stacked into one CSR
+    ``operator`` from the concatenated coordinates of ``solvers``, the rows
+    of :attr:`RunResult.coordinates`, to the global nodes, each row divided
+    by the number of subdomains covering its node. A reduced subdomain is
+    stitched through ``W_I Psi``, never lifted.
+    """
+
+    def __init__(self, config, global_mesh, solvers):
         pts = global_mesh.coords
         counts = np.zeros(pts.shape[0])
-        self._pieces = []
-        for spec, mesh in zip(config.subdomains, meshes):
-            covered = spec.rect.contains_points(pts)
-            idx = np.flatnonzero(covered)
-            matrix = mesh.interpolation_matrix(pts[idx])
-            self._pieces.append((idx, matrix))
+        columns = coordinate_columns(solvers)
+        pieces = []
+        for spec, s, column in zip(config.subdomains, solvers, columns):
+            idx = np.flatnonzero(spec.rect.contains_points(pts))
+            pieces.append((idx, s.coordinate_operator(
+                s.mesh.interpolation_matrix(pts[idx])), column))
             counts[idx] += 1.0
         if np.any(counts == 0.0):
             bad = int(np.flatnonzero(counts == 0.0)[0])
             raise ConfigurationError(
                 f"global node ({pts[bad, 0]}, {pts[bad, 1]}) is covered by "
                 f"no subdomain")
-        self._counts = counts
-        self.n_nodes = pts.shape[0]
+        self.operator = _stack_rows(pieces, (pts.shape[0], int(columns[-1])))
+        self.operator.data /= np.repeat(counts,
+                                        np.diff(self.operator.indptr))
 
-    def apply(self, fields):
-        """Average per-subdomain nodal fields node by node.
-
-        Accepts single fields ``(n_i,)`` or histories ``(n_i, n_t)`` with
-        one column per time.
-        """
-        first = np.asarray(fields[0])
-        if first.ndim == 1:
-            acc = np.zeros(self.n_nodes)
-            counts = self._counts
-        else:
-            acc = np.zeros((self.n_nodes, first.shape[1]))
-            counts = self._counts[:, None]
-        for (idx, matrix), f in zip(self._pieces, fields):
-            acc[idx] += matrix @ f
-        return acc / counts
+    def apply(self, coordinates):
+        """Stitched nodal values of the solvers' concatenated
+        ``coordinates``: one column ``(n_coords,)`` or a block of columns
+        ``(n_coords, n)``, one per time."""
+        return self.operator @ coordinates

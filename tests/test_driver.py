@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdrschwarz import cli, config, driver, kernels, matio
+from cdrschwarz import cli, config, driver, kernels, matio, schwarz
 from cdrschwarz.config import (RunConfig, corner_source, parse_config)
 from cdrschwarz.driver import (DEFAULT_LAMBDA_GRID, cmd_compare, cmd_run_fom,
                                cmd_run_hybrid, cmd_run_mono_opinf,
@@ -343,6 +343,16 @@ def test_field_csv_export(tmp_path):
         matio.export_field_csv(path, mesh, np.zeros(3))
 
 
+def test_field_csv_bytes_match_savetxt(tmp_path):
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 2, 1)
+    field = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -1.0 / 3.0])
+    path = tmp_path / "f.csv"
+    matio.export_field_csv(str(path), mesh, field)
+    np.savetxt(tmp_path / "g.csv", np.column_stack((mesh.coords, field)),
+               fmt="%.17g", delimiter=",", header="x,y,u", comments="")
+    assert path.read_bytes() == (tmp_path / "g.csv").read_bytes()
+
+
 def test_meta_round_trip(tmp_path):
     path = str(tmp_path / "meta.txt")
     matio.save_meta(path, {"r": 10, "lambda": 0.1, "note": "plain text"})
@@ -389,6 +399,19 @@ def test_error_metric_input_forms():
         error_metric(states[:, :4], states)
     with pytest.raises(ConfigurationError, match="time grids differ"):
         error_metric((times + 0.5, states), (times, states))
+
+
+@pytest.mark.parametrize("n_times", [1, 2, 63, 64, 65, 129, 1001])
+def test_blocked_norms_equal_whole_history_norms(n_times):
+    rng = np.random.default_rng(n_times)
+    model = rng.standard_normal((301, n_times)) * np.exp(
+        4.0 * rng.standard_normal((301, n_times)))
+    ref = rng.standard_normal((301, n_times))
+    assert all(b - a <= driver.BLOCK_COLUMNS
+               for a, b in driver.column_blocks(n_times))
+    diff, norms = driver._column_norms(model, ref)
+    np.testing.assert_array_equal(diff, np.linalg.norm(model - ref, axis=0))
+    np.testing.assert_array_equal(norms, np.linalg.norm(ref, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +486,44 @@ def test_compare_outputs_on_disk(small_out):
 def test_compare_field_files_hold_stitched_history(small_out, prefix):
     assert_field_files_hold(small_out["cfg"], small_out["out"], prefix,
                             small_out["runs"][prefix])
+
+
+def test_compare_stitches_a_block_at_a_time(tmp_path, monkeypatch):
+    cfg = small_cfg(t_end=1.0)
+    n_times = round(cfg.t_end / cfg.dt) + 1
+    assert n_times > driver.BLOCK_COLUMNS
+    widths, runs = [], {}
+    apply = schwarz.StitchPlan.apply
+
+    def recording_apply(self, coordinates):
+        widths.append(np.shape(coordinates)[1:])
+        return apply(self, coordinates)
+
+    def keeping(name, command):
+        def kept(*args, **kwargs):
+            runs[name] = command(*args, **kwargs)
+            return runs[name]
+        return kept
+
+    monkeypatch.setattr(schwarz.StitchPlan, "apply", recording_apply)
+    for name in ("cmd_run_fom", "cmd_run_schwarz", "cmd_run_hybrid"):
+        monkeypatch.setattr(driver, name, keeping(name, getattr(driver, name)))
+    report = cmd_compare(cfg, out_dir=str(tmp_path))
+    # Field files take single columns; each run's error takes every column
+    # once, in blocks of at most BLOCK_COLUMNS.
+    assert widths.count(()) == 2 * len(cfg.resolved_field_times())
+    assert all(w == () or w[0] <= driver.BLOCK_COLUMNS for w in widths)
+    assert sum(w[0] for w in widths if w) == 2 * n_times
+
+    # The blocked errors equal those of the whole stitched histories.
+    gm = driver.build_global_mesh(cfg)
+    fom = runs["cmd_run_fom"]
+    ref = (fom.trajectory.times, fom.nodal_states)
+    for model, name in zip(report.models, ("cmd_run_schwarz",
+                                           "cmd_run_hybrid")):
+        run = runs[name]
+        whole = (run.times, driver.stitch_history(run, gm))
+        assert model.error == error_metric_detail(whole, ref)[0]
 
 
 def test_compare_csv_round_trips_report(small_out):

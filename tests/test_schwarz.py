@@ -13,7 +13,7 @@ from cdrschwarz.schwarz import (PREDICTOR_DEPTH, FESubdomainSolver,
                                 RomSubdomainSolver, SchwarzConfig, StitchPlan,
                                 SubdomainSpec, build_interfaces,
                                 build_solvers, run_coupled, schwarz_window)
-from cdrschwarz.driver import cmd_train
+from cdrschwarz.driver import cmd_run_hybrid, cmd_train, nodal_history
 from cdrschwarz.rom import OpInfOperators, RomStepper, compute_pod
 from cdrschwarz.timestep import ImplicitEulerStepper, integrate
 
@@ -55,6 +55,37 @@ def make_rom_solver(config, params, table, i, r=4, seed=0):
     return RomSubdomainSolver(config.subdomains[i], mesh, params, config.dt,
                               config.steps_per_window,
                               table.entries[i].gamma_positions, basis, ops)
+
+
+def fe_solvers(config, params=None):
+    """Finite element solvers of ``config``'s subdomains with no Gamma rows,
+    so the subdomains need not overlap."""
+    params = params or CdrParams(eps=1.0, sigma=0.0, b=(0.0, 0.0))
+    return [FESubdomainSolver(spec, build_mesh(spec.rect, spec.nx, spec.ny),
+                              params, config.dt, 1, np.zeros(0, dtype=int))
+            for spec in config.subdomains]
+
+
+def fe_coordinates(solvers, fields):
+    """Nodal fields (or histories, one column per time) of finite element
+    solvers as their concatenated coordinates ``[state; g_cur]``."""
+    return np.concatenate([x for s, f in zip(solvers, fields)
+                           for x in (f[s.interior_map], f[s.boundary_map])])
+
+
+def per_piece_average(config, global_mesh, solvers, fields):
+    """Stitch nodal fields piece by piece: each subdomain's interpolation
+    onto the global nodes it covers, summed, then divided by the cover
+    count. The reference for :class:`StitchPlan`, which applies one
+    operator to the solvers' coordinates."""
+    pts = global_mesh.coords
+    acc = np.zeros((pts.shape[0],) + np.shape(fields[0])[1:])
+    counts = np.zeros(pts.shape[0])
+    for spec, s, f in zip(config.subdomains, solvers, fields):
+        idx = np.flatnonzero(spec.rect.contains_points(pts))
+        acc[idx] += s.mesh.interpolation_matrix(pts[idx]) @ f
+        counts[idx] += 1.0
+    return acc / counts.reshape((-1,) + (1,) * (acc.ndim - 1))
 
 
 class RecordingPlan(GatherPlan):
@@ -284,8 +315,8 @@ def test_wider_overlap_converges_faster():
 def test_converged_strips_match_monolithic_steady_solution():
     config, params, table, solvers = steady_strip_setup(overlap=0.2,
                                                         tol=1e-12)
-    iters, ok = schwarz_window(GatherPlan(table, solvers), 0.0,
-                               config.tol, config.max_iters)
+    plan = GatherPlan(table, solvers)
+    iters, ok = schwarz_window(plan, 0.0, config.tol, config.max_iters)
     assert ok
 
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 50, 50)
@@ -293,8 +324,8 @@ def test_converged_strips_match_monolithic_steady_solution():
     steady = np.zeros(global_mesh.n_nodes)
     steady[system.interior_map] = spsolve(system.A_II.tocsc(),
                                           system.load(0.0))
-    stitched = StitchPlan(config, global_mesh, table.meshes).apply(
-        [s.full_field() for s in solvers])
+    stitched = StitchPlan(config, global_mesh, solvers).apply(
+        plan.coordinates())
     assert np.max(np.abs(stitched - steady)) <= 1e-6
 
 
@@ -460,9 +491,8 @@ def test_coupled_error_scales_with_tolerance(tol):
                        lambda t: np.zeros(system.n_boundary))
     final = np.zeros(global_mesh.n_nodes)
     final[system.interior_map] = direct.states[:, -1]
-    # The solvers sit at t_end, so their current fields are the final states.
-    stitched = StitchPlan(config, global_mesh, run.meshes).apply(
-        [s.full_field() for s in run.solvers])
+    stitched = StitchPlan(config, global_mesh, run.solvers).apply(
+        run.coordinates[:, -1])
     assert np.max(np.abs(stitched - final)) <= 100.0 * tol
 
 
@@ -529,6 +559,8 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
             gathered = data(i, w)
             out = gathered.copy()
             history.impose(out, plan.offsets[i], plan.offsets[i + 1])
+            # A visited receiver's first gather samples only its early rows.
+            np.testing.assert_array_equal(history.first_gather(i), out)
             late = entry.donors > i
             np.testing.assert_array_equal(out[~late], gathered[~late])
             if w == 0:
@@ -577,28 +609,32 @@ def test_rows_from_earlier_donors_are_never_extrapolated():
     donors = table.entries[1].donors
     assert set(donors.tolist()) == {0, 2}
     solvers = build_solvers(config, table, params)
-    imposed = []
+    plan = GatherPlan(table, solvers)
+    history = LateRowHistory(plan)
+    # Each imposition on the middle strip, next to what a gather from the
+    # donors' current states would give it then. The first-sweep gather
+    # samples only the rows from earlier donors, so the expected values
+    # are gathered here.
+    imposed, gathered = [], []
     impose = solvers[1].set_interface_values
 
     def recording_impose(values):
         imposed.append(np.array(values))
+        gathered.append(plan.gather(1))
         impose(values)
 
     solvers[1].set_interface_values = recording_impose
-    plan = RecordingPlan(table, solvers)
-    history = LateRowHistory(plan)
     for w in range(config.n_windows):
-        plan.log.clear()
         imposed.clear()
+        gathered.clear()
         t_w = w * config.dt
         iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters,
                                    history)
         assert ok and iters >= 2
-        gathered = next(v for (i, v) in plan.log if i == 1)
         np.testing.assert_array_equal(imposed[0][donors == 0],
-                                      gathered[donors == 0])
+                                      gathered[0][donors == 0])
         if w > 0:
-            assert np.any(imposed[0][donors == 2] != gathered[donors == 2])
+            assert np.any(imposed[0][donors == 2] != gathered[0][donors == 2])
 
 
 def test_rom_solver_validates_shapes():
@@ -1094,25 +1130,30 @@ def test_segmented_relative_sup_change():
 def test_stitch_reproduces_constant_and_affine_fields():
     config = SchwarzConfig(subdomains=strip_specs(overlap=0.2, h=0.1),
                            dt=0.1, t_end=1.0)
-    meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in config.subdomains)
+    solvers = fe_solvers(config)
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 10, 10)
 
-    constants = [np.full(m.n_nodes, 4.5) for m in meshes]
-    plan = StitchPlan(config, global_mesh, meshes)
-    np.testing.assert_allclose(plan.apply(constants), 4.5, atol=1e-13)
+    constants = [np.full(s.mesh.n_nodes, 4.5) for s in solvers]
+    plan = StitchPlan(config, global_mesh, solvers)
+    np.testing.assert_allclose(plan.apply(fe_coordinates(solvers, constants)),
+                               4.5, atol=1e-13)
 
-    affine = [m.coords[:, 0] + 2.0 * m.coords[:, 1] for m in meshes]
+    affine = [s.mesh.coords[:, 0] + 2.0 * s.mesh.coords[:, 1]
+              for s in solvers]
     expected = global_mesh.coords[:, 0] + 2.0 * global_mesh.coords[:, 1]
-    np.testing.assert_allclose(plan.apply(affine), expected, atol=1e-13)
+    np.testing.assert_allclose(plan.apply(fe_coordinates(solvers, affine)),
+                               expected, atol=1e-13)
 
 
 def test_stitch_averages_overlap_disagreement():
     config = SchwarzConfig(subdomains=strip_specs(overlap=0.2, h=0.1),
                            dt=0.1, t_end=1.0)
-    meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in config.subdomains)
+    solvers = fe_solvers(config)
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 10, 10)
-    fields = [np.zeros(meshes[0].n_nodes), np.ones(meshes[1].n_nodes)]
-    stitched = StitchPlan(config, global_mesh, meshes).apply(fields)
+    fields = [np.zeros(solvers[0].mesh.n_nodes),
+              np.ones(solvers[1].mesh.n_nodes)]
+    stitched = StitchPlan(config, global_mesh, solvers).apply(
+        fe_coordinates(solvers, fields))
     x = global_mesh.coords[:, 0]
     np.testing.assert_allclose(stitched[x < 0.4 - 1e-12], 0.0, atol=1e-14)
     np.testing.assert_allclose(stitched[x > 0.6 + 1e-12], 1.0, atol=1e-14)
@@ -1123,22 +1164,42 @@ def test_stitch_averages_overlap_disagreement():
 def test_stitch_handles_time_histories():
     config = SchwarzConfig(subdomains=strip_specs(overlap=0.2, h=0.1),
                            dt=0.1, t_end=1.0)
-    meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in config.subdomains)
+    solvers = fe_solvers(config)
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 5, 5)
-    histories = [np.tile(m.coords[:, 0][:, None], (1, 3)) for m in meshes]
-    plan = StitchPlan(config, global_mesh, meshes)
-    out = plan.apply(histories)
+    histories = [np.tile(s.mesh.coords[:, 0][:, None], (1, 3))
+                 for s in solvers]
+    plan = StitchPlan(config, global_mesh, solvers)
+    coordinates = fe_coordinates(solvers, histories)
+    out = plan.apply(coordinates)
     assert out.shape == (global_mesh.n_nodes, 3)
     for j in range(3):
         np.testing.assert_allclose(out[:, j], global_mesh.coords[:, 0],
                                    atol=1e-13)
+        # A column alone stitches bitwise as within the block.
+        np.testing.assert_array_equal(plan.apply(coordinates[:, j]),
+                                      out[:, j])
 
 
 def test_stitch_rejects_uncovered_nodes():
     specs = (SubdomainSpec(Rect(0.0, 0.4, 0.0, 1.0), 4, 10),
              SubdomainSpec(Rect(0.6, 1.0, 0.0, 1.0), 4, 10))
     config = SchwarzConfig(subdomains=specs, dt=0.1, t_end=1.0)
-    meshes = tuple(build_mesh(s.rect, s.nx, s.ny) for s in specs)
     global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 10, 10)
     with pytest.raises(ConfigurationError, match="covered by no subdomain"):
-        StitchPlan(config, global_mesh, meshes)
+        StitchPlan(config, global_mesh, fe_solvers(config))
+
+
+def test_stitch_of_hybrid_coordinates_matches_per_piece_average():
+    # Reduced subdomains are stitched through W_I Psi on their reduced
+    # coordinates, finite element ones through their nodal values.
+    cfg = small_cfg(t_end=0.2)
+    training = cmd_train(cfg)
+    run = cmd_run_hybrid(cfg, trained=training.trained)
+    assert any(isinstance(s, RomSubdomainSolver) for s in run.solvers)
+    global_mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), cfg.nx, cfg.ny)
+    want = per_piece_average(
+        run.config, global_mesh, run.solvers,
+        [nodal_history(s, t) for s, t in zip(run.solvers, run.trajectories)])
+    got = StitchPlan(run.config, global_mesh, run.solvers).apply(
+        run.coordinates)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
