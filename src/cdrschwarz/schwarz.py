@@ -1020,8 +1020,10 @@ class RunResult:
 
     ``coordinates`` is the run's one record: column ``j`` holds every
     solver's ``[state; boundary trace]`` at ``times[j]``, solver ``k``'s in
-    the rows :attr:`GatherPlan.columns` gives it. A finite element
-    trajectory is a row view of it; a reduced one holds its lifted states.
+    rows ``columns[k]:columns[k + 1]`` of ``columns =
+    coordinate_columns(solvers)``, the run's :attr:`GatherPlan.columns`. A
+    finite element trajectory is a row view of it; a reduced one holds its
+    lifted states.
     """
 
     times: np.ndarray
