@@ -6,6 +6,11 @@ training of per-subdomain reduced operators from a short coupled run, the
 hybrid (FE + reduced) coupled run, and a monolithic reduced model trained on
 the reference snapshots. ``cmd_compare`` runs all of them and produces a
 three-model table of solve times and errors against the reference.
+
+Every history the study scores or exports is one :class:`NodalHistory`,
+read a block of columns at a time: a coupled run is stitched from its
+coordinates, the reference merged from its interior states and boundary
+traces, and only the monolithic reduced model is held as a nodal array.
 """
 
 import os
@@ -57,47 +62,33 @@ def column_blocks(n):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _coerce_history(obj):
-    """Accept a Trajectory, a :class:`StitchedHistory`, a (times, states)
-    pair, or a bare states array."""
-    if isinstance(obj, Trajectory):
-        return obj.times, obj.states
-    if isinstance(obj, StitchedHistory):
-        return obj.times, obj
-    if isinstance(obj, tuple) and len(obj) == 2:
-        return np.asarray(obj[0], dtype=float), np.asarray(obj[1], dtype=float)
-    return None, np.asarray(obj, dtype=float)
-
-
 def error_metric_detail(model, reference):
     """Error value plus degeneracy bookkeeping.
 
-    Returns ``(value, used_absolute, n_skipped)``: the time-averaged
-    relative L2 error over the shared grid, skipping times where the
-    reference norm is below ``ZERO_NORM_FLOOR``. A reference that is zero
-    at every time has no relative scale, so the mean absolute L2 error is
-    returned with ``used_absolute`` set.
+    ``model`` and ``reference`` are :class:`NodalHistory` objects. Returns
+    ``(value, used_absolute, n_skipped)``: the time-averaged relative L2
+    error over the shared grid, skipping times where the reference norm is
+    below ``ZERO_NORM_FLOOR``. A reference that is zero at every time has no
+    relative scale, so the mean absolute L2 error is returned with
+    ``used_absolute`` set.
     """
-    t_m, u_m = _coerce_history(model)
-    t_r, u_r = _coerce_history(reference)
-    if u_m.shape != u_r.shape:
+    if model.shape != reference.shape:
         raise ConfigurationError(
-            f"trajectory shapes differ: {u_m.shape} vs {u_r.shape}")
-    if t_m is not None and t_r is not None:
-        if t_m.shape != t_r.shape or np.max(np.abs(t_m - t_r)) > 1e-9:
-            raise ConfigurationError("trajectory time grids differ")
-    return _mean_relative(*_column_norms(u_m, u_r))
+            f"trajectory shapes differ: {model.shape} vs {reference.shape}")
+    if np.max(np.abs(model.times - reference.times)) > 1e-9:
+        raise ConfigurationError("trajectory time grids differ")
+    return _mean_relative(*_column_norms(model, reference))
 
 
-def _column_norms(u_m, u_r):
-    """Per-time L2 norms of ``u_m - u_r`` and of ``u_r``, a block of
-    columns at a time; bitwise those of ``np.linalg.norm(x, axis=0)``."""
-    diff_sq = np.empty(u_r.shape[1])
-    ref_sq = np.empty(u_r.shape[1])
-    for a, b in column_blocks(u_r.shape[1]):
-        r = u_r[:, a:b]
-        d = (u_m.columns(a, b) if isinstance(u_m, StitchedHistory)
-             else u_m[:, a:b]) - r
+def _column_norms(model, reference):
+    """Per-time L2 norms of ``model - reference`` and of ``reference``, two
+    :class:`NodalHistory` objects, a block of columns at a time; bitwise
+    those of ``np.linalg.norm(x, axis=0)`` of the whole histories."""
+    diff_sq = np.empty(reference.shape[1])
+    ref_sq = np.empty(reference.shape[1])
+    for a, b in column_blocks(reference.shape[1]):
+        r = reference.columns(a, b)
+        d = model.columns(a, b) - r
         d *= d
         diff_sq[a:b] = np.add.reduce(d, axis=0)
         ref_sq[a:b] = np.add.reduce(r * r, axis=0)
@@ -115,7 +106,7 @@ def _mean_relative(diff, ref):
 
 
 def error_metric(model, reference):
-    """Time-averaged relative L2 error of a trajectory against a reference."""
+    """Time-averaged relative L2 error of a history against a reference."""
     return error_metric_detail(model, reference)[0]
 
 
@@ -127,45 +118,59 @@ def build_global_mesh(cfg):
     return build_mesh(GLOBAL_RECT, cfg.nx, cfg.ny)
 
 
-def nodal_history(owner, trajectory):
-    """Merge interior states and boundary traces into full nodal columns.
+class NodalHistory:
+    """A history of nodal fields on one mesh, one column per time, read a
+    column or a block of columns at a time, so that it is never held whole.
 
-    ``owner`` is an assembled system or a subdomain solver; only its
-    ``mesh``, ``interior_map`` and ``boundary_map`` are read.
+    ``read(key)`` gives the columns ``key`` selects, an index or a slice.
+    Three kinds are built: a coupled run stitched from its coordinates
+    (:meth:`stitched`), a reference merged from its interior states and
+    boundary traces (:meth:`merged`), and a nodal array already held
+    (:meth:`held`).
     """
-    full = np.empty((owner.mesh.n_nodes, trajectory.n_times))
-    full[owner.interior_map] = trajectory.states
-    full[owner.boundary_map] = trajectory.boundary_traces
-    return full
 
-
-class StitchedHistory:
-    """A coupled run's history on a global mesh, stitched on demand from
-    the run's coordinates, a column or a block of columns at a time, so
-    that it is never held whole."""
-
-    def __init__(self, run, global_mesh):
-        self.times = run.times
-        self.shape = (global_mesh.n_nodes, run.times.shape[0])
-        self._plan = StitchPlan(run.config, global_mesh, run.solvers)
-        self._coordinates = run.coordinates
+    def __init__(self, times, n_nodes, read):
+        self.times = times
+        self.shape = (n_nodes, times.shape[0])
+        self._read = read
 
     def column(self, j):
-        """The stitched field at ``times[j]``."""
-        return self._plan.apply(self._coordinates[:, j])
+        """The nodal field at ``times[j]``."""
+        return self._read(j)
 
     def columns(self, a, b):
-        """The stitched fields at ``times[a:b]``, one per column."""
-        return self._plan.apply(self._coordinates[:, a:b])
+        """The nodal fields at ``times[a:b]``, one per column."""
+        return self._read(slice(a, b))
 
+    @classmethod
+    def stitched(cls, run, global_mesh):
+        """A coupled run's history on ``global_mesh``, stitched from the
+        run's coordinates by its :class:`StitchPlan`."""
+        plan = StitchPlan(run.config, global_mesh, run.solvers)
+        coordinates = run.coordinates
+        return cls(run.times, global_mesh.n_nodes,
+                   lambda key: plan.apply(coordinates[:, key]))
 
-def stitch_history(run, global_mesh):
-    """A coupled run's whole history stitched onto a global mesh."""
-    return StitchedHistory(run, global_mesh).columns(0, run.times.shape[0])
+    @classmethod
+    def merged(cls, system, trajectory):
+        """``trajectory``'s interior states and boundary traces merged onto
+        the nodes of the assembled ``system``."""
+        def read(key):
+            states = trajectory.states[:, key]
+            full = np.empty((system.mesh.n_nodes,) + states.shape[1:])
+            full[system.interior_map] = states
+            full[system.boundary_map] = trajectory.boundary_traces[:, key]
+            return full
+        return cls(trajectory.times, system.mesh.n_nodes, read)
+
+    @classmethod
+    def held(cls, times, nodal):
+        """A history of the nodal array ``nodal``, one column per time."""
+        return cls(times, nodal.shape[0], lambda key: nodal[:, key])
 
 
 def _export_stitched_fields(cfg, stitched, global_mesh, out_dir, prefix):
-    """Write the fields of a :class:`StitchedHistory` at the output field
+    """Write the fields of a :class:`NodalHistory` at the output field
     times."""
     os.makedirs(out_dir, exist_ok=True)
     for t in cfg.resolved_field_times():
@@ -183,7 +188,6 @@ class MonolithicResult:
     mesh: object
     system: object
     trajectory: Trajectory
-    nodal_states: np.ndarray
     timings: dict
 
 
@@ -203,7 +207,6 @@ def cmd_run_fom(cfg, out_dir=None):
     solve_seconds = time.perf_counter() - t1
     result = MonolithicResult(
         mesh=mesh, system=system, trajectory=trajectory,
-        nodal_states=nodal_history(system, trajectory),
         timings={"setup_seconds": setup_seconds,
                  "solve_seconds": solve_seconds})
     if out_dir is not None:
@@ -214,8 +217,9 @@ def cmd_run_fom(cfg, out_dir=None):
                           trajectory.states)
         matio.save_matrix(os.path.join(out_dir, "fom_traces.bin"),
                           trajectory.boundary_traces)
-        matio.export_field_csv(os.path.join(out_dir, "fom_field_final.csv"),
-                               mesh, result.nodal_states[:, -1])
+        matio.export_field_csv(
+            os.path.join(out_dir, "fom_field_final.csv"), mesh,
+            NodalHistory.merged(system, trajectory).column(-1))
     return result
 
 
@@ -228,7 +232,7 @@ def cmd_run_schwarz(cfg, out_dir=None):
     run = run_coupled(cfg.schwarz_config(force_model="fe"), cfg.params())
     if out_dir is not None:
         global_mesh = build_global_mesh(cfg)
-        _export_stitched_fields(cfg, StitchedHistory(run, global_mesh),
+        _export_stitched_fields(cfg, NodalHistory.stitched(run, global_mesh),
                                 global_mesh, out_dir, "schwarz")
     return run
 
@@ -444,7 +448,7 @@ def cmd_run_hybrid(cfg, out_dir=None, *, trained):
     run = run_coupled(cfg.schwarz_config(), cfg.params(), trained)
     if out_dir is not None:
         global_mesh = build_global_mesh(cfg)
-        _export_stitched_fields(cfg, StitchedHistory(run, global_mesh),
+        _export_stitched_fields(cfg, NodalHistory.stitched(run, global_mesh),
                                 global_mesh, out_dir, "hybrid")
     return run
 
@@ -689,32 +693,32 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     """
     global_mesh = build_global_mesh(cfg)
     fom = cmd_run_fom(cfg, out_dir=out_dir)
-    ref = (fom.trajectory.times, fom.nodal_states)
-
-    # Each coupled run is kept once, as its coordinates, and stitched from
-    # them a block of columns at a time for its error and a column at a
-    # time for its field files; no whole stitched history is built.
+    # Every history is read a block of columns at a time for its error and
+    # a column at a time for its field files, so none is built whole: the
+    # reference is merged from its states and traces, and each coupled run,
+    # kept once as its coordinates, is stitched from them.
+    ref = NodalHistory.merged(fom.system, fom.trajectory)
     schwarz_run = cmd_run_schwarz(cfg)
-    schwarz_hist = StitchedHistory(schwarz_run, global_mesh)
+    schwarz_hist = NodalHistory.stitched(schwarz_run, global_mesh)
     if out_dir is not None:
         _export_stitched_fields(cfg, schwarz_hist, global_mesh, out_dir,
                                 "schwarz")
     training = cmd_train(cfg, out_dir=out_dir)
     hybrid_run = cmd_run_hybrid(cfg, trained=training.trained)
-    hybrid_hist = StitchedHistory(hybrid_run, global_mesh)
+    hybrid_hist = NodalHistory.stitched(hybrid_run, global_mesh)
     if out_dir is not None:
         _export_stitched_fields(cfg, hybrid_hist, global_mesh, out_dir,
                                 "hybrid")
     mono = cmd_run_mono_opinf(cfg, out_dir=out_dir, fom=fom,
                               lambda_grid=lambda_grid)
-    mono_hist = (mono.times, mono.nodal_states)
 
     err_schwarz, abs_schwarz, _ = error_metric_detail(schwarz_hist, ref)
     err_hybrid, abs_hybrid, _ = error_metric_detail(hybrid_hist, ref)
     if mono.diverged:
         err_mono, abs_mono = float("inf"), False
     else:
-        err_mono, abs_mono, _ = error_metric_detail(mono_hist, ref)
+        err_mono, abs_mono, _ = error_metric_detail(
+            NodalHistory.held(mono.times, mono.nodal_states), ref)
     self_error = error_metric(ref, ref)
 
     models = [

@@ -44,8 +44,8 @@ visited one at a time through this protocol:
 - ``snapshot_state()`` / ``restore_state(snap)``: save and rewind
   ``(state, boundary trace)``, the state by reference (``state`` arrays are
   replaced, never written in place) and the trace by copy.
-- ``set_interface_values(vals)`` / ``interface_values()`` /
-  ``boundary_trace()``: the Gamma part and the whole boundary trace.
+- ``g_cur``: the whole boundary trace, in boundary-node order;
+  ``set_interface_values(vals)`` / ``interface_values()``: its Gamma part.
 - ``advance_window(t_n)``: integrate the ``steps`` substeps from ``t_n``
   with Gamma values held fixed, leaving ``last_states`` (one column of
   ``state`` per substep, so reduced coordinates for a reduced solver) and
@@ -68,7 +68,6 @@ visited one at a time through this protocol:
   the plan's coordinates ``[state; g_cur]`` of every solver, and lifts a
   reduced solver's rows of it once, after the last window, into that
   solver's trajectory; a finite element trajectory is a row view of it.
-  ``full_field()`` lifts the current state on demand.
 
 A :class:`StitchPlan` averages the record onto a global mesh without
 lifting it: each solver's interpolation onto the global nodes it covers
@@ -361,11 +360,10 @@ class LateRowHistory:
     is the donor's window-start state. :meth:`start_window` samples every
     late row there at once, keeps the samples of the last
     ``PREDICTOR_DEPTH + 1`` window starts, and predicts each row by the
-    polynomial through them, evaluated at the window end; :meth:`impose`
-    hands a :class:`ReducedBlock` its rows of that prediction, and
-    :meth:`first_gather` a receiver visited on its own its whole first-sweep
-    Gamma values. The anchors are sampled donor states, never the imposed
-    (predicted) values, so prediction errors do not accumulate.
+    polynomial through them, evaluated at the window end; :meth:`first_gather`
+    hands every unit of the sweep its first-sweep Gamma values. The anchors
+    are sampled donor states, never the imposed (predicted) values, so
+    prediction errors do not accumulate.
     """
 
     def __init__(self, plan):
@@ -377,20 +375,22 @@ class LateRowHistory:
         self._sample = plan.operator[self._rows]
         self._anchors = np.empty((PREDICTOR_DEPTH + 1, self._rows.shape[0]))
         self._held = 0
-        # Per receiver visited on its own: its early rows (fed by an earlier
-        # donor) with their operator rows, and its late rows with their
-        # span of the prediction. Every Gamma row is one or the other.
-        bounds = np.searchsorted(self._rows, plan.offsets)
+        # Per unit of the sweep: its early rows (fed by a donor ahead of the
+        # unit) with their operator rows, and its late rows with their span
+        # of the prediction. Every Gamma row of a receiver visited on its
+        # own is one or the other; the rest of a block's rows are fed by an
+        # earlier member, and its map computes them.
         self._visits = {}
-        for i in plan.units:
-            if isinstance(i, ReducedBlock):
-                continue
-            lo, hi = plan.offsets[i], plan.offsets[i + 1]
-            early = np.flatnonzero(plan.donors[lo:hi] < i)
+        for unit in plan.units:
+            members = (unit.members if isinstance(unit, ReducedBlock)
+                       else [unit])
+            lo = plan.offsets[members[0]]
+            hi = plan.offsets[members[-1] + 1]
+            a, b = np.searchsorted(self._rows, (lo, hi))
+            early = np.flatnonzero(plan.donors[lo:hi] < members[0])
             sample = plan.operator[lo + early] if early.size else None
-            self._visits[i] = (hi - lo, early, sample,
-                               self._rows[bounds[i]:bounds[i + 1]] - lo,
-                               slice(bounds[i], bounds[i + 1]))
+            self._visits[unit] = (hi - lo, early, sample,
+                                  self._rows[a:b] - lo, slice(a, b))
 
     def start_window(self):
         """Sample every late row from the solvers' current, window-start
@@ -407,19 +407,14 @@ class LateRowHistory:
         self._prediction = np.add.reduce(
             _EXTRAPOLATION[k] * self._anchors[:k + 1], axis=0)
 
-    def impose(self, vals, lo, hi):
-        """Overwrite, in place, the late rows among the sweep's Gamma rows
-        ``lo:hi``, which ``vals`` holds, with their prediction."""
-        a, b = np.searchsorted(self._rows, (lo, hi))
-        vals[self._rows[a:b] - lo] = self._prediction[a:b]
-
-    def first_gather(self, i):
-        """Receiver ``i``'s Gamma values in a window's first sweep: rows fed
-        by an earlier donor gathered from the current coordinates, the late
-        rows predicted. Equal to :meth:`GatherPlan.gather` followed by
-        :meth:`impose`, without sampling the rows the prediction replaces.
+    def first_gather(self, unit):
+        """A unit's Gamma values in a window's first sweep: rows fed by a
+        donor ahead of the unit gathered from the current coordinates, the
+        late rows predicted. ``unit`` is a receiver's index or a
+        :class:`ReducedBlock`; a block's rows fed by an earlier member are
+        left unset, since its map computes them.
         """
-        n, early, sample, late, span = self._visits[i]
+        n, early, sample, late, span = self._visits[unit]
         vals = np.empty(n)
         if sample is not None:
             vals[early] = sample @ self._plan.coordinates()
@@ -471,23 +466,14 @@ class _SubdomainSolverBase:
     def interface_values(self):
         return self.g_cur[self.gamma_positions].copy()
 
-    def boundary_trace(self):
-        return self.g_cur.copy()
-
     # -- sampling ------------------------------------------------------
-
-    def full_field(self):
-        """Current nodal field: interior state merged with boundary trace."""
-        f = np.empty(self.mesh.n_nodes)
-        f[self.interior_map] = self.lift(self.state)
-        f[self.boundary_map] = self.g_cur
-        return f
 
     def coordinate_operator(self, matrix):
         """``matrix``, an operator on this solver's nodal field such as
         ``StructuredMesh.interpolation_matrix``, as an operator on its
-        coordinates ``[state; g_cur]``: their product is ``matrix @
-        full_field()`` without the nodal field ever being assembled.
+        coordinates ``[state; g_cur]``: their product is ``matrix`` times
+        the nodal field, ``lift(state)`` on the interior nodes and ``g_cur``
+        on the boundary ones, without that field ever being assembled.
         """
         raise NotImplementedError
 
@@ -551,8 +537,8 @@ class FESubdomainSolver(_SubdomainSolverBase):
 
     def coordinate_operator(self, matrix):
         # Node ids become coordinate positions and each row keeps its
-        # entries in node order, so a CSR product sums them as ``matrix @
-        # full_field()`` does, bitwise.
+        # entries in node order, so a CSR product sums them as ``matrix``
+        # times the nodal field does, bitwise.
         position = np.argsort(np.concatenate((self.interior_map,
                                               self.boundary_map)))
         matrix = matrix.tocsr()
@@ -729,7 +715,7 @@ class ReducedBlock:
     sampled from the donors' current states before any member moves, in
     later sweeps from the previous sweep's; in a window's first sweep the
     late rows take the :class:`LateRowHistory` prediction, and only the
-    others are sampled. The substep states before the window end are
+    others are sampled, both through its ``first_gather``. The substep states before the window end are
     replayed once, after the final sweep.
     """
 
@@ -762,9 +748,7 @@ class ReducedBlock:
         #: of the run, are the inputs that are not late.
         self._inputs = inputs = np.flatnonzero((donors < members[0])
                                                | (donors > receivers))
-        self._early = np.flatnonzero(donors < members[0])
         self._sample = plan.operator[self.lo + inputs]
-        self._early_sample = plan.operator[self.lo + self._early]
         # The map, composed once: every window has the run's ``n`` substeps.
         R, so, goff = self._R, self._so, self._goff
         n = self.solvers[0].steps
@@ -838,16 +822,14 @@ class ReducedBlock:
         the sweep's Gamma values, and leaving each member's new ``state``
         and trace in place for the gathers that follow.
 
-        In a first sweep with a ``history`` the late inputs take its
-        prediction, so only the early ones are sampled."""
+        In a first sweep with a ``history`` the inputs are its
+        :meth:`~LateRowHistory.first_gather`, so the late ones are
+        predicted and only the early ones sampled."""
         if first and history is not None:
-            if self._early.size:
-                gamma[self._early] = (self._early_sample
-                                      @ self._plan.coordinates())
-            history.impose(gamma, self.lo, self.hi)
+            inputs = history.first_gather(self).take(self._inputs)
         else:
-            gamma[self._inputs] = self._sample @ self._plan.coordinates()
-        self._z = np.concatenate((self._w, gamma.take(self._inputs)))
+            inputs = self._sample @ self._plan.coordinates()
+        self._z = np.concatenate((self._w, inputs))
         self._y = y = self._M @ self._z
         gamma[:] = y[self._R:]
         for m, s in enumerate(self.solvers):
@@ -1039,10 +1021,6 @@ class RunResult:
     @property
     def converged(self):
         return bool(self.window_converged.all())
-
-    @property
-    def meshes(self):
-        return self.table.meshes
 
 
 def check_rank(index, spec, basis):

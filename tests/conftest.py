@@ -12,6 +12,7 @@ import pytest
 
 from cdrschwarz import driver
 from cdrschwarz.config import RunConfig
+from cdrschwarz.driver import NodalHistory
 
 
 @pytest.fixture(scope="session")
@@ -32,24 +33,23 @@ def study(default_cfg):
     cfg = default_cfg
     gm = driver.build_global_mesh(cfg)
     fom = driver.cmd_run_fom(cfg)
-    ref = (fom.trajectory.times, fom.nodal_states)
+    ref = reference_history(fom)
 
     schwarz_run = driver.cmd_run_schwarz(cfg)
     schwarz_err, schwarz_abs, _ = driver.error_metric_detail(
-        (schwarz_run.times, driver.stitch_history(schwarz_run, gm)), ref)
+        NodalHistory.stitched(schwarz_run, gm), ref)
 
     training = driver.cmd_train(cfg)
     hybrid_run = driver.cmd_run_hybrid(cfg, trained=training.trained)
-    hybrid_hist = driver.stitch_history(hybrid_run, gm)
     hybrid_err, hybrid_abs, _ = driver.error_metric_detail(
-        (hybrid_run.times, hybrid_hist), ref)
+        NodalHistory.stitched(hybrid_run, gm), ref)
 
     mono = driver.cmd_run_mono_opinf(cfg, fom=fom)
     if mono.diverged:
         mono_err = float("inf")
     else:
         mono_err, _, _ = driver.error_metric_detail(
-            (mono.times, mono.nodal_states), ref)
+            NodalHistory.held(mono.times, mono.nodal_states), ref)
 
     return {
         "cfg": cfg,
@@ -59,7 +59,6 @@ def study(default_cfg):
         "schwarz_err": schwarz_err,
         "training": training,
         "hybrid_run": hybrid_run,
-        "hybrid_hist": hybrid_hist,
         "hybrid_err": hybrid_err,
         "mono": mono,
         "mono_err": mono_err,
@@ -75,9 +74,8 @@ def tight_schwarz(default_cfg):
     run = driver.run_coupled(
         replace(cfg, tol=1e-12, max_iters=100).schwarz_config(
             force_model="fe"), cfg.params())
-    err, _, _ = driver.error_metric_detail(
-        (run.times, driver.stitch_history(run, gm)),
-        (fom.trajectory.times, fom.nodal_states))
+    err, _, _ = driver.error_metric_detail(NodalHistory.stitched(run, gm),
+                                           reference_history(fom))
     return {"run": run, "err": err}
 
 
@@ -93,3 +91,48 @@ def rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+# ---------------------------------------------------------------------------
+# Whole nodal histories and fields, built directly: the oracles of the
+# program's on-demand histories and coordinate operators.
+
+
+def nodal_history(owner, trajectory):
+    """Interior states and boundary traces merged into full nodal columns.
+
+    ``owner`` is an assembled system or a subdomain solver; only its
+    ``mesh``, ``interior_map`` and ``boundary_map`` are read.
+    """
+    full = np.empty((owner.mesh.n_nodes, trajectory.n_times))
+    full[owner.interior_map] = trajectory.states
+    full[owner.boundary_map] = trajectory.boundary_traces
+    return full
+
+
+def full_field(solver):
+    """A subdomain solver's current nodal field: its lifted interior state
+    merged with its boundary trace."""
+    f = np.empty(solver.mesh.n_nodes)
+    f[solver.interior_map] = solver.lift(solver.state)
+    f[solver.boundary_map] = solver.g_cur
+    return f
+
+
+def reference_history(fom):
+    """The monolithic reference's :class:`NodalHistory`."""
+    return NodalHistory.merged(fom.system, fom.trajectory)
+
+
+def stitched_whole(run, global_mesh):
+    """A coupled run's whole history stitched onto ``global_mesh``."""
+    return NodalHistory.stitched(run, global_mesh).columns(
+        0, run.times.shape[0])
+
+
+def held(nodal, times=None):
+    """A :class:`NodalHistory` of the array ``nodal`` on ``times``, by
+    default 0, 1, 2, ..."""
+    if times is None:
+        times = np.arange(float(nodal.shape[1]))
+    return NodalHistory.held(times, nodal)

@@ -5,6 +5,7 @@ import math
 import os
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from cdrschwarz.rom import (LSTSQ_RCOND, RomStepper, time_derivatives,
                             train_opinf)
 from cdrschwarz.timestep import ImplicitEulerStepper, Trajectory
 
-from conftest import small_cfg
+from conftest import (held, nodal_history, reference_history, small_cfg,
+                      stitched_whole)
 
 SMALL_CFG_TEXT = """
 problem.t_end = 0.5
@@ -369,36 +371,48 @@ def test_meta_round_trip(tmp_path):
 def test_error_metric_basics():
     rng = np.random.default_rng(1)
     ref = rng.standard_normal((30, 12)) + 5.0
-    assert error_metric(ref, ref) == 0.0
-    value = error_metric(1.01 * ref, ref)
+    assert error_metric(held(ref), held(ref)) == 0.0
+    value = error_metric(held(1.01 * ref), held(ref))
     np.testing.assert_allclose(value, 0.01, rtol=1e-12)
 
 
 def test_error_metric_absolute_fallback_and_skips():
     zeros = np.zeros((10, 4))
     model = np.full((10, 4), 0.5)
-    value, used_absolute, n_skipped = error_metric_detail(model, zeros)
+    value, used_absolute, n_skipped = error_metric_detail(held(model),
+                                                          held(zeros))
     assert used_absolute and n_skipped == 4
     np.testing.assert_allclose(value, np.linalg.norm(model[:, 0]))
 
     # A single degenerate column is skipped, not averaged in.
     ref = np.ones((10, 4))
     ref[:, 0] = 0.0
-    value, used_absolute, n_skipped = error_metric_detail(ref * 1.01, ref)
+    value, used_absolute, n_skipped = error_metric_detail(held(ref * 1.01),
+                                                          held(ref))
     assert not used_absolute and n_skipped == 1
     np.testing.assert_allclose(value, 0.01, rtol=1e-12)
 
 
 def test_error_metric_input_forms():
+    # A reference merged on demand from its states and traces scores as the
+    # whole merged array does; histories of another shape or time grid are
+    # rejected.
     times = np.linspace(0.0, 1.0, 5)
-    states = np.random.default_rng(2).standard_normal((7, 5)) + 3.0
-    traj = Trajectory(times=times, states=states,
-                      boundary_traces=np.zeros((0, 5)))
-    assert error_metric(traj, (times, states)) == 0.0
+    rng = np.random.default_rng(2)
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 2, 2)
+    owner = SimpleNamespace(mesh=mesh, interior_map=mesh.interior_node_ids,
+                            boundary_map=mesh.boundary_node_ids)
+    traj = Trajectory(times=times, states=rng.standard_normal((1, 5)) + 3.0,
+                      boundary_traces=rng.standard_normal((8, 5)) + 3.0)
+    merged = driver.NodalHistory.merged(owner, traj)
+    whole = nodal_history(owner, traj)
+    np.testing.assert_array_equal(merged.columns(0, 5), whole)
+    np.testing.assert_array_equal(merged.column(-1), whole[:, -1])
+    assert error_metric(merged, held(whole, times)) == 0.0
     with pytest.raises(ConfigurationError, match="shapes differ"):
-        error_metric(states[:, :4], states)
+        error_metric(held(whole[:, :4], times[:4]), merged)
     with pytest.raises(ConfigurationError, match="time grids differ"):
-        error_metric((times + 0.5, states), (times, states))
+        error_metric(held(whole, times + 0.5), merged)
 
 
 @pytest.mark.parametrize("n_times", [1, 2, 63, 64, 65, 129, 1001])
@@ -409,7 +423,7 @@ def test_blocked_norms_equal_whole_history_norms(n_times):
     ref = rng.standard_normal((301, n_times))
     assert all(b - a <= driver.BLOCK_COLUMNS
                for a, b in driver.column_blocks(n_times))
-    diff, norms = driver._column_norms(model, ref)
+    diff, norms = driver._column_norms(held(model), held(ref))
     np.testing.assert_array_equal(diff, np.linalg.norm(model - ref, axis=0))
     np.testing.assert_array_equal(norms, np.linalg.norm(ref, axis=0))
 
@@ -441,7 +455,7 @@ def small_out(tmp_path_factory):
 def assert_field_files_hold(cfg, out_dir, prefix, run):
     """Each exported field file's ``u`` column is the matching column of the
     run's stitched history."""
-    stitched = driver.stitch_history(run, driver.build_global_mesh(cfg))
+    stitched = stitched_whole(run, driver.build_global_mesh(cfg))
     for t in cfg.resolved_field_times():
         u = np.loadtxt(os.path.join(out_dir, f"{prefix}_field_t{t:g}.csv"),
                        delimiter=",", skiprows=1, usecols=2)
@@ -518,12 +532,57 @@ def test_compare_stitches_a_block_at_a_time(tmp_path, monkeypatch):
     # The blocked errors equal those of the whole stitched histories.
     gm = driver.build_global_mesh(cfg)
     fom = runs["cmd_run_fom"]
-    ref = (fom.trajectory.times, fom.nodal_states)
+    ref = reference_history(fom)
     for model, name in zip(report.models, ("cmd_run_schwarz",
                                            "cmd_run_hybrid")):
         run = runs[name]
-        whole = (run.times, driver.stitch_history(run, gm))
+        whole = held(stitched_whole(run, gm), run.times)
         assert model.error == error_metric_detail(whole, ref)[0]
+
+
+def test_compare_reads_the_reference_a_block_at_a_time(tmp_path,
+                                                      monkeypatch):
+    # The reference is never held as a nodal copy: every read of it merges
+    # at most BLOCK_COLUMNS columns of its states and traces, bitwise the
+    # whole merge's, and each score reads every column once per side.
+    cfg = small_cfg(t_end=1.0)
+    n_times = round(cfg.t_end / cfg.dt) + 1
+    assert n_times > driver.BLOCK_COLUMNS
+    merged = driver.NodalHistory.merged
+    reads = []
+
+    def recording_merged(system, trajectory):
+        history = merged(system, trajectory)
+        whole = nodal_history(system, trajectory)
+        column, columns = history.column, history.columns
+
+        def read_column(j):
+            got = column(j)
+            k = range(n_times)[j]
+            reads.append((range(k, k + 1), got, whole[:, j]))
+            return got
+
+        def read_columns(a, b):
+            got = columns(a, b)
+            reads.append((range(a, b), got, whole[:, a:b]))
+            return got
+
+        history.column, history.columns = read_column, read_columns
+        return history
+
+    monkeypatch.setattr(driver.NodalHistory, "merged",
+                        staticmethod(recording_merged))
+    cmd_compare(cfg, out_dir=str(tmp_path))
+    assert reads
+    for span, got, want in reads:
+        assert len(span) <= driver.BLOCK_COLUMNS
+        np.testing.assert_array_equal(got, want)
+    # Three models and the self error's two sides, plus the final field.
+    counts = np.zeros(n_times, dtype=int)
+    for span, _, _ in reads:
+        counts[span.start:span.stop] += 1
+    assert counts[:-1].tolist() == [5] * (n_times - 1)
+    assert counts[-1] == 6
 
 
 def test_compare_csv_round_trips_report(small_out):
@@ -712,9 +771,9 @@ def small_fom():
 def test_zero_data_run_is_identically_zero():
     cfg = small_cfg(forcing=None)
     fom = cmd_run_fom(cfg)
-    assert np.all(fom.nodal_states == 0.0)
-    value, used_absolute, _ = error_metric_detail(fom.nodal_states,
-                                                  fom.nodal_states)
+    assert np.all(nodal_history(fom.system, fom.trajectory) == 0.0)
+    ref = reference_history(fom)
+    value, used_absolute, _ = error_metric_detail(ref, ref)
     assert value == 0.0 and used_absolute
 
 
@@ -794,7 +853,7 @@ def test_mono_fixed_lambda_skips_grid(small_fom):
 def test_mono_nodal_states_shape(small_fom):
     cfg = small_cfg()
     result = cmd_run_mono_opinf(cfg, fom=small_fom)
-    assert result.nodal_states.shape == small_fom.nodal_states.shape
+    assert result.nodal_states.shape == reference_history(small_fom).shape
     assert not result.diverged
     assert np.all(np.isfinite(result.nodal_states))
 
@@ -840,7 +899,8 @@ def test_reference_evaluates_marked_dirichlet_data_once():
 
     runs = [cmd_run_fom(small_cfg(dirichlet=g)) for g in (moving, marked)]
     assert calls == {"moving": runs[0].trajectory.n_times, "marked": 1}
-    np.testing.assert_array_equal(runs[1].nodal_states, runs[0].nodal_states)
+    np.testing.assert_array_equal(
+        *(nodal_history(r.system, r.trajectory) for r in runs))
 
 
 def test_mono_is_driven_by_the_reference_traces():
@@ -1200,7 +1260,7 @@ def test_mono_grid_errors_match_full_space_formula(mono_r):
             vhat = stepper.step(vhat, traces[:, j])
             lifted.append(mono.basis.Psi @ vhat)
         lifted = np.column_stack(lifted)
-        want.append(error_metric(lifted, states)
+        want.append(error_metric(held(lifted), held(states))
                     if np.isfinite(lifted).all() else np.inf)
     want = np.array(want)
     assert np.isfinite(want).sum() > 1

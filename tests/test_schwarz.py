@@ -13,11 +13,11 @@ from cdrschwarz.schwarz import (PREDICTOR_DEPTH, FESubdomainSolver,
                                 RomSubdomainSolver, SchwarzConfig, StitchPlan,
                                 SubdomainSpec, build_interfaces,
                                 build_solvers, run_coupled, schwarz_window)
-from cdrschwarz.driver import cmd_run_hybrid, cmd_train, nodal_history
+from cdrschwarz.driver import cmd_run_hybrid, cmd_train
 from cdrschwarz.rom import OpInfOperators, RomStepper, compute_pod
 from cdrschwarz.timestep import ImplicitEulerStepper, integrate
 
-from conftest import small_cfg
+from conftest import full_field, nodal_history, small_cfg
 
 
 def strip_specs(overlap=0.2, h=0.05):
@@ -215,7 +215,7 @@ def test_gather_plan_matches_direct_interpolation():
         for j in set(entry.donors.tolist()):
             sel = entry.donors == j
             want[sel] = table.meshes[j].interpolation_matrix(
-                entry.gamma_points[sel]) @ solvers[j].full_field()
+                entry.gamma_points[sel]) @ full_field(solvers[j])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -244,7 +244,7 @@ def test_gather_plan_matches_lifted_reduced_donor():
     entry = table.entries[0]
     got = plan.gather(0)
     want = table.meshes[1].interpolation_matrix(
-        entry.gamma_points) @ solvers[1].full_field()
+        entry.gamma_points) @ full_field(solvers[1])
     assert np.max(np.abs(want)) > 1e-2
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -268,7 +268,7 @@ def test_fe_gathers_are_bitwise_on_unaligned_meshes():
                 idx = np.flatnonzero(entry.donors == j)
                 np.testing.assert_array_equal(
                     got[idx], table.meshes[j].interpolation_matrix(
-                        entry.gamma_points[idx]) @ solvers[j].full_field())
+                        entry.gamma_points[idx]) @ full_field(solvers[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_sweep_is_multiplicative_not_jacobi():
     replay.advance_window(0.0)
     entry1 = table.entries[1]
     fresh_field_sample = table.meshes[0].interpolation_matrix(
-        entry1.gamma_points) @ replay.full_field()
+        entry1.gamma_points) @ full_field(replay)
     np.testing.assert_allclose(first_gather_1, fresh_field_sample,
                                rtol=0, atol=1e-12)
     # A Jacobi sweep would have sampled the window-start field instead.
@@ -432,7 +432,7 @@ def test_reduced_window_matches_substep_stepping(steps_per_window):
         np.testing.assert_allclose(solver.last_traces[:, j], g,
                                    rtol=0, atol=1e-15)
     assert solver.last_states.shape == (solver.ops.r, steps_per_window)
-    np.testing.assert_allclose(solver.boundary_trace(), g, rtol=0,
+    np.testing.assert_allclose(solver.g_cur, g, rtol=0,
                                atol=1e-15)
     np.testing.assert_allclose(solver.lift(solver.state),
                                solver.basis.Psi @ vhat, rtol=0, atol=1e-13)
@@ -442,12 +442,12 @@ def test_snapshot_restore_round_trip():
     config, params, table, solvers = steady_strip_setup(overlap=0.2)
     s = solvers[0]
     snap = s.snapshot_state()
-    before = s.full_field().copy()
+    before = full_field(s)
     s.set_interface_values(np.ones(table.entries[0].n_gamma))
     s.advance_window(0.0)
-    assert np.max(np.abs(s.full_field() - before)) > 1e-3
+    assert np.max(np.abs(full_field(s) - before)) > 1e-3
     s.restore_state(snap)
-    np.testing.assert_array_equal(s.full_field(), before)
+    np.testing.assert_array_equal(full_field(s), before)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +557,9 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
         history.start_window()
         for i, entry in enumerate(table.entries):
             gathered = data(i, w)
-            out = gathered.copy()
-            history.impose(out, plan.offsets[i], plan.offsets[i + 1])
-            # A visited receiver's first gather samples only its early rows.
-            np.testing.assert_array_equal(history.first_gather(i), out)
+            # A first gather samples only the early rows, from the solvers
+            # where ``data`` left them, and predicts the late ones.
+            out = history.first_gather(i)
             late = entry.donors > i
             np.testing.assert_array_equal(out[~late], gathered[~late])
             if w == 0:
@@ -893,13 +892,13 @@ def test_fe_response_equals_a_genuine_window(steps_per_window):
     solver.respond(gamma)
     solver.finish_window(t_n)
     responded = (solver.state, solver.last_states, solver.last_traces,
-                 solver.boundary_trace(), solver._g_committed)
+                 solver.g_cur.copy(), solver._g_committed)
 
     solver.restore_state(snap)
     solver.set_interface_values(gamma)
     solver.advance_window(t_n)
     genuine = (solver.state, solver.last_states, solver.last_traces,
-               solver.boundary_trace(), solver._g_committed)
+               solver.g_cur.copy(), solver._g_committed)
     scale = max(np.max(np.abs(x)) for x in genuine)
     for got, want in zip(responded, genuine):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)

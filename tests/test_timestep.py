@@ -109,7 +109,7 @@ def test_fe_window_matches_three_term_right_hand_side():
     rng = np.random.default_rng(5)
     v0 = rng.standard_normal(solver.state.shape[0])
     gamma = rng.standard_normal(table.entries[0].n_gamma)
-    g_prev = solver.boundary_trace().copy()
+    g_prev = solver.g_cur.copy()
     solver.state = v0.copy()
     solver.set_interface_values(gamma)
     solver.advance_window(0.0)
