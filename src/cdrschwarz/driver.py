@@ -10,13 +10,13 @@ three-model table of solve times and errors against the reference.
 Every history the study scores or exports is one :class:`NodalHistory`,
 read a block of columns at a time: a coupled run is stitched from its
 coordinates, the reference merged from its interior states and boundary
-traces, and only the monolithic reduced model is held as a nodal array.
+traces, and the monolithic reduced model lifted from its reduced march.
 """
 
 import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .config import GLOBAL_RECT
 from .errors import ConfigurationError
 from .fem import assemble, boundary_values
 from .kernels import blas_threads
+from .matio import BLOCK_COLUMNS
 from .mesh import build_mesh
 from .rom import (OpInfOperators, PodBasis, RomStepper, compute_pod,
                   train_opinf)
@@ -37,10 +38,6 @@ ZERO_NORM_FLOOR = 1e-14
 
 #: Default regularization grid: unregularized plus a log sweep of [1e-6, 1].
 DEFAULT_LAMBDA_GRID = (0.0,) + tuple(np.logspace(-6.0, 0.0, 13))
-
-#: Columns per block when a history is stitched, scored or lifted a block
-#: of times at a time, so that no whole-history temporary is built.
-BLOCK_COLUMNS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +81,7 @@ def _column_norms(model, reference):
     """Per-time L2 norms of ``model - reference`` and of ``reference``, two
     :class:`NodalHistory` objects, a block of columns at a time; bitwise
     those of ``np.linalg.norm(x, axis=0)`` of the whole histories."""
+    norms = reference.norms
     diff_sq = np.empty(reference.shape[1])
     ref_sq = np.empty(reference.shape[1])
     for a, b in column_blocks(reference.shape[1]):
@@ -91,8 +89,11 @@ def _column_norms(model, reference):
         d = model.columns(a, b) - r
         d *= d
         diff_sq[a:b] = np.add.reduce(d, axis=0)
-        ref_sq[a:b] = np.add.reduce(r * r, axis=0)
-    return np.sqrt(diff_sq), np.sqrt(ref_sq)
+        if norms is None:
+            ref_sq[a:b] = np.add.reduce(r * r, axis=0)
+    if norms is None:
+        reference.norms = norms = np.sqrt(ref_sq)
+    return np.sqrt(diff_sq), norms
 
 
 def _mean_relative(diff, ref):
@@ -123,16 +124,16 @@ class NodalHistory:
     column or a block of columns at a time, so that it is never held whole.
 
     ``read(key)`` gives the columns ``key`` selects, an index or a slice.
-    Three kinds are built: a coupled run stitched from its coordinates
-    (:meth:`stitched`), a reference merged from its interior states and
-    boundary traces (:meth:`merged`), and a nodal array already held
-    (:meth:`held`).
+    A coupled run is stitched from its coordinates (:meth:`stitched`);
+    other histories merge interior states with traces (:meth:`merged`).
+    ``norms``, its per-time L2 norms, are kept from its first score.
     """
 
     def __init__(self, times, n_nodes, read):
         self.times = times
         self.shape = (n_nodes, times.shape[0])
         self._read = read
+        self.norms = None
 
     def column(self, j):
         """The nodal field at ``times[j]``."""
@@ -152,21 +153,19 @@ class NodalHistory:
                    lambda key: plan.apply(coordinates[:, key]))
 
     @classmethod
-    def merged(cls, system, trajectory):
+    def merged(cls, system, trajectory, basis=None):
         """``trajectory``'s interior states and boundary traces merged onto
-        the nodes of the assembled ``system``."""
+        the nodes of the assembled ``system``; reduced states are lifted by
+        ``basis.Psi``, if given, as they are read."""
         def read(key):
             states = trajectory.states[:, key]
+            if basis is not None:
+                states = basis.Psi @ states
             full = np.empty((system.mesh.n_nodes,) + states.shape[1:])
             full[system.interior_map] = states
             full[system.boundary_map] = trajectory.boundary_traces[:, key]
             return full
         return cls(trajectory.times, system.mesh.n_nodes, read)
-
-    @classmethod
-    def held(cls, times, nodal):
-        """A history of the nodal array ``nodal``, one column per time."""
-        return cls(times, nodal.shape[0], lambda key: nodal[:, key])
 
 
 def _export_stitched_fields(cfg, stitched, global_mesh, out_dir, prefix):
@@ -340,10 +339,11 @@ def cmd_train(cfg, out_dir=None):
     run = run_coupled(cfg.training_schwarz_config(), cfg.params())
     trained = {}
     t0 = time.perf_counter()
+    trajectories = run.trajectories
     for i, spec in enumerate(specs):
         if spec.model != "rom":
             continue
-        traj = run.trajectories[i]
+        traj = trajectories[i]
         basis = compute_pod(traj.states, spec.rom_dim)
         ops, = train_opinf(basis, traj.states, traj.boundary_traces,
                            cfg.dt, (spec.rom_lambda,))
@@ -459,15 +459,31 @@ def cmd_run_hybrid(cfg, out_dir=None, *, trained):
 
 @dataclass
 class MonoOpinfResult:
+    """The monolithic reduced model; ``trajectory`` is its march in reduced
+    coordinates, with the reference traces that drove it."""
+
     basis: PodBasis
     ops: OpInfOperators
     lam: float
     grid: tuple
     grid_errors: np.ndarray
-    times: np.ndarray
-    nodal_states: np.ndarray
+    system: object
+    trajectory: Trajectory
     diverged: bool
     timings: dict
+
+    def history(self):
+        """The march's :class:`NodalHistory`, lifted a block at a time."""
+        return NodalHistory.merged(self.system, self.trajectory, self.basis)
+
+    @property
+    def nodal_states(self):
+        """The whole nodal history, one column per time."""
+        history = self.history()
+        nodal = np.empty(history.shape)
+        for a, b in column_blocks(history.shape[1]):
+            nodal[:, a:b] = history.columns(a, b)
+        return nodal
 
 
 @dataclass(frozen=True)
@@ -536,7 +552,6 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
     """
     if fom is None:
         fom = cmd_run_fom(cfg, out_dir=None)
-    system = fom.system
     traj = fom.trajectory
     traces = traj.boundary_traces
     n_train = n_steps_for(0.0, cfg.training_t_end, cfg.dt) + 1
@@ -560,21 +575,16 @@ def cmd_run_mono_opinf(cfg, out_dir=None, fom=None, lambda_grid=None):
     lam = grid[best]
     train_seconds = time.perf_counter() - t0
 
-    n_t = traj.n_times
     t1 = time.perf_counter()
     reduced = _march(ops, cfg.dt, basis.Psi.T @ traj.states[:, 0], traces)
     diverged = not np.isfinite(reduced[:, -1]).all()
     solve_seconds = time.perf_counter() - t1
 
-    nodal = np.empty((fom.mesh.n_nodes, n_t))
-    for a, b in column_blocks(n_t):
-        nodal[system.interior_map, a:b] = basis.Psi @ reduced[:, a:b]
-    nodal[system.boundary_map] = traces
     result = MonoOpinfResult(
         basis=basis, ops=ops, lam=lam, grid=grid, grid_errors=grid_errors,
-        times=traj.times, nodal_states=nodal, diverged=diverged,
-        timings={"train_seconds": train_seconds,
-                 "solve_seconds": solve_seconds})
+        system=fom.system, trajectory=replace(traj, states=reduced),
+        diverged=diverged, timings={"train_seconds": train_seconds,
+                                    "solve_seconds": solve_seconds})
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         matio.save_matrix(os.path.join(out_dir, "mono_basis.bin"), basis.Psi)
@@ -695,8 +705,8 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     fom = cmd_run_fom(cfg, out_dir=out_dir)
     # Every history is read a block of columns at a time for its error and
     # a column at a time for its field files, so none is built whole: the
-    # reference is merged from its states and traces, and each coupled run,
-    # kept once as its coordinates, is stitched from them.
+    # reference and mono are merged from their states and traces, and each
+    # coupled run, kept once as its coordinates, is stitched from them.
     ref = NodalHistory.merged(fom.system, fom.trajectory)
     schwarz_run = cmd_run_schwarz(cfg)
     schwarz_hist = NodalHistory.stitched(schwarz_run, global_mesh)
@@ -717,8 +727,7 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     if mono.diverged:
         err_mono, abs_mono = float("inf"), False
     else:
-        err_mono, abs_mono, _ = error_metric_detail(
-            NodalHistory.held(mono.times, mono.nodal_states), ref)
+        err_mono, abs_mono, _ = error_metric_detail(mono.history(), ref)
     self_error = error_metric(ref, ref)
 
     models = [

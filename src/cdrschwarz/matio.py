@@ -19,9 +19,14 @@ _HEADER = struct.Struct("<4sIQQ")
 #: Refuse dimensions whose payload could not possibly be addressed.
 _MAX_ELEMENTS = (1 << 62) // 8
 
+#: Columns per block when a history is written, stitched, scored or lifted
+#: a block of times at a time, so that no whole-history temporary is built.
+BLOCK_COLUMNS = 64
+
 
 def save_matrix(path, matrix):
-    """Write a 2-D (or 1-D, saved as a column) array of doubles."""
+    """Write a 2-D (or 1-D, saved as a column) array of doubles, a block of
+    columns at a time: their column-major bytes are the whole array's."""
     arr = np.asarray(matrix, dtype="<f8")
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -30,7 +35,8 @@ def save_matrix(path, matrix):
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION,
                                   arr.shape[0], arr.shape[1]))
-        handle.write(np.asfortranarray(arr).tobytes(order="F"))
+        for a in range(0, arr.shape[1], BLOCK_COLUMNS):
+            handle.write(arr[:, a:a + BLOCK_COLUMNS].tobytes(order="F"))
 
 
 def load_matrix(path):

@@ -63,11 +63,11 @@ visited one at a time through this protocol:
   operator on the concatenated coordinates of all solvers; a gather is a
   row slice of it times those coordinates, and a reduced donor is sampled
   without lifting its state.
-- ``lift(states)``: interior nodal values of ``state`` columns.
-  :func:`run_coupled` records one history, ``RunResult.coordinates``, in
-  the plan's coordinates ``[state; g_cur]`` of every solver, and lifts a
-  reduced solver's rows of it once, after the last window, into that
-  solver's trajectory; a finite element trajectory is a row view of it.
+- ``lift(states)``: interior nodal values of ``state`` columns, for
+  callers outside the run. :func:`run_coupled` records one history,
+  ``RunResult.coordinates``, in the plan's coordinates ``[state; g_cur]``
+  of every solver, and lifts nothing; :attr:`RunResult.trajectories`
+  lifts a reduced solver's rows of it by its Psi on each read.
 
 A :class:`StitchPlan` averages the record onto a global mesh without
 lifting it: each solver's interpolation onto the global nodes it covers
@@ -88,7 +88,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import groupby
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -426,7 +426,7 @@ class _SubdomainSolverBase:
     """Shared trace, sampling, and snapshot bookkeeping of subdomain solvers.
 
     Subclasses keep their own coordinates in ``state`` and map them to
-    interior nodal values with :meth:`lift`. A window is ``steps`` substeps
+    interior nodal values with ``lift``. A window is ``steps`` substeps
     of ``dt``.
     """
 
@@ -489,10 +489,6 @@ class _SubdomainSolverBase:
         self.g_cur = snap[1].copy()
 
     # -- subclass hooks ---------------------------------------------------
-
-    def lift(self, states):
-        """Interior nodal values of ``state`` vectors (or their columns)."""
-        raise NotImplementedError
 
     def advance_window(self, t_n):
         raise NotImplementedError
@@ -1003,14 +999,12 @@ class RunResult:
     ``coordinates`` is the run's one record: column ``j`` holds every
     solver's ``[state; boundary trace]`` at ``times[j]``, solver ``k``'s in
     rows ``columns[k]:columns[k + 1]`` of ``columns =
-    coordinate_columns(solvers)``, the run's :attr:`GatherPlan.columns`. A
-    finite element trajectory is a row view of it; a reduced one holds its
-    lifted states.
+    coordinate_columns(solvers)``, the run's :attr:`GatherPlan.columns`.
+    No lifted state is held: :attr:`trajectories` are built from it.
     """
 
     times: np.ndarray
     coordinates: np.ndarray
-    trajectories: List[timestep.Trajectory]
     iterations: np.ndarray
     window_converged: np.ndarray
     timings: dict
@@ -1021,6 +1015,20 @@ class RunResult:
     @property
     def converged(self):
         return bool(self.window_converged.all())
+
+    @property
+    def trajectories(self):
+        """One trajectory per solver, built on each read: rows of
+        :attr:`coordinates`, a reduced solver's states lifted by its Psi."""
+        trajectories = []
+        columns = coordinate_columns(self.solvers)
+        for s, a, b in zip(self.solvers, columns[:-1], columns[1:]):
+            states, traces = np.split(self.coordinates[a:b], [s.state.size])
+            if isinstance(s, RomSubdomainSolver):
+                states = s.basis.Psi @ states
+            trajectories.append(timestep.Trajectory(self.times.copy(),
+                                                    states, traces))
+        return trajectories
 
 
 def check_rank(index, spec, basis):
@@ -1075,8 +1083,7 @@ def run_coupled(config, params, trained=None):
     n_steps = timestep.n_steps_for(0.0, config.t_end, config.dt)
     times = config.dt * np.arange(n_steps + 1)
     # One record in the plan's coordinates: each solver's substep states in
-    # its own coordinates, then its traces. Reduced states are lifted to
-    # interior nodal values once, after the last window.
+    # its own coordinates, then its traces. Nothing is lifted.
     columns = plan.columns
     coordinates = np.empty((int(columns[-1]), n_steps + 1))
     coordinates[:, 0] = plan.coordinates()
@@ -1099,14 +1106,12 @@ def run_coupled(config, params, trained=None):
         for s, (state_rows, trace_rows) in zip(solvers, rows):
             coordinates[state_rows, lo:lo + spw] = s.last_states
             coordinates[trace_rows, lo:lo + spw] = s.last_traces
-    states = [s.lift(coordinates[r]) for s, (r, _) in zip(solvers, rows)]
     solve_seconds = time.perf_counter() - t1
 
-    trajectories = [timestep.Trajectory(times=times.copy(), states=x,
-                                        boundary_traces=coordinates[r])
-                    for x, (_, r) in zip(states, rows)]
+    for s in solvers:  # stitching needs no Gamma response
+        if isinstance(s, FESubdomainSolver):
+            s._response = None
     return RunResult(times=times, coordinates=coordinates,
-                     trajectories=trajectories,
                      iterations=iterations, window_converged=window_converged,
                      timings={"setup_seconds": setup_seconds,
                               "solve_seconds": solve_seconds},

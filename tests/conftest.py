@@ -48,8 +48,7 @@ def study(default_cfg):
     if mono.diverged:
         mono_err = float("inf")
     else:
-        mono_err, _, _ = driver.error_metric_detail(
-            NodalHistory.held(mono.times, mono.nodal_states), ref)
+        mono_err, _, _ = driver.error_metric_detail(mono.history(), ref)
 
     return {
         "cfg": cfg,
@@ -135,4 +134,4 @@ def held(nodal, times=None):
     default 0, 1, 2, ..."""
     if times is None:
         times = np.arange(float(nodal.shape[1]))
-    return NodalHistory.held(times, nodal)
+    return NodalHistory(times, nodal.shape[0], lambda key: nodal[:, key])

@@ -4,6 +4,7 @@ and the command line interface."""
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -281,6 +282,32 @@ def test_matrix_empty_round_trip(tmp_path):
     assert matio.load_matrix(path).shape == (0, 4)
 
 
+def test_matrix_written_a_block_at_a_time(tmp_path):
+    # A wide C-ordered array is written a block of columns at a time: the
+    # file holds the whole array's column-major bytes, and no copy much
+    # larger than one block is made.
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((300, 20 * matio.BLOCK_COLUMNS + 5))
+    path = str(tmp_path / "wide.bin")
+    tracemalloc.start()
+    try:
+        matio.save_matrix(path, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * matrix.shape[0] * matio.BLOCK_COLUMNS
+    payload = open(path, "rb").read()[matio._HEADER.size:]
+    assert payload == np.asfortranarray(matrix).tobytes(order="F")
+    assert np.array_equal(matio.load_matrix(path), matrix)
+    # Strided, Fortran-ordered and column-free inputs round-trip too.
+    for other in (matrix[:, ::3], np.asfortranarray(matrix[:7]),
+                  np.zeros((3, 0))):
+        matio.save_matrix(path, other)
+        loaded = matio.load_matrix(path)
+        assert loaded.shape == other.shape
+        assert np.array_equal(loaded, other)
+
+
 def test_matrix_format_rejections(tmp_path):
     path = str(tmp_path / "m.bin")
     matio.save_matrix(path, np.ones((2, 2)))
@@ -428,6 +455,21 @@ def test_blocked_norms_equal_whole_history_norms(n_times):
     np.testing.assert_array_equal(norms, np.linalg.norm(ref, axis=0))
 
 
+def test_reference_norms_are_kept_from_the_first_score():
+    # The reference's per-time norms are computed in its first score and
+    # reused, bitwise, by every later one.
+    rng = np.random.default_rng(5)
+    ref, first, second = (rng.standard_normal((301, 129)) for _ in range(3))
+    reference = held(ref)
+    assert reference.norms is None
+    diff, norms = driver._column_norms(held(first), reference)
+    np.testing.assert_array_equal(norms, np.linalg.norm(ref, axis=0))
+    assert reference.norms is norms
+    diff, again = driver._column_norms(held(second), reference)
+    assert again is norms
+    np.testing.assert_array_equal(diff, np.linalg.norm(second - ref, axis=0))
+
+
 # ---------------------------------------------------------------------------
 # Pipeline commands (one shared small-scale study)
 
@@ -551,8 +593,10 @@ def test_compare_reads_the_reference_a_block_at_a_time(tmp_path,
     merged = driver.NodalHistory.merged
     reads = []
 
-    def recording_merged(system, trajectory):
-        history = merged(system, trajectory)
+    def recording_merged(system, trajectory, basis=None):
+        history = merged(system, trajectory, basis)
+        if basis is not None:   # mono, lifted from its reduced march
+            return history
         whole = nodal_history(system, trajectory)
         column, columns = history.column, history.columns
 
@@ -858,6 +902,55 @@ def test_mono_nodal_states_shape(small_fom):
     assert np.all(np.isfinite(result.nodal_states))
 
 
+def test_mono_is_held_in_reduced_coordinates():
+    # The march stays in reduced coordinates. Its nodal states, assembled
+    # on demand, are bitwise the block-by-block lift merged with the
+    # reference traces, and its error through the on-demand history is
+    # bitwise that of the whole array.
+    cfg = small_cfg(t_end=1.0)
+    fom = cmd_run_fom(cfg)
+    result = cmd_run_mono_opinf(cfg, fom=fom)
+    system, reduced = fom.system, result.trajectory.states
+    n_t = fom.trajectory.n_times
+    assert n_t > driver.BLOCK_COLUMNS
+    assert reduced.shape == (cfg.mono_r, n_t)
+    want = np.empty((fom.mesh.n_nodes, n_t))
+    for a, b in driver.column_blocks(n_t):
+        want[system.interior_map, a:b] = result.basis.Psi @ reduced[:, a:b]
+    want[system.boundary_map] = fom.trajectory.boundary_traces
+    np.testing.assert_array_equal(result.nodal_states, want)
+    assert error_metric_detail(result.history(), reference_history(fom)) \
+        == error_metric_detail(held(want, fom.trajectory.times),
+                               reference_history(fom))
+
+
+def traced_peak(command):
+    """``(result, bytes)``: ``command()`` and the peak of the memory it
+    allocated, as traced by :mod:`tracemalloc`."""
+    tracemalloc.start()
+    try:
+        result = command()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hybrid_and_mono_stages_lift_no_whole_history():
+    # While the hybrid and mono stages run, the memory they allocate, less
+    # the hybrid run's one record, stays below one whole lifted or nodal
+    # history: reduced histories are never lifted whole.
+    cfg = small_cfg(t_end=2.0)
+    trained = cmd_train(cfg).trained
+    fom = cmd_run_fom(cfg)
+    run, peak = traced_peak(lambda: cmd_run_hybrid(cfg, trained=trained))
+    lifted = 8 * run.times.shape[0] * sum(
+        s.interior_map.shape[0] for s in run.solvers
+        if isinstance(s, schwarz.RomSubdomainSolver))
+    assert 0 < peak - run.coordinates.nbytes < lifted
+    _, peak = traced_peak(lambda: cmd_run_mono_opinf(cfg, fom=fom))
+    assert peak < 8 * fom.mesh.n_nodes * fom.trajectory.n_times
+
+
 def test_mono_divergence_is_reported(small_fom, tmp_path, monkeypatch):
     # K = (1 - 1e-10)/dt I makes each implicit Euler step multiply the
     # state by 1e10, so the model overflows within a few dozen steps.
@@ -917,14 +1010,14 @@ def test_mono_is_driven_by_the_reference_traces():
     stepper = RomStepper(result.ops, cfg.dt)
     vhat = result.basis.Psi.T @ fom.trajectory.states[:, 0]
     trace = boundary_values(system, params)
-    for j, t in enumerate(result.times):
+    nodal = result.nodal_states
+    for j, t in enumerate(result.trajectory.times):
         g = trace(t)
         if j > 0:
             vhat = stepper.step(vhat, g)
-        np.testing.assert_array_equal(
-            result.nodal_states[system.boundary_map, j], g)
+        np.testing.assert_array_equal(nodal[system.boundary_map, j], g)
         np.testing.assert_allclose(
-            result.nodal_states[system.interior_map, j],
+            nodal[system.interior_map, j],
             result.basis.Psi @ vhat, rtol=0, atol=1e-12)
 
 

@@ -789,6 +789,46 @@ def test_build_solvers_checks_trained_operators(small_trained):
                       table, cfg.params(), small_trained)
 
 
+def test_hybrid_trajectories_are_built_from_the_record(small_trained,
+                                                       monkeypatch):
+    # A run lifts nothing. Each read of its trajectories builds them from
+    # the record, without calling ``lift``: reduced states are Psi times
+    # their rows, finite element states and every trace are row views.
+    cfg = small_cfg(t_end=0.3)
+    run = run_coupled(cfg.schwarz_config(), cfg.params(), small_trained)
+
+    def no_lift(self, states):
+        raise AssertionError("lift called")
+
+    for cls in (FESubdomainSolver, RomSubdomainSolver):
+        monkeypatch.setattr(cls, "lift", no_lift)
+    columns = schwarz.coordinate_columns(run.solvers)
+    for s, a, b, traj in zip(run.solvers, columns[:-1], columns[1:],
+                             run.trajectories):
+        split = a + s.state.shape[0]
+        np.testing.assert_array_equal(traj.times, run.times)
+        assert np.shares_memory(traj.boundary_traces, run.coordinates)
+        np.testing.assert_array_equal(traj.boundary_traces,
+                                      run.coordinates[split:b])
+        if isinstance(s, RomSubdomainSolver):
+            np.testing.assert_array_equal(
+                traj.states, s.basis.Psi @ run.coordinates[a:split])
+        else:
+            assert np.shares_memory(traj.states, run.coordinates)
+            np.testing.assert_array_equal(traj.states,
+                                          run.coordinates[a:split])
+    # No lifted history is held by the result or its solvers, and no
+    # finite element solver keeps its Gamma response once the run ends.
+    lifted = {(s.interior_map.shape[0], run.times.shape[0])
+              for s in run.solvers if isinstance(s, RomSubdomainSolver)}
+    held = list(vars(run).values()) + [v for s in run.solvers
+                                       for v in vars(s).values()]
+    assert lifted and not any(np.shape(v) in lifted for v in held
+                              if isinstance(v, np.ndarray))
+    assert all(s._response is None for s in run.solvers
+               if isinstance(s, FESubdomainSolver))
+
+
 def four_strip_specs(h=0.05):
     ny = round(1.0 / h)
     return tuple(SubdomainSpec(Rect(x0, x1, 0.0, 1.0), round((x1 - x0) / h),
