@@ -8,8 +8,8 @@ the latest available donor states, until the interface traces stop changing.
 In the first sweep a Gamma row whose donor comes earlier in the sweep gets
 that donor's freshly advanced state; a row whose donor comes later (a
 *late row*) would get the donor's window-start state, one window behind.
-:func:`run_coupled` passes a :class:`LateRowHistory`, which samples every
-late row once per window, at the window start, and feeds each the
+Every :class:`GatherPlan` holds a :class:`LateRowHistory`, which samples
+every late row once per window, at the window start, and feeds each the
 polynomial extrapolation of its values at the last few window starts.
 Physical-boundary data are read through
 :func:`~cdrschwarz.fem.profile_closure`, so data that do not depend on
@@ -20,13 +20,13 @@ as one :class:`ReducedBlock`: its visits are affine maps of the window-start
 states and Gamma values, which forward substitution composes, once per run,
 into one dense map that every sweep applies, sized by the run's reduced
 ranks and Gamma rows but not by the substeps per window. The loop's
-bookkeeping is per window and per sweep, not per visit: every state is
-snapshot by reference, finiteness and convergence are checked once per
-sweep on the concatenated values, and the block replays and records the
-substep ``last_states``/``last_traces`` after the final sweep only. A
-finite element subdomain is advanced in a window's first sweep only; in
-later sweeps its window end moves by its Gamma response, computed once
-per solver (see :class:`FESubdomainSolver`).
+bookkeeping is per window and per sweep, not per visit: finiteness and
+convergence are checked once per sweep on the concatenated values, and the
+block replays and records the substep ``last_states``/``last_traces`` after
+the final sweep only. A finite element subdomain is advanced once per
+window, in its first sweep, from where it stands; in later sweeps its
+window end moves by its Gamma response, computed once per solver (see
+:class:`FESubdomainSolver`). No solver is snapshot or rewound.
 
 A window is ``steps`` substeps of ``dt``, both fixed per run and given to
 every solver when it is built; solvers keep no clock, and
@@ -41,16 +41,15 @@ visited one at a time through this protocol:
   finite element solver and reduced coordinates ``vhat`` for a reduced one;
   ``boundary_map``: boundary node ids, whose count sizes the recorded
   traces; ``dt`` and ``steps``: the substep and the substeps per window.
-- ``snapshot_state()`` / ``restore_state(snap)``: save and rewind
-  ``(state, boundary trace)``, the state by reference (``state`` arrays are
-  replaced, never written in place) and the trace by copy.
 - ``g_cur``: the whole boundary trace, in boundary-node order;
   ``set_interface_values(vals)`` / ``interface_values()``: its Gamma part.
-- ``advance_window(t_n)``: integrate the ``steps`` substeps from ``t_n``
-  with Gamma values held fixed, leaving ``last_states`` (one column of
-  ``state`` per substep, so reduced coordinates for a reduced solver) and
-  ``last_traces`` (one imposed boundary trace per substep). Only a
-  window's first sweep advances a visited solver.
+- ``advance_window(t_n, values)``: take the current ``(state, g_cur)`` as
+  the window start, impose Gamma values ``values``, and integrate the
+  ``steps`` substeps from ``t_n`` with them held fixed, leaving
+  ``last_states`` (one column of ``state`` per substep, so reduced
+  coordinates for a reduced solver) and ``last_traces`` (one imposed
+  boundary trace per substep). Only a window's first sweep advances a
+  visited solver.
 - ``respond(vals)``: in every later sweep, impose Gamma values ``vals``
   on the window the last ``advance_window`` integrated and move ``state``
   to that window's end, which is affine in them, without integrating.
@@ -303,7 +302,9 @@ class GatherPlan:
     ``solvers`` to the sweep's concatenated Gamma values. A gather is a row
     slice of it times the current coordinates, so a reduced donor is
     sampled without lifting its state. The plan serves the solvers it was
-    built with, for the whole coupled run.
+    built with, for the whole coupled run, and its ``history``, a
+    :class:`LateRowHistory`, predicts the late rows of every window's first
+    sweep.
     """
 
     def __init__(self, table, solvers):
@@ -341,6 +342,7 @@ class GatherPlan:
                 self.units.append(ReducedBlock(list(run), self))
             else:
                 self.units.extend(run)
+        self.history = LateRowHistory(self)
 
     def coordinates(self):
         """The solvers' current ``[state; g_cur]``, concatenated."""
@@ -449,7 +451,6 @@ class _SubdomainSolverBase:
         self.g_cur = np.zeros(n_b)
         self.g_cur[self.physical_positions] = self._physical_trace(0.0)
         self.state = None
-        self._window_snapshot = None
         self.last_states = None
         self.last_traces = None
 
@@ -479,6 +480,9 @@ class _SubdomainSolverBase:
 
     # -- state management ----------------------------------------------
 
+    # The sweep never rewinds a solver: saving and rewinding ``(state,
+    # boundary trace)`` serve visit-by-visit reference sweeps only.
+
     def snapshot_state(self):
         # The state by reference: ``state`` arrays are replaced, never
         # written in place; the trace is written in place.
@@ -487,11 +491,6 @@ class _SubdomainSolverBase:
     def restore_state(self, snap):
         self.state = snap[0]
         self.g_cur = snap[1].copy()
-
-    # -- subclass hooks ---------------------------------------------------
-
-    def advance_window(self, t_n):
-        raise NotImplementedError
 
 
 class FESubdomainSolver(_SubdomainSolverBase):
@@ -510,13 +509,9 @@ class FESubdomainSolver(_SubdomainSolverBase):
         self.system = system = assemble(mesh, params)
         self.stepper = timestep.ImplicitEulerStepper(system, dt)
         self.state = np.zeros(system.n_interior)
-        # Trace the current state is consistent with: the one imposed while
-        # stepping into the current time (feeds the moving-boundary mass
-        # term of the next step).
-        self._g_committed = self.g_cur.copy()
         # Y, the window-end state's derivative in the Gamma values. The
         # first substep sees them in the stiffness and moving-boundary mass
-        # terms (the committed trace is fixed); later substeps hold them, so
+        # terms (the window-start trace is fixed); later substeps hold them, so
         # only the stiffness term and the carried state depend on them.
         stiffness = self.dt * system.A_IB[:, self.gamma_positions].toarray()
         y = self.stepper.solve(
@@ -524,8 +519,8 @@ class FESubdomainSolver(_SubdomainSolverBase):
         for _ in range(1, self.steps):
             y = self.stepper.solve(system.M @ y - stiffness)
         self._response = y
-        #: The last advance's start ``(state, committed trace)`` and its
-        #: anchor ``(end state, Gamma values)``.
+        #: The last advance's start ``(state, trace)`` and its anchor ``(end
+        #: state, Gamma values)``.
         self._start = self._anchor = None
 
     def lift(self, states):
@@ -543,9 +538,9 @@ class FESubdomainSolver(_SubdomainSolverBase):
             shape=(matrix.shape[0], position.shape[0]))
 
     def restore_state(self, snap):
+        # Adds nothing: studybench's tracer patches this name in the class's
+        # own ``__dict__``, so it stays while the tracer names it.
         super().restore_state(snap)
-        # Only read, as is the snapshot's trace.
-        self._g_committed = snap[1]
 
     def _substeps(self, t_n, v, g_prev, states, traces):
         """Step ``v``, stepped into trace ``g_prev``, from ``t_n`` through
@@ -563,19 +558,20 @@ class FESubdomainSolver(_SubdomainSolverBase):
             g_prev = traces[:, j]
         return v
 
-    def advance_window(self, t_n):
-        """Integrate the window from ``t_n`` holding Gamma values fixed.
+    def advance_window(self, t_n, values):
+        """Integrate the window from ``t_n`` holding Gamma ``values`` fixed.
 
-        Physical boundary values follow the prescribed data at each substep
-        time; the interface part of the trace stays as last set. The substep
-        history is kept on the solver for the orchestrator to record, and
-        the window end anchors :meth:`respond`.
+        The window starts from the current state and trace, which the first
+        substep's moving-boundary mass term reads. Physical boundary values
+        follow the prescribed data at each substep time. The substep history
+        is kept on the solver for the orchestrator to record, and the window
+        end anchors :meth:`respond`.
         """
+        self._start = (self.state, self.g_cur.copy())
+        self.set_interface_values(values)
         states = np.empty((self.state.shape[0], self.steps))
         traces = np.empty((self.boundary_map.shape[0], self.steps))
-        self._start = (self.state, self._g_committed)
         self.state = self._substeps(t_n, *self._start, states, traces)
-        self._g_committed = self.g_cur.copy()
         self.last_states, self.last_traces = states, traces
         self._anchor = (self.state, self.g_cur.take(self.gamma_positions))
 
@@ -603,7 +599,6 @@ class FESubdomainSolver(_SubdomainSolverBase):
         states[:, -1] = self.state
         traces[:, -1] = end
         self.g_cur = end
-        self._g_committed = end.copy()
         self.last_states, self.last_traces = states, traces
 
 
@@ -669,15 +664,16 @@ class RomSubdomainSolver(_SubdomainSolverBase):
             states[:, j] = vhat
         return vhat
 
-    def advance_window(self, t_n):
-        """Integrate the window from ``t_n`` in reduced coordinates, Gamma
-        held fixed.
+    def advance_window(self, t_n, values):
+        """Integrate the window from ``t_n`` in reduced coordinates, from the
+        current state, with Gamma ``values`` held fixed.
 
         Each substep is the explicit implicit-Euler update ``vhat <- P vhat
         + Q_Gamma gamma + c(t_j)``, with ``c(t_j)`` the physical-trace and
         constant forcing at the substep time. ``last_states`` holds the
         reduced coordinates; nothing is lifted here.
         """
+        self.set_interface_values(values)
         self._prepare_window(t_n)
         gamma = self.g_cur.take(self.gamma_positions)
         states = np.empty((self.state.shape[0], self.steps))
@@ -710,9 +706,10 @@ class ReducedBlock:
     is, fed by a donor outside the run or by a later member. Inputs are
     sampled from the donors' current states before any member moves, in
     later sweeps from the previous sweep's; in a window's first sweep the
-    late rows take the :class:`LateRowHistory` prediction, and only the
-    others are sampled, both through its ``first_gather``. The substep states before the window end are
-    replayed once, after the final sweep.
+    late rows take the plan's :class:`LateRowHistory` prediction, and only
+    the others are sampled, both through its ``first_gather``. The substep
+    states before the window end are replayed once, after the final sweep,
+    from the window-start states :meth:`start_window` keeps.
     """
 
     def __init__(self, members, plan):
@@ -794,7 +791,9 @@ class ReducedBlock:
         self._fixed = None
 
     def start_window(self, t_n):
-        """Prepare the members' window and the inputs fixed within it."""
+        """Prepare the members' window and the inputs fixed within it, and
+        keep their window-start states, by reference: ``state`` arrays are
+        replaced, never written in place."""
         if self._fixed is None or not self._steady:
             folded = []
             for s in self.solvers:
@@ -810,19 +809,19 @@ class ReducedBlock:
                 folded + [s._traces[h, -1] for s, h in zip(self.solvers,
                                                            self._h_used)])
             self._traces = np.concatenate([s._traces for s in self.solvers])
-        self._w = np.concatenate([s._window_snapshot[0] for s in self.solvers]
-                                 + [self._fixed])
+        self._starts = [s.state for s in self.solvers]
+        self._w = np.concatenate(self._starts + [self._fixed])
 
-    def sweep(self, first, gamma, history):
+    def sweep(self, first, gamma):
         """Advance every member once, filling ``gamma``, the run's slice of
         the sweep's Gamma values, and leaving each member's new ``state``
         and trace in place for the gathers that follow.
 
-        In a first sweep with a ``history`` the inputs are its
+        In a first sweep the inputs are the plan history's
         :meth:`~LateRowHistory.first_gather`, so the late ones are
         predicted and only the early ones sampled."""
-        if first and history is not None:
-            inputs = history.first_gather(self).take(self._inputs)
+        if first:
+            inputs = self._plan.history.first_gather(self).take(self._inputs)
         else:
             inputs = self._sample @ self._plan.coordinates()
         self._z = np.concatenate((self._w, inputs))
@@ -853,7 +852,7 @@ class ReducedBlock:
             states = np.empty((self._so[m + 1] - self._so[m], s.steps))
             states[:, -1] = s.state
             if s.steps > 1:
-                s._substeps(s._window_snapshot[0],
+                s._substeps(self._starts[m],
                             s.g_cur.take(s.gamma_positions), states[:, :-1])
             s.last_states = states
             s.last_traces = traces[self._boff[m]:self._boff[m + 1]]
@@ -907,21 +906,20 @@ def _raise_divergence(plan, gamma, t_n):
                 f"t={t_next}")
 
 
-def schwarz_window(plan, t_n, tol, max_iters, history=None):
+def schwarz_window(plan, t_n, tol, max_iters):
     """One multiplicative Schwarz fixed point of ``plan.solvers`` over the
     window that starts at ``t_n``, where the solvers are.
 
-    Snapshots every solver, then sweeps the units of the plan in order,
-    each subdomain taking Gamma values gathered from its donors' current
-    states, so subdomains already moved in this sweep contribute their new
-    window end. In the first sweep a visited solver is rewound to the
-    window start, takes its values, and advances the window; in every
-    later sweep it takes them through :meth:`~FESubdomainSolver.respond`,
-    with no integration, and after the final sweep, if that was not the
-    first, it records the window with ``finish_window``. A
-    :class:`ReducedBlock` moves its run of reduced subdomains by its
-    composed map in every sweep and records their window after the final
-    one.
+    Sweeps the units of the plan in order, each subdomain taking Gamma
+    values gathered from its donors' current states, so subdomains already
+    moved in this sweep contribute their new window end. In the first sweep
+    a visited solver takes its values and advances the window from where it
+    stands; in every later sweep it takes them through
+    :meth:`~FESubdomainSolver.respond`, with no integration, and after the
+    final sweep, if that was not the first, it records the window with
+    ``finish_window``. A :class:`ReducedBlock` moves its run of reduced
+    subdomains by its composed map in every sweep and records their window
+    after the final one.
 
     Converged once the relative sup-norm change of every subdomain's Gamma
     values drops to ``tol``; the first sweep's change is measured against
@@ -931,10 +929,8 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
     sweep order, whose gathered values or states are not finite.
 
     In the first sweep a row fed by an earlier subdomain gets that donor's
-    new state and a row fed by a later one its window-start state. Given a
-    :class:`LateRowHistory` ``history``, built on ``plan``, the latter rows
-    get its extrapolation instead; later sweeps always impose the gathered
-    values.
+    new state and a row fed by a later one the extrapolation of the plan's
+    :class:`LateRowHistory`; later sweeps always impose the gathered values.
 
     Returns ``(iterations, converged)``; the converged states live in the
     solvers, at the window end, with ``last_states``/``last_traces`` from
@@ -943,15 +939,12 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
     solvers = plan.solvers
-    for s in solvers:
-        s._window_snapshot = s.snapshot_state()
     units = plan.units
-    blocks = [u for u in units if isinstance(u, ReducedBlock)]
     prev = np.concatenate([s.interface_values() for s in solvers])
-    if history is not None:
-        history.start_window()
-    for block in blocks:
-        block.start_window(t_n)
+    plan.history.start_window()
+    for unit in units:
+        if isinstance(unit, ReducedBlock):
+            unit.start_window(t_n)
     offsets = plan.offsets
     converged = False
     for iteration in range(1, max_iters + 1):
@@ -960,20 +953,16 @@ def schwarz_window(plan, t_n, tol, max_iters, history=None):
         checked = [gamma]
         for unit in units:
             if isinstance(unit, ReducedBlock):
-                unit.sweep(first, gamma[unit.lo:unit.hi], history)
+                unit.sweep(first, gamma[unit.lo:unit.hi])
                 checked.append(unit.states)
                 continue
             s = solvers[unit]
-            if first and history is not None:
-                vals = history.first_gather(unit)
-            else:
-                vals = plan.gather(unit)
             if first:
-                s.restore_state(s._window_snapshot)
-                s.set_interface_values(vals)
-                s.advance_window(t_n)
+                vals = plan.history.first_gather(unit)
+                s.advance_window(t_n, vals)
                 checked.append(s.last_states.ravel())
             else:
+                vals = plan.gather(unit)
                 s.respond(vals)
                 checked.append(s.state)
             gamma[offsets[unit]:offsets[unit + 1]] = vals
@@ -1008,7 +997,6 @@ class RunResult:
     iterations: np.ndarray
     window_converged: np.ndarray
     timings: dict
-    table: InterfaceTable
     solvers: list
     config: SchwarzConfig
 
@@ -1068,14 +1056,13 @@ def run_coupled(config, params, trained=None):
     The solvers come from :func:`build_solvers`. Every substep state and
     imposed boundary trace is recorded (the traces double as reduced-model
     training inputs); wall clock is split into a setup phase and a solve
-    phase. One :class:`LateRowHistory` spans the run and seeds every
-    window's first sweep.
+    phase. The plan's :class:`LateRowHistory` spans the run and seeds
+    every window's first sweep.
     """
     t0 = time.perf_counter()
     table = build_interfaces(config)
     solvers = build_solvers(config, table, params, trained)
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(plan)
     for i, s in enumerate(solvers):
         s.set_interface_values(plan.gather(i))
     setup_seconds = time.perf_counter() - t0
@@ -1098,8 +1085,7 @@ def run_coupled(config, params, trained=None):
     t1 = time.perf_counter()
     for w in range(n_windows):
         t_w = w * config.window_dt
-        iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters,
-                                   history)
+        iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters)
         iterations[w] = iters
         window_converged[w] = ok
         lo = 1 + w * spw
@@ -1115,7 +1101,7 @@ def run_coupled(config, params, trained=None):
                      iterations=iterations, window_converged=window_converged,
                      timings={"setup_seconds": setup_seconds,
                               "solve_seconds": solve_seconds},
-                     table=table, solvers=solvers, config=config)
+                     solvers=solvers, config=config)
 
 
 class StitchPlan:

@@ -23,7 +23,9 @@ The right-hand side apart from the load is one sparse product,
 
     [M, -dt * A_IB, -M_IB] @ [v_n; g_{n+1}; g_{n+1} - g_n],
 
-with the block operator built once per stepper.
+with the block operator built once per stepper; the load ``dt *
+F(t_{n+1})`` is evaluated at every step, since consecutive steps of a
+stepper are never at the same time.
 """
 
 import math
@@ -110,8 +112,6 @@ class ImplicitEulerStepper:
         # the cost of small subdomain steps.
         self._rhs_operator = hstack(
             [system.M, -self.dt * system.A_IB, -system.M_IB], format="csr")
-        self._load_t = None
-        self._load_vec = None
 
     def solve(self, rhs):
         """``(M + dt * A_II)^-1 rhs`` for a vector or a matrix of columns,
@@ -125,14 +125,6 @@ class ImplicitEulerStepper:
         lower, upper = self._triangles
         y = dtbtrs(lower, rhs, uplo="L", diag="U")[0]
         return dtbtrs(upper, y, overwrite_b=True)[0]
-
-    def _scaled_load(self, t):
-        # One-slot cache of dt * F(t): within a Schwarz window the same
-        # instants are revisited on every sweep, so repeats are free.
-        if self._load_t is None or t != self._load_t:
-            self._load_vec = self.dt * self.system.load(t)
-            self._load_t = t
-        return self._load_vec
 
     def step(self, v_n, g_next, t_next, g_prev):
         """Advance one state vector a single step to time ``t_next``.
@@ -154,7 +146,7 @@ class ImplicitEulerStepper:
                 f"{g_next.shape}")
         rhs = self._rhs_operator @ np.concatenate((v_n, g_next,
                                                    g_next - g_prev))
-        rhs += self._scaled_load(t_next)
+        rhs += self.dt * system.load(t_next)
         return self.solve(rhs)
 
 

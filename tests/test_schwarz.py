@@ -89,11 +89,20 @@ def per_piece_average(config, global_mesh, solvers, fields):
 
 
 class RecordingPlan(GatherPlan):
-    """Gather plan that logs every (receiver, values) pair it serves."""
+    """Gather plan that logs every (receiver, values) pair it serves, the
+    first-sweep values of its history included."""
 
     def __init__(self, table, solvers):
         super().__init__(table, solvers)
         self.log = []
+        first_gather = self.history.first_gather
+
+        def logged(unit):
+            vals = first_gather(unit)
+            self.log.append((unit, vals.copy()))
+            return vals
+
+        self.history.first_gather = logged
 
     def gather(self, i):
         vals = super().gather(i)
@@ -236,9 +245,8 @@ def test_gather_plan_matches_lifted_reduced_donor():
     solvers[1] = make_rom_solver(config, params, table, 1)
     rng = np.random.default_rng(3)
     solvers[1].state = rng.standard_normal(solvers[1].state.shape[0])
-    solvers[1].set_interface_values(
-        rng.standard_normal(table.entries[1].n_gamma))
-    solvers[1].advance_window(0.0)
+    solvers[1].advance_window(0.0,
+                              rng.standard_normal(table.entries[1].n_gamma))
 
     plan = GatherPlan(table, solvers)
     entry = table.entries[0]
@@ -340,8 +348,7 @@ def test_sweep_is_multiplicative_not_jacobi():
 
     # Replay subdomain 0's first advance on a fresh solver.
     replay = build_solvers(config, table, params)[0]
-    replay.set_interface_values(first_gather_0)
-    replay.advance_window(0.0)
+    replay.advance_window(0.0, first_gather_0)
     entry1 = table.entries[1]
     fresh_field_sample = table.meshes[0].interpolation_matrix(
         entry1.gamma_points) @ full_field(replay)
@@ -378,8 +385,8 @@ def test_sweep_check_kernels():
 
 def test_divergent_state_raises():
     class PoisonedSolver(FESubdomainSolver):
-        def advance_window(self, t_n):
-            super().advance_window(t_n)
+        def advance_window(self, t_n, values):
+            super().advance_window(t_n, values)
             self.last_states = self.last_states * np.nan
 
     config, params, table, _ = steady_strip_setup(overlap=0.2)
@@ -416,8 +423,7 @@ def test_reduced_window_matches_substep_stepping(steps_per_window):
     v0 = rng.standard_normal(solver.state.shape[0])
     gamma = rng.standard_normal(table.entries[0].n_gamma)
     solver.state = v0.copy()
-    solver.set_interface_values(gamma)
-    solver.advance_window(0.0)
+    solver.advance_window(0.0, gamma)
 
     coords = table.meshes[0].coords[solver.boundary_map]
     stepper = RomStepper(solver.ops, config.dt)
@@ -443,8 +449,7 @@ def test_snapshot_restore_round_trip():
     s = solvers[0]
     snap = s.snapshot_state()
     before = full_field(s)
-    s.set_interface_values(np.ones(table.entries[0].n_gamma))
-    s.advance_window(0.0)
+    s.advance_window(0.0, np.ones(table.entries[0].n_gamma))
     assert np.max(np.abs(full_field(s) - before)) > 1e-3
     s.restore_state(snap)
     np.testing.assert_array_equal(full_field(s), before)
@@ -572,13 +577,15 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
                     atol=1e-12 * np.max(np.abs(expect)))
 
 
-def test_predictor_cuts_sweeps_and_keeps_window_zero():
+def test_predictor_cuts_sweeps_and_keeps_window_zero(monkeypatch):
     cfg = small_cfg()
     config = cfg.schwarz_config(force_model="fe")
     run = run_coupled(config, cfg.params())
 
-    # The same march without a history: every first sweep feeds late rows
+    # The same march unpredicted: a history of depth 0 predicts each late
+    # row by its window-start sample, so every first sweep feeds late rows
     # their window-start values.
+    monkeypatch.setattr(schwarz, "PREDICTOR_DEPTH", 0)
     table = build_interfaces(config)
     solvers = build_solvers(config, table, cfg.params())
     plan = GatherPlan(table, solvers)
@@ -609,7 +616,6 @@ def test_rows_from_earlier_donors_are_never_extrapolated():
     assert set(donors.tolist()) == {0, 2}
     solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(plan)
     # Each imposition on the middle strip, next to what a gather from the
     # donors' current states would give it then. The first-sweep gather
     # samples only the rows from earlier donors, so the expected values
@@ -627,8 +633,7 @@ def test_rows_from_earlier_donors_are_never_extrapolated():
         imposed.clear()
         gathered.clear()
         t_w = w * config.dt
-        iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters,
-                                   history)
+        iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters)
         assert ok and iters >= 2
         np.testing.assert_array_equal(imposed[0][donors == 0],
                                       gathered[0][donors == 0])
@@ -696,13 +701,13 @@ class PerReceiverHistory:
 
 
 def per_visit_window(plan, t_n, tol, max_iters, history):
-    """The sweep visit by visit, every subdomain advanced through its own
-    ``advance_window`` in every sweep and checked on its own: the reference
-    that the composed reduced blocks and the finite element Gamma responses
-    of ``schwarz_window`` must reproduce."""
+    """The sweep visit by visit, every subdomain rewound to the window start
+    and advanced through its own ``advance_window`` in every sweep and
+    checked on its own: the reference that the composed reduced blocks and
+    the finite element Gamma responses of ``schwarz_window`` must
+    reproduce."""
     solvers = plan.solvers
-    for s in solvers:
-        s._window_snapshot = s.snapshot_state()
+    snapshots = [s.snapshot_state() for s in solvers]
     prev = [s.interface_values() for s in solvers]
     for iteration in range(1, max_iters + 1):
         change = 0.0
@@ -710,9 +715,8 @@ def per_visit_window(plan, t_n, tol, max_iters, history):
             vals = plan.gather(i)
             if iteration == 1:
                 vals = history.predict(i, vals)
-            s.restore_state(s._window_snapshot)
-            s.set_interface_values(vals)
-            s.advance_window(t_n)
+            s.restore_state(snapshots[i])
+            s.advance_window(t_n, vals)
             change = max(change, kernels.relative_sup_change(vals, prev[i]))
             prev[i] = vals
         if change <= tol:
@@ -720,19 +724,20 @@ def per_visit_window(plan, t_n, tol, max_iters, history):
     return max_iters, False
 
 
-def march(config, make_solvers, window, predictor=LateRowHistory):
+def march(config, make_solvers, window, predictor=None):
     """Sweeps per window and each window's recorded states and traces of a
-    march over ``config`` with ``window``, seeded by ``predictor``."""
+    march over ``config`` with ``window``, seeded by ``predictor`` if one
+    is given (``schwarz_window`` uses the plan's own history)."""
     table = build_interfaces(config)
     solvers = make_solvers(table)
     plan = GatherPlan(table, solvers)
-    history = predictor(plan)
+    history = () if predictor is None else (predictor(plan),)
     for i, s in enumerate(solvers):
         s.set_interface_values(plan.gather(i))
     sweeps, records = [], []
     for w in range(config.n_windows):
         t_w = w * config.window_dt
-        iters, _ = window(plan, t_w, config.tol, config.max_iters, history)
+        iters, _ = window(plan, t_w, config.tol, config.max_iters, *history)
         sweeps.append(iters)
         records.append([(np.array(s.last_states), np.array(s.last_traces))
                          for s in solvers])
@@ -921,24 +926,28 @@ def test_fe_response_equals_a_genuine_window(steps_per_window):
     n_gamma = table.entries[1].n_gamma
     solver.state = rng.standard_normal(solver.state.shape[0])
     solver.set_interface_values(rng.standard_normal(n_gamma))
-    # A window start: snapshot, then rewind, which commits the trace.
+    # A window start, kept to advance the genuine window from.
     snap = solver.snapshot_state()
-    solver.restore_state(snap)
     t_n = config.window_dt
     gamma = rng.standard_normal(n_gamma)
 
-    solver.set_interface_values(rng.standard_normal(n_gamma))
-    solver.advance_window(t_n)
+    def next_start():
+        # The trace the next window's advance starts from.
+        solver.advance_window(t_n + config.window_dt, gamma)
+        return solver._start[1]
+
+    solver.advance_window(t_n, rng.standard_normal(n_gamma))
     solver.respond(gamma)
     solver.finish_window(t_n)
     responded = (solver.state, solver.last_states, solver.last_traces,
-                 solver.g_cur.copy(), solver._g_committed)
+                 solver.g_cur.copy())
+    responded += (next_start(),)
 
     solver.restore_state(snap)
-    solver.set_interface_values(gamma)
-    solver.advance_window(t_n)
+    solver.advance_window(t_n, gamma)
     genuine = (solver.state, solver.last_states, solver.last_traces,
-               solver.g_cur.copy(), solver._g_committed)
+               solver.g_cur.copy())
+    genuine += (next_start(),)
     scale = max(np.max(np.abs(x)) for x in genuine)
     for got, want in zip(responded, genuine):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -968,11 +977,10 @@ def test_reduced_block_follows_moving_dirichlet_data():
     for i in (0, 1, 3):
         solvers[i] = make_rom_solver(config, params, table, i, seed=i)
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(plan)
     for w in range(config.n_windows):
         t_w = w * config.window_dt
         start = [np.array(s.state) for s in solvers]
-        schwarz_window(plan, t_w, config.tol, config.max_iters, history)
+        schwarz_window(plan, t_w, config.tol, config.max_iters)
         for i in (0, 1, 3):
             s = solvers[i]
             xy = table.meshes[i].coords[s.boundary_map[s.physical_positions]]
@@ -1031,7 +1039,7 @@ def test_time_independent_dirichlet_data_are_evaluated_once():
 
 
 def test_reduced_block_never_visits_members(monkeypatch):
-    def refuse(self, t_n):
+    def refuse(self, t_n, values):
         raise AssertionError("a reduced subdomain was visited on its own")
 
     config = SchwarzConfig(subdomains=three_strip_specs(), dt=0.01,
@@ -1074,8 +1082,8 @@ def test_reduced_block_maps_do_not_grow_with_substeps():
 def test_consecutive_windows_reproduce_run_coupled(small_trained,
                                                    monkeypatch):
     # A window is the run's fixed number of substeps: each call is told only
-    # its start, snapshots every solver there, and reuses the reduced
-    # block's map, composed once when the plan was built.
+    # its start, advances every solver from where it stands, and reuses the
+    # reduced block's map, composed once when the plan was built.
     cfg = small_cfg(t_end=0.3, steps_per_window=2)
     config = cfg.schwarz_config()
     recorded = []
@@ -1093,7 +1101,6 @@ def test_consecutive_windows_reproduce_run_coupled(small_trained,
     table = build_interfaces(config)
     solvers = build_solvers(config, table, cfg.params(), small_trained)
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(plan)
     for i, s in enumerate(solvers):
         s.set_interface_values(plan.gather(i))
     block = plan.units[0]
@@ -1102,10 +1109,12 @@ def test_consecutive_windows_reproduce_run_coupled(small_trained,
     for w in range(2):
         starts = [s.state for s in solvers]
         result = schwarz_window(plan, w * config.window_dt, config.tol,
-                                config.max_iters, history)
-        # Each solver was snapshot on entry, its state by reference.
-        assert all(s._window_snapshot[0] is start
-                   for s, start in zip(solvers, starts))
+                                config.max_iters)
+        # The block and the finite element solver kept their window-start
+        # states, by reference.
+        kept = block._starts + [solvers[3]._start[0]]
+        assert len(kept) == len(starts)
+        assert all(a is b for a, b in zip(kept, starts))
         maps.append(block._M)
         want, records = recorded[w]
         assert result == want
@@ -1114,6 +1123,49 @@ def test_consecutive_windows_reproduce_run_coupled(small_trained,
             np.testing.assert_array_equal(s.last_traces, traces)
     assert maps[0] is maps[1]
     assert max(recorded[w][0][0] for w in range(2)) > 1
+
+
+def test_runs_never_snapshot_or_rewind_a_solver(small_trained, monkeypatch):
+    # Every window advances each solver once, from where it stands: an
+    # all-FE and a hybrid run are bitwise the same with snapshots and
+    # rewinds made to raise.
+    cfg = small_cfg(t_end=0.3)
+    configs = ((cfg.schwarz_config(force_model="fe"), None),
+               (cfg.schwarz_config(), small_trained))
+    runs = [run_coupled(config, cfg.params(), trained)
+            for config, trained in configs]
+
+    def refuse(*args):
+        raise AssertionError("a solver was snapshot or rewound")
+
+    base = schwarz._SubdomainSolverBase
+    for owner, name in ((base, "snapshot_state"), (base, "restore_state"),
+                        (FESubdomainSolver, "restore_state")):
+        monkeypatch.setattr(owner, name, refuse)
+    for (config, trained), want in zip(configs, runs):
+        got = run_coupled(config, cfg.params(), trained)
+        np.testing.assert_array_equal(got.iterations, want.iterations)
+        np.testing.assert_array_equal(got.coordinates, want.coordinates)
+
+
+def test_first_fe_substep_starts_from_the_set_up_trace():
+    # The set-up gather imposes nonzero Gamma values before window 0, and
+    # window 0's first substep reads them in its moving-boundary mass term:
+    # it steps from column 0 of the record, state and trace, not from the
+    # trace a solver was built with.
+    config = SchwarzConfig(subdomains=unaligned_strip_specs(), dt=0.01,
+                           t_end=0.04, steps_per_window=2)
+    run = run_coupled(config, moving_data_params())
+    columns = schwarz.coordinate_columns(run.solvers)
+    imposed = []
+    for s, a, b in zip(run.solvers, columns[:-1], columns[1:]):
+        split = a + s.state.shape[0]
+        v0, trace = run.coordinates[a:split, 0], run.coordinates[split:b]
+        imposed.append(trace[s.gamma_positions, 0])
+        np.testing.assert_array_equal(
+            run.coordinates[a:split, 1],
+            s.stepper.step(v0, trace[:, 1], config.dt, g_prev=trace[:, 0]))
+    assert np.any(np.concatenate(imposed) != 0.0)
 
 
 def test_schwarz_window_rejects_max_iters_below_one():

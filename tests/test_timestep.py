@@ -111,8 +111,7 @@ def test_fe_window_matches_three_term_right_hand_side():
     gamma = rng.standard_normal(table.entries[0].n_gamma)
     g_prev = solver.g_cur.copy()
     solver.state = v0.copy()
-    solver.set_interface_values(gamma)
-    solver.advance_window(0.0)
+    solver.advance_window(0.0, gamma)
 
     system = solver.system
     m, m_ib = system.M.toarray(), system.M_IB.toarray()
