@@ -8,11 +8,12 @@ Grammar (one setting per line)::
 
 Keys are dotted paths; values are numbers, booleans, or bare strings.
 ``#`` starts a comment anywhere on a line. Unknown or duplicate keys are
-rejected. An empty file yields the default experiment: unit square,
-eps = 1e-2, sigma = 1e-3, b = (cos 60 deg, sin 60 deg), f = x*y, g = 0,
-T = 5, dt = 5e-3, a 50x50 mesh split into four overlapping quadrants,
-reduced models of rank 10 with lambda = 0 everywhere except the last
-quadrant, which stays finite element.
+rejected, and so are the keys of the decomposition layout not chosen. An
+empty file yields the default experiment: unit square, eps = 1e-2, sigma =
+1e-3, b = (cos 60 deg, sin 60 deg), f = x*y, g = 0, T = 5, dt = 5e-3, a
+50x50 mesh split into four overlapping quadrants, reduced models of rank
+10 with lambda = 0 everywhere except the last quadrant, which stays
+finite element.
 
 The default forcing grows toward the outflow corner, so the slow,
 late-settling dynamics (and the sharp boundary layer) are concentrated
@@ -138,6 +139,11 @@ _KEYS = {
     "output.field_times": ("field_times", lambda key, text: [
         _as_float(key, p) for p in text.split(",") if p.strip()]),
 }
+
+#: Keys read by one decomposition layout only, and that layout.
+_LAYOUT_KEYS = {"decomposition.split": "quadrants",
+                "decomposition.overlap": "quadrants",
+                "decomposition.count": "custom", "subdomain.<k>.rect": "custom"}
 
 #: Keys that exclude each other: the first, or any of the rest.
 _EITHER = (("problem.b_angle_degrees", ("problem.bx", "problem.by")),
@@ -343,7 +349,7 @@ def parse_config(path):
     the file and line.
     """
     cfg = RunConfig()
-    lines, collected = {}, {}
+    lines, collected, layout_keys = {}, {}, []
     for lineno, key, text in _read_pairs(path):
         with _at(path, lineno):
             sub = re.fullmatch(r"subdomain\.(\d+)\.(\w+)", key)
@@ -355,6 +361,8 @@ def parse_config(path):
             if sub and int(sub.group(1)) < 1:
                 raise ConfigurationError("subdomain indices start at 1")
             lines[key] = lineno
+            if name in _LAYOUT_KEYS:
+                layout_keys.append((lineno, key, _LAYOUT_KEYS[name]))
             attr, parse = _KEYS[name]
             value = parse(key, text)
             if attr is None:
@@ -364,6 +372,12 @@ def parse_config(path):
                                              {})[attr] = value
             else:
                 setattr(cfg, attr, value)
+    for lineno, key, layout in layout_keys:
+        if cfg.layout in _LAYOUT_KEYS.values() and layout != cfg.layout:
+            with _at(path, lineno):
+                raise ConfigurationError(
+                    f"{key} applies to decomposition.layout = {layout} only, "
+                    f"not {cfg.layout}")
     for one, rest in _EITHER:
         given = [k for k in (one,) + rest if k in lines]
         if one in lines and len(given) > 1:

@@ -272,23 +272,28 @@ def _selector_tag(value):
 
 def training_fingerprint(cfg, spec):
     """``{key: text}`` of everything a subdomain's trained operators depend
-    on: the problem data, the time step, the training horizon and the
-    subdomain's rectangle, mesh, rank and lambda.
+    on: the problem data; the training data run's time step, horizon,
+    tolerance, sweep limit and every subdomain's rectangle and mesh (see
+    :meth:`~cdrschwarz.config.RunConfig.training_schwarz_config`); and the
+    subdomain's rank and lambda.
     """
     params = cfg.params()
-    rect = spec.rect
-    return {
+    run = cfg.training_schwarz_config()
+    fingerprint = {
         "epsilon": str(float(params.eps)), "sigma": str(float(params.sigma)),
         "bx": str(params.b[0]), "by": str(params.b[1]),
         "forcing": _selector_tag(params.forcing),
         "dirichlet": _selector_tag(params.dirichlet),
-        "dt": str(float(cfg.dt)),
-        "training_t_end": str(float(cfg.training_t_end)),
-        "rect": ",".join(str(float(v))
-                         for v in (rect.x0, rect.x1, rect.y0, rect.y1)),
-        "nx": str(spec.nx), "ny": str(spec.ny), "r": str(spec.rom_dim),
-        "lambda": str(float(spec.rom_lambda)),
+        "dt": str(float(run.dt)), "training_t_end": str(float(run.t_end)),
+        "tol": str(float(run.tol)), "max_iters": str(run.max_iters),
+        "r": str(spec.rom_dim), "lambda": str(float(spec.rom_lambda)),
     }
+    for k, s in enumerate(run.subdomains, start=1):
+        r = s.rect
+        fingerprint[f"subdomain{k}"] = ",".join(
+            str(v) for v in (float(r.x0), float(r.x1), float(r.y0),
+                             float(r.y1), s.nx, s.ny))
+    return fingerprint
 
 
 def _check_fingerprint(index, meta_path, stored, current):

@@ -5,37 +5,39 @@ a local solver (finite element or inferred reduced model). Time marches in
 windows; within a window the subdomains are swept in ascending index order,
 each receiving Dirichlet values on its Schwarz boundary Gamma sampled from
 the latest available donor states, until the interface traces stop changing.
-In the first sweep a Gamma row whose donor comes earlier in the sweep gets
-that donor's freshly advanced state; a row whose donor comes later (a
-*late row*) would get the donor's window-start state, one window behind.
-Every :class:`GatherPlan` holds a :class:`LateRowHistory`, which samples
-every late row once per window, at the window start, and feeds each the
-polynomial extrapolation of its values at the last few window starts.
 Physical-boundary data are read through
 :func:`~cdrschwarz.fem.profile_closure`, so data that do not depend on
 time are evaluated once per solver.
 
-A maximal run of consecutive reduced subdomains in the sweep is advanced
-as one :class:`ReducedBlock`: its visits are affine maps of the window-start
-states and Gamma values, which forward substitution composes, once per run,
-into one dense map that every sweep applies, sized by the run's reduced
-ranks and Gamma rows but not by the substeps per window. The loop's
-bookkeeping is per window and per sweep, not per visit: finiteness and
-convergence are checked once per sweep on the concatenated values, and the
-block replays and records the substep ``last_states``/``last_traces`` after
-the final sweep only. A finite element subdomain is advanced once per
-window, in its first sweep, from where it stands; in later sweeps its
-window end moves by its Gamma response, computed once per solver (see
-:class:`FESubdomainSolver`). No solver is snapshot or rewound.
+A :class:`GatherPlan`, built once per coupled run, holds the solvers and
+one sampling operator for every Gamma row, and splits the sweep into
+units, ``plan.units``, that all follow one protocol:
+
+- ``lo``/``hi``: the unit's rows of the sweep's concatenated Gamma values;
+  its input rows are the *early* ones, fed by a donor ahead of the unit,
+  and the *late* ones, fed by a donor later in the sweep, which in a
+  window's first sweep would see that donor's window-start state, one
+  window behind. ``inputs(first)`` gathers them by one row slice of the
+  plan's operator, except that in a first sweep the late rows take the
+  plan's polynomial extrapolation of their values at the last few window
+  starts (see :meth:`GatherPlan.start_window`).
+- ``start_window(t_n)``, ``sweep(first, gamma)``, which advances the unit
+  once, fills ``gamma``, its slice of the sweep's Gamma values, and
+  returns what the sweep checks for finiteness, ``finish(sweeps)``, which
+  records the window after the final sweep, and ``first_failure(gamma)``.
+
+A :class:`Visit` advances one subdomain on its own: a window's first sweep
+calls its solver's ``advance_window``, later sweeps its ``respond``, and
+``finish_window`` records the window. A :class:`ReducedBlock` advances a
+maximal run of consecutive reduced subdomains by one dense map, composed
+once per run, sized by the run's reduced ranks and Gamma rows but not by
+the substeps per window. Finiteness and convergence are checked once per
+sweep on the concatenated values. No solver is snapshot or rewound.
 
 A window is ``steps`` substeps of ``dt``, both fixed per run and given to
 every solver when it is built; solvers keep no clock, and
-:func:`schwarz_window` is told the window start ``t_n``.
-
-A :class:`GatherPlan`, built once per coupled run, holds the solvers and
-hands them to every window. Solvers are duck-typed, so tests can
-instrument the sweep. Finite element and other non-reduced solvers are
-visited one at a time through this protocol:
+:func:`schwarz_window` is told the window start ``t_n``. Solvers are
+duck-typed, so tests can instrument the sweep:
 
 - ``state``: the solver's own coordinates, interior nodal values for a
   finite element solver and reduced coordinates ``vhat`` for a reduced one;
@@ -46,41 +48,34 @@ visited one at a time through this protocol:
 - ``advance_window(t_n, values)``: take the current ``(state, g_cur)`` as
   the window start, impose Gamma values ``values``, and integrate the
   ``steps`` substeps from ``t_n`` with them held fixed, leaving
-  ``last_states`` (one column of ``state`` per substep, so reduced
-  coordinates for a reduced solver) and ``last_traces`` (one imposed
-  boundary trace per substep). Only a window's first sweep advances a
-  visited solver.
-- ``respond(vals)``: in every later sweep, impose Gamma values ``vals``
-  on the window the last ``advance_window`` integrated and move ``state``
-  to that window's end, which is affine in them, without integrating.
-  ``finish_window(t_n)``: after a final sweep that was not the first,
+  ``last_states`` (one column of ``state`` per substep) and
+  ``last_traces`` (one imposed boundary trace per substep).
+- ``respond(vals)``: impose Gamma values ``vals`` on the window the last
+  ``advance_window`` integrated and move ``state`` to that window's end,
+  which is affine in them, without integrating; ``finish_window(t_n)``:
   record that window's ``last_states``/``last_traces`` for the values
   last imposed.
 - ``coordinate_operator(matrix)``: ``matrix``, an operator on the nodal
   field, as one on the coordinates ``[state; g_cur]``. The plan stacks
   every (receiver, donor) interpolation matrix, so converted, into one CSR
-  operator on the concatenated coordinates of all solvers; a gather is a
-  row slice of it times those coordinates, and a reduced donor is sampled
-  without lifting its state.
+  operator on the concatenated coordinates of all solvers, so a reduced
+  donor is sampled without lifting its state.
 - ``lift(states)``: interior nodal values of ``state`` columns, for
   callers outside the run. :func:`run_coupled` records one history,
-  ``RunResult.coordinates``, in the plan's coordinates ``[state; g_cur]``
-  of every solver, and lifts nothing; :attr:`RunResult.trajectories`
-  lifts a reduced solver's rows of it by its Psi on each read.
+  ``RunResult.coordinates``, in the plan's coordinates, and lifts
+  nothing; :attr:`RunResult.trajectories` lifts a reduced solver's rows
+  of it by its Psi on each read.
+
+A :class:`RomSubdomainSolver` in a block is never visited on its own: the
+block reads its propagators and leaves ``state``, the trace and, after the
+final sweep, ``last_states``/``last_traces`` on it. Its ``advance_window``
+stays for callers outside the sweep.
 
 A :class:`StitchPlan` averages the record onto a global mesh without
 lifting it: each solver's interpolation onto the global nodes it covers
 goes through its ``coordinate_operator``, and the pieces are stacked, as
 in the :class:`GatherPlan`, into one CSR operator from the coordinates
-to the global nodes with the overlap average folded in, which stitches
-one column of the record or a block of columns per product.
-
-A :class:`RomSubdomainSolver` in a block is never visited on its own: the
-block reads its propagators and the plan's operator to compose the map,
-and leaves ``state``, the trace and, after the final sweep,
-``last_states``/``last_traces`` on it, replayed by the solver's own
-substep recurrence. Its ``advance_window`` stays for callers outside the
-sweep.
+to the global nodes with the overlap average folded in.
 """
 
 import math
@@ -292,7 +287,8 @@ def _stack_rows(pieces, shape):
 
 
 class GatherPlan:
-    """One sparse sampling operator for every receiver's Gamma values.
+    """One sparse sampling operator for every receiver's Gamma values, and
+    the sweep's units.
 
     For each (receiver, donor) pair the bilinear interpolation matrix from
     the donor's nodes to the receiver's Gamma points is fixed. The plan
@@ -302,9 +298,16 @@ class GatherPlan:
     ``solvers`` to the sweep's concatenated Gamma values. A gather is a row
     slice of it times the current coordinates, so a reduced donor is
     sampled without lifting its state. The plan serves the solvers it was
-    built with, for the whole coupled run, and its ``history``, a
-    :class:`LateRowHistory`, predicts the late rows of every window's first
-    sweep.
+    built with, for the whole coupled run.
+
+    A *late row* of receiver ``i`` is one whose donor ``j > i`` has not
+    been advanced yet when a window's first sweep reaches ``i``, so its
+    gathered value would be the donor's window-start state.
+    :meth:`start_window` samples every late row there at once, keeps the
+    samples of the last ``PREDICTOR_DEPTH + 1`` window starts, and predicts
+    each row by the polynomial through them, evaluated at the window end.
+    The anchors are sampled donor states, never the imposed (predicted)
+    values, so prediction errors do not accumulate.
     """
 
     def __init__(self, table, solvers):
@@ -316,6 +319,9 @@ class GatherPlan:
         self.starts = self.offsets[:-1][counts > 0]
         #: The donor of each row of the concatenated Gamma values.
         self.donors = np.concatenate([e.donors for e in table.entries])
+        #: Late rows of the concatenated Gamma values, ascending.
+        self.late_rows = np.flatnonzero(
+            self.donors > np.repeat(np.arange(counts.shape[0]), counts))
         #: Solver ``k``'s coordinates are ``columns[k]:columns[k + 1]``.
         self.columns = coordinate_columns(solvers)
         pieces = []
@@ -330,10 +336,12 @@ class GatherPlan:
                     self.columns[j]))
         self.operator = _stack_rows(
             pieces, (int(self.offsets[-1]), int(self.columns[-1])))
-        self._rows = [self.operator[a:b]
-                      for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-        #: The sweep in order: subdomain indices visited one at a time and a
-        #: :class:`ReducedBlock` per maximal run of reduced subdomains.
+        self._late_sample = self.operator[self.late_rows]
+        self._anchors = np.empty((PREDICTOR_DEPTH + 1,
+                                  self.late_rows.shape[0]))
+        self._held = 0
+        #: The sweep in order: a :class:`Visit` per subdomain visited on its
+        #: own and a :class:`ReducedBlock` per maximal run of reduced ones.
         self.units = []
         for reduced, run in groupby(
                 range(len(solvers)),
@@ -341,8 +349,7 @@ class GatherPlan:
             if reduced:
                 self.units.append(ReducedBlock(list(run), self))
             else:
-                self.units.extend(run)
-        self.history = LateRowHistory(self)
+                self.units.extend(Visit(i, self) for i in run)
 
     def coordinates(self):
         """The solvers' current ``[state; g_cur]``, concatenated."""
@@ -351,77 +358,102 @@ class GatherPlan:
 
     def gather(self, i):
         """Gamma values for receiver ``i`` from the donors' current states."""
-        return self._rows[i] @ self.coordinates()
+        return (self.operator[self.offsets[i]:self.offsets[i + 1]]
+                @ self.coordinates())
 
-
-class LateRowHistory:
-    """First-sweep predictor of every late Gamma row of the sweep.
-
-    A late row of receiver ``i`` is one whose donor ``j > i`` has not been
-    advanced yet when the first sweep reaches ``i``, so its gathered value
-    is the donor's window-start state. :meth:`start_window` samples every
-    late row there at once, keeps the samples of the last
-    ``PREDICTOR_DEPTH + 1`` window starts, and predicts each row by the
-    polynomial through them, evaluated at the window end; :meth:`first_gather`
-    hands every unit of the sweep its first-sweep Gamma values. The anchors
-    are sampled donor states, never the imposed (predicted) values, so
-    prediction errors do not accumulate.
-    """
-
-    def __init__(self, plan):
-        self._plan = plan
-        receivers = np.repeat(np.arange(plan.offsets.shape[0] - 1),
-                              np.diff(plan.offsets))
-        #: Late rows of the sweep's concatenated Gamma values, ascending.
-        self._rows = np.flatnonzero(plan.donors > receivers)
-        self._sample = plan.operator[self._rows]
-        self._anchors = np.empty((PREDICTOR_DEPTH + 1, self._rows.shape[0]))
-        self._held = 0
-        # Per unit of the sweep: its early rows (fed by a donor ahead of the
-        # unit) with their operator rows, and its late rows with their span
-        # of the prediction. Every Gamma row of a receiver visited on its
-        # own is one or the other; the rest of a block's rows are fed by an
-        # earlier member, and its map computes them.
-        self._visits = {}
-        for unit in plan.units:
-            members = (unit.members if isinstance(unit, ReducedBlock)
-                       else [unit])
-            lo = plan.offsets[members[0]]
-            hi = plan.offsets[members[-1] + 1]
-            a, b = np.searchsorted(self._rows, (lo, hi))
-            early = np.flatnonzero(plan.donors[lo:hi] < members[0])
-            sample = plan.operator[lo + early] if early.size else None
-            self._visits[unit] = (hi - lo, early, sample,
-                                  self._rows[a:b] - lo, slice(a, b))
-
-    def start_window(self):
-        """Sample every late row from the solvers' current, window-start
-        coordinates as the newest anchor and predict the window end. Call
-        once per window, before the first sweep moves any solver; with no
-        earlier anchor the prediction is the sample."""
+    def start_window(self, t_n):
+        """Start the window from ``t_n`` where the solvers stand: sample
+        every late row as the newest anchor, predict the window end into
+        ``prediction``, and start every unit. Call once per window, before
+        the first sweep moves any solver; with no earlier anchor the
+        prediction is the sample."""
         self._anchors[1:] = self._anchors[:-1]
-        self._anchors[0] = self._sample @ self._plan.coordinates()
+        self._anchors[0] = self._late_sample @ self.coordinates()
         self._held = min(self._held + 1, PREDICTOR_DEPTH + 1)
         k = self._held - 1
         # Summed anchor by anchor, newest first, in numpy rather than by a
         # BLAS product, so the rounding, which training amplifies, does not
         # depend on the BLAS build.
-        self._prediction = np.add.reduce(
+        self.prediction = np.add.reduce(
             _EXTRAPOLATION[k] * self._anchors[:k + 1], axis=0)
+        for unit in self.units:
+            unit.start_window(t_n)
 
-    def first_gather(self, unit):
-        """A unit's Gamma values in a window's first sweep: rows fed by a
-        donor ahead of the unit gathered from the current coordinates, the
-        late rows predicted. ``unit`` is a receiver's index or a
-        :class:`ReducedBlock`; a block's rows fed by an earlier member are
-        left unset, since its map computes them.
-        """
-        n, early, sample, late, span = self._visits[unit]
-        vals = np.empty(n)
-        if sample is not None:
-            vals[early] = sample @ self._plan.coordinates()
-        vals[late] = self._prediction[span]
+
+class _SweepUnit:
+    """What every unit of a plan's sweep shares (see the module docstring):
+    consecutive subdomains ``members`` whose Gamma values are rows
+    ``lo:hi`` of the sweep's. Its input rows, relative to ``lo``, are
+    ``early_rows``, fed by a donor ahead of the unit, and ``late_rows``,
+    fed by a donor later in the sweep, span ``late_span`` of the plan's
+    ``prediction``. Any other row is fed by an earlier member, so only a
+    :class:`ReducedBlock` has them.
+    """
+
+    def __init__(self, members, plan):
+        self.members = members
+        self.lo = int(plan.offsets[members[0]])
+        self.hi = int(plan.offsets[members[-1] + 1])
+        self._plan = plan
+        a, b = np.searchsorted(plan.late_rows, (self.lo, self.hi))
+        self.late_span = slice(int(a), int(b))
+        self.late_rows = plan.late_rows[a:b] - self.lo
+        self.early_rows = np.flatnonzero(
+            plan.donors[self.lo:self.hi] < members[0])
+        self.input_rows = np.union1d(self.early_rows, self.late_rows)
+        self._late = np.isin(self.input_rows, self.late_rows)
+        self._sample = plan.operator[self.lo + self.input_rows]
+        self._early_sample = plan.operator[self.lo + self.early_rows]
+
+    def inputs(self, first):
+        """The input rows' values: gathered from the solvers' current
+        coordinates, except in a window's first sweep, where the late rows
+        take the plan's prediction and only the early ones are gathered."""
+        if not first:
+            return self._sample @ self._plan.coordinates()
+        vals = np.empty(self.input_rows.shape[0])
+        vals[self._late] = self._plan.prediction[self.late_span]
+        if self.early_rows.size:
+            vals[~self._late] = self._early_sample @ self._plan.coordinates()
         return vals
+
+
+class Visit(_SweepUnit):
+    """A subdomain visited on its own, through its solver's
+    ``advance_window`` in a window's first sweep and ``respond`` in later
+    ones; every one of its Gamma rows is an input."""
+
+    def __init__(self, index, plan):
+        super().__init__([index], plan)
+        self.solver = plan.solvers[index]
+
+    def start_window(self, t_n):
+        self._t_n = t_n
+
+    def sweep(self, first, gamma):
+        vals = self.inputs(first)
+        gamma[:] = vals
+        if first:
+            self.solver.advance_window(self._t_n, vals)
+            return self.solver.last_states.ravel()
+        self.solver.respond(vals)
+        return self.solver.state
+
+    def finish(self, sweeps):
+        if sweeps > 1:
+            self.solver.finish_window(self._t_n)
+
+    def first_failure(self, gamma):
+        """``(subdomain, gathered)`` if the Gamma values ``gamma``
+        (``gathered``) or the state the last sweep left are not finite,
+        else None."""
+        s = self.solver
+        if not np.isfinite(gamma).all():
+            return self.members[0], True
+        if not (np.isfinite(s.state).all()
+                and np.isfinite(s.last_states).all()):
+            return self.members[0], False
+        return None
 
 
 class _SubdomainSolverBase:
@@ -685,7 +717,7 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         self.last_states, self.last_traces = states, traces
 
 
-class ReducedBlock:
+class ReducedBlock(_SweepUnit):
     """A maximal run of consecutive reduced subdomains, swept as one map.
 
     Gamma values are held fixed within a window, so a reduced visit takes
@@ -702,21 +734,16 @@ class ReducedBlock:
     are those of a visit-by-visit sweep. ``z`` stacks what is fixed within
     a window (the members' window-start states, their ``F``, and the
     physical trace values at the window end that in-run gathers read),
-    then the input Gamma rows: every row not fed by an earlier member, that
-    is, fed by a donor outside the run or by a later member. Inputs are
-    sampled from the donors' current states before any member moves, in
-    later sweeps from the previous sweep's; in a window's first sweep the
-    late rows take the plan's :class:`LateRowHistory` prediction, and only
-    the others are sampled, both through its ``first_gather``. The substep
-    states before the window end are replayed once, after the final sweep,
-    from the window-start states :meth:`start_window` keeps.
+    then the input rows: every Gamma row not fed by an earlier member, that
+    is, fed by a donor ahead of the run or later in the sweep. Inputs are
+    read through :meth:`~_SweepUnit.inputs` before any member moves. The
+    substep states before the window end are replayed once, after the final
+    sweep, from the window-start states :meth:`start_window` keeps.
     """
 
     def __init__(self, members, plan):
-        self.members = members
+        super().__init__(members, plan)
         self.solvers = [plan.solvers[i] for i in members]
-        self.lo = int(plan.offsets[members[0]])
-        self.hi = int(plan.offsets[members[-1] + 1])
         #: Member ``m``'s Gamma rows in the run are ``goff[m]:goff[m + 1]``
         #: and its state rows ``so[m]:so[m + 1]``.
         self._goff = [int(plan.offsets[i]) - self.lo for i in members]
@@ -731,17 +758,6 @@ class ReducedBlock:
         self._trace_gamma = np.concatenate(
             [b + s.gamma_positions for b, s in zip(self._boff, self.solvers)])
         self._steady = all(s._steady for s in self.solvers)
-        # Gathers from earlier members are composed into the map; every
-        # other row is an input, sampled by one product with the plan's
-        # operator.
-        self._plan = plan
-        donors = plan.donors[self.lo:self.hi]
-        receivers = np.repeat(members, np.diff(self._goff))
-        #: Input Gamma rows, ascending; the early ones, fed by a donor ahead
-        #: of the run, are the inputs that are not late.
-        self._inputs = inputs = np.flatnonzero((donors < members[0])
-                                               | (donors > receivers))
-        self._sample = plan.operator[self.lo + inputs]
         # The map, composed once: every window has the run's ``n`` substeps.
         R, so, goff = self._R, self._so, self._goff
         n = self.solvers[0].steps
@@ -749,6 +765,7 @@ class ReducedBlock:
         hoff = np.concatenate(([0], np.cumsum([p.size for p in physical])))
         h0 = 2 * R  # after the window-start states and the forcing
         base = h0 + int(hoff[-1])
+        inputs = self.input_rows
         n_z = base + inputs.size
         gamma = np.zeros((goff[-1], n_z))
         gamma[inputs, base + np.arange(inputs.size)] = 1.0
@@ -815,16 +832,9 @@ class ReducedBlock:
     def sweep(self, first, gamma):
         """Advance every member once, filling ``gamma``, the run's slice of
         the sweep's Gamma values, and leaving each member's new ``state``
-        and trace in place for the gathers that follow.
-
-        In a first sweep the inputs are the plan history's
-        :meth:`~LateRowHistory.first_gather`, so the late ones are
-        predicted and only the early ones sampled."""
-        if first:
-            inputs = self._plan.history.first_gather(self).take(self._inputs)
-        else:
-            inputs = self._sample @ self._plan.coordinates()
-        self._z = np.concatenate((self._w, inputs))
+        and trace in place for the gathers that follow; returns the
+        members' window-end states."""
+        self._z = np.concatenate((self._w, self.inputs(first)))
         self._y = y = self._M @ self._z
         gamma[:] = y[self._R:]
         for m, s in enumerate(self.solvers):
@@ -833,14 +843,11 @@ class ReducedBlock:
             if not s._steady:
                 s.g_cur[s.physical_positions] = \
                     s._traces[s.physical_positions, -1]
+        return y[:self._R]
 
-    @property
-    def states(self):
-        """The last sweep's window-end states of every member."""
-        return self._y[:self._R]
-
-    def finish(self):
-        """Record the last sweep's substep states and traces on the members.
+    def finish(self, sweeps):
+        """Record the last sweep's substep states and traces on the members,
+        after any number of ``sweeps``.
 
         The substeps before the window end are replayed by the members'
         own recurrence from the final Gamma values; the window end is the
@@ -857,10 +864,10 @@ class ReducedBlock:
             s.last_states = states
             s.last_traces = traces[self._boff[m]:self._boff[m + 1]]
 
-    def first_failure(self):
+    def first_failure(self, gamma):
         """``(subdomain, gathered)`` of the first member whose Gamma values
-        (``gathered``) or window-end state the last sweep left non-finite,
-        or None.
+        (``gathered``, which the map recomputes, so ``gamma`` is not read)
+        or window-end state the last sweep left non-finite, or None.
 
         An output counts as non-finite only through inputs it depends on,
         as in a visit-by-visit sweep; in the dense product a zero weight
@@ -885,17 +892,8 @@ def _raise_divergence(plan, gamma, t_n):
     message names the end of the window that starts at ``t_n``."""
     s = plan.solvers[0]
     t_next = t_n + s.dt * s.steps
-    offsets = plan.offsets
     for unit in plan.units:
-        if isinstance(unit, ReducedBlock):
-            hit = unit.first_failure()
-        elif not np.isfinite(gamma[offsets[unit]:offsets[unit + 1]]).all():
-            hit = (unit, True)
-        elif not (np.isfinite(plan.solvers[unit].state).all()
-                  and np.isfinite(plan.solvers[unit].last_states).all()):
-            hit = (unit, False)
-        else:
-            hit = None
+        hit = unit.first_failure(gamma[unit.lo:unit.hi])
         if hit is not None and hit[1]:
             raise DivergenceError(
                 f"non-finite interface values gathered for subdomain "
@@ -910,16 +908,15 @@ def schwarz_window(plan, t_n, tol, max_iters):
     """One multiplicative Schwarz fixed point of ``plan.solvers`` over the
     window that starts at ``t_n``, where the solvers are.
 
-    Sweeps the units of the plan in order, each subdomain taking Gamma
-    values gathered from its donors' current states, so subdomains already
-    moved in this sweep contribute their new window end. In the first sweep
-    a visited solver takes its values and advances the window from where it
-    stands; in every later sweep it takes them through
-    :meth:`~FESubdomainSolver.respond`, with no integration, and after the
-    final sweep, if that was not the first, it records the window with
-    ``finish_window``. A :class:`ReducedBlock` moves its run of reduced
-    subdomains by its composed map in every sweep and records their window
-    after the final one.
+    Sweeps the units of the plan in order, each taking its input rows from
+    its donors' current states, so units already moved in this sweep
+    contribute their new window end; in the first sweep the late rows take
+    the plan's prediction instead. A :class:`Visit` advances its solver
+    from where it stands in the first sweep and moves it by
+    :meth:`~FESubdomainSolver.respond`, with no integration, in later ones;
+    a :class:`ReducedBlock` moves its run of reduced subdomains by its
+    composed map in every sweep. After the final sweep every unit records
+    the window.
 
     Converged once the relative sup-norm change of every subdomain's Gamma
     values drops to ``tol``; the first sweep's change is measured against
@@ -928,44 +925,20 @@ def schwarz_window(plan, t_n, tol, max_iters):
     value raises :class:`DivergenceError` naming the first subdomain, in
     sweep order, whose gathered values or states are not finite.
 
-    In the first sweep a row fed by an earlier subdomain gets that donor's
-    new state and a row fed by a later one the extrapolation of the plan's
-    :class:`LateRowHistory`; later sweeps always impose the gathered values.
-
     Returns ``(iterations, converged)``; the converged states live in the
     solvers, at the window end, with ``last_states``/``last_traces`` from
     the final sweep.
     """
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-    solvers = plan.solvers
-    units = plan.units
-    prev = np.concatenate([s.interface_values() for s in solvers])
-    plan.history.start_window()
-    for unit in units:
-        if isinstance(unit, ReducedBlock):
-            unit.start_window(t_n)
-    offsets = plan.offsets
+    prev = np.concatenate([s.interface_values() for s in plan.solvers])
+    plan.start_window(t_n)
     converged = False
     for iteration in range(1, max_iters + 1):
-        first = iteration == 1
         gamma = np.empty(prev.shape[0])
-        checked = [gamma]
-        for unit in units:
-            if isinstance(unit, ReducedBlock):
-                unit.sweep(first, gamma[unit.lo:unit.hi])
-                checked.append(unit.states)
-                continue
-            s = solvers[unit]
-            if first:
-                vals = plan.history.first_gather(unit)
-                s.advance_window(t_n, vals)
-                checked.append(s.last_states.ravel())
-            else:
-                vals = plan.gather(unit)
-                s.respond(vals)
-                checked.append(s.state)
-            gamma[offsets[unit]:offsets[unit + 1]] = vals
+        checked = [gamma] + [unit.sweep(iteration == 1,
+                                        gamma[unit.lo:unit.hi])
+                             for unit in plan.units]
         if not kernels.all_finite(np.concatenate(checked)):
             _raise_divergence(plan, gamma, t_n)
         change = kernels.relative_sup_change(gamma, prev, plan.starts)
@@ -973,11 +946,8 @@ def schwarz_window(plan, t_n, tol, max_iters):
         if change <= tol:
             converged = True
             break
-    for unit in units:
-        if isinstance(unit, ReducedBlock):
-            unit.finish()
-        elif iteration > 1:
-            solvers[unit].finish_window(t_n)
+    for unit in plan.units:
+        unit.finish(iteration)
     return iteration, converged
 
 
@@ -1056,7 +1026,8 @@ def run_coupled(config, params, trained=None):
     The solvers come from :func:`build_solvers`. Every substep state and
     imposed boundary trace is recorded (the traces double as reduced-model
     training inputs); wall clock is split into a setup phase and a solve
-    phase. The plan's :class:`LateRowHistory` spans the run and seeds
+    phase. The :class:`GatherPlan` and its units span the run: its
+    gathers impose the initial Gamma values, and its prediction seeds
     every window's first sweep.
     """
     t0 = time.perf_counter()

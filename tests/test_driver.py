@@ -177,6 +177,16 @@ def test_config_forcing_selectors(tmp_path):
     ("subdomain.2.r = 700\n",
      r"subdomain 2 = 700 .*101 training snapshots, 676 interior nodes"),
     ("subdomain.5.r = 3\n", r"subdomain\.5\.\* is given.* 4 subdomains"),
+    ("subdomain.1.rect = 0,0.6,0,0.6\n",
+     r"subdomain\.1\.rect applies to decomposition\.layout = custom only"),
+    ("decomposition.count = 4\n",
+     r"decomposition\.count applies to decomposition\.layout = custom"),
+    ("decomposition.layout = custom\ndecomposition.count = 1\n"
+     "subdomain.1.rect = 0,1,0,1\ndecomposition.split = 0.4\n",
+     r"decomposition\.split applies to decomposition\.layout = quadrants"),
+    ("decomposition.overlap = 0.1\ndecomposition.layout = custom\n"
+     "decomposition.count = 1\nsubdomain.1.rect = 0,1,0,1\n",
+     r"decomposition\.overlap .* quadrants only, not custom"),
 ])
 def test_config_rejections(tmp_path, text, match):
     with pytest.raises(ConfigurationError, match=match):
@@ -191,6 +201,12 @@ def test_config_rejections(tmp_path, text, match):
     ("mesh.nx = 10\n\nmesh.h = 0.3\n", 3),
     ("problem.bx = 1\nproblem.b_angle_degrees = 30\nproblem.by = 0\n", 3),
     ("output.field_times = 1, x\n", 1),
+    ("mesh.nx = 10\nsubdomain.1.rect = 0,0.6,0,0.6\n", 2),
+    ("\ndecomposition.count = 4\n", 2),
+    ("decomposition.layout = custom\ndecomposition.count = 1\n"
+     "subdomain.1.rect = 0,1,0,1\ndecomposition.split = 0.4\n", 4),
+    ("decomposition.overlap = 0.1\ndecomposition.layout = custom\n"
+     "decomposition.count = 1\nsubdomain.1.rect = 0,1,0,1\n", 1),
 ])
 def test_config_parse_errors_name_file_and_line(tmp_path, text, line):
     path = write_cfg(tmp_path, text)
@@ -786,6 +802,41 @@ def test_load_trained_rejects_operators_of_another_problem(tmp_path):
     with pytest.raises(ConfigurationError,
                        match=r"subdomain 2: .*no training fingerprint"):
         load_trained(small_cfg(), out)
+
+
+STRIPS_CFG_TEXT = """
+decomposition.layout = custom
+decomposition.count = 4
+subdomain.1.rect = 0.0,0.30,0,1
+subdomain.2.rect = 0.22,0.54,0,1
+subdomain.3.rect = 0.46,0.78,0,1
+subdomain.4.rect = 0.70,1.0,0,1
+"""
+
+
+def test_run_hybrid_refuses_operators_of_another_training_run(tmp_path,
+                                                               capsys):
+    # The training data come from a coupled run over every subdomain, so
+    # the operators depend on its tolerance, sweep limit and horizon and on
+    # every subdomain's rectangle and mesh, not only on their own.
+    for base, changes in (
+            ("", ("schwarz.tol = 1e-6", "schwarz.max_iters = 40",
+                  "training.t_end = 0.4",
+                  "subdomain.4.nx = 54\nsubdomain.4.ny = 54")),
+            (STRIPS_CFG_TEXT, ("subdomain.4.rect = 0.72,1.0,0,1",))):
+        out = str(tmp_path / f"out{len(base)}")
+        assert cli.main(["train", "--config", write_cfg(tmp_path, base),
+                         "--out", out]) == 0
+        for change in changes:
+            text = base.replace("subdomain.4.rect = 0.70,1.0,0,1", "") \
+                + change + "\n"
+            capsys.readouterr()
+            assert cli.main(["run-hybrid", "--config",
+                             write_cfg(tmp_path, text), "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert "subdomain 1: " in err and "retrain" in err, change
+        assert cli.main(["run-hybrid", "--config", write_cfg(tmp_path, base),
+                         "--out", out]) == 0
 
 
 def test_compare_is_deterministic(small_out):

@@ -9,10 +9,10 @@ from cdrschwarz.errors import ConfigurationError, DivergenceError
 from cdrschwarz.fem import CdrParams, assemble, time_independent
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.schwarz import (PREDICTOR_DEPTH, FESubdomainSolver,
-                                GatherPlan, LateRowHistory, ReducedBlock,
-                                RomSubdomainSolver, SchwarzConfig, StitchPlan,
-                                SubdomainSpec, build_interfaces,
-                                build_solvers, run_coupled, schwarz_window)
+                                GatherPlan, ReducedBlock, RomSubdomainSolver,
+                                SchwarzConfig, StitchPlan, SubdomainSpec,
+                                Visit, build_interfaces, build_solvers,
+                                run_coupled, schwarz_window)
 from cdrschwarz.driver import cmd_run_hybrid, cmd_train
 from cdrschwarz.rom import OpInfOperators, RomStepper, compute_pod
 from cdrschwarz.timestep import ImplicitEulerStepper, integrate
@@ -89,25 +89,22 @@ def per_piece_average(config, global_mesh, solvers, fields):
 
 
 class RecordingPlan(GatherPlan):
-    """Gather plan that logs every (receiver, values) pair it serves, the
-    first-sweep values of its history included."""
+    """Gather plan that logs the (receiver, values) pair of every visit's
+    inputs, first-sweep values included."""
 
     def __init__(self, table, solvers):
         super().__init__(table, solvers)
         self.log = []
-        first_gather = self.history.first_gather
+        for unit in self.units:
+            assert isinstance(unit, Visit)
+            unit.inputs = self._logged(unit.members[0], unit.inputs)
 
-        def logged(unit):
-            vals = first_gather(unit)
-            self.log.append((unit, vals.copy()))
+    def _logged(self, i, inputs):
+        def logged(first):
+            vals = inputs(first)
+            self.log.append((i, vals.copy()))
             return vals
-
-        self.history.first_gather = logged
-
-    def gather(self, i):
-        vals = super().gather(i)
-        self.log.append((i, vals.copy()))
-        return vals
+        return logged
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +539,6 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
     params = CdrParams(eps=0.05, sigma=0.0, b=(1.0, 0.0))
     solvers = build_solvers(config, table, params)
     plan = GatherPlan(table, solvers)
-    history = LateRowHistory(plan)
     rng = np.random.default_rng(degree)
     coeffs = rng.standard_normal((degree + 1, int(plan.columns[-1])))
 
@@ -559,12 +555,13 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
 
     for w in range(PREDICTOR_DEPTH + 3):
         move_to(w)
-        history.start_window()
-        for i, entry in enumerate(table.entries):
+        plan.start_window(w * config.dt)
+        for unit, entry in zip(plan.units, table.entries):
+            i = unit.members[0]
             gathered = data(i, w)
             # A first gather samples only the early rows, from the solvers
             # where ``data`` left them, and predicts the late ones.
-            out = history.first_gather(i)
+            out = unit.inputs(True)
             late = entry.donors > i
             np.testing.assert_array_equal(out[~late], gathered[~late])
             if w == 0:
@@ -676,8 +673,8 @@ class PerReceiverHistory:
     """The first-sweep predictor kept receiver by receiver: each visit
     stores the late rows of its own gather as the newest anchor and
     overwrites them with the polynomial through its anchors, one window
-    ahead. The reference for :class:`LateRowHistory`, which samples every
-    late row once per window."""
+    ahead. The reference for :meth:`GatherPlan.start_window`, which
+    samples every late row once per window."""
 
     def __init__(self, plan):
         self._late = [np.flatnonzero(plan.donors[a:b] > i) for i, (a, b)
@@ -858,9 +855,63 @@ def test_reduced_blocks_match_visits_around_a_fe_strip(steps_per_window):
 
     table = build_interfaces(config)
     units = GatherPlan(table, make_solvers(table)).units
-    assert [u if isinstance(u, int) else u.members for u in units] == \
-        [[0, 1], 2, [3]]
+    assert [(type(u), u.members) for u in units] == \
+        [(ReducedBlock, [0, 1]), (Visit, [2]), (ReducedBlock, [3])]
     assert_marches_agree(config, make_solvers)
+
+
+@pytest.mark.parametrize("layout", ["quadrants", "strips", "unaligned"])
+def test_unit_table_tiles_rows_and_prediction(layout):
+    # The units' Gamma rows tile the sweep's in order; each unit's inputs
+    # are its early rows (donor ahead of the unit) and late rows (donor
+    # later in the sweep), all of a visit's rows and all but a block's rows
+    # fed by an earlier member; and the late rows' spans tile the plan's
+    # prediction in order.
+    config, reduced = {
+        "quadrants": (small_cfg(t_end=0.3).schwarz_config(force_model="fe"),
+                      (0, 1, 2)),
+        "strips": (SchwarzConfig(subdomains=four_strip_specs(), dt=0.01,
+                                 t_end=0.12), (0, 1, 3)),
+        "unaligned": (SchwarzConfig(subdomains=unaligned_strip_specs(),
+                                    dt=0.01, t_end=0.12), (0, 1)),
+    }[layout]
+    params = moving_data_params()
+    table = build_interfaces(config)
+    solvers = build_solvers(config, table, params)
+    for i in reduced:
+        solvers[i] = make_rom_solver(config, params, table, i, seed=i)
+    plan = GatherPlan(table, solvers)
+    plan.start_window(0.0)
+    units = plan.units
+    assert [i for u in units for i in u.members] == list(range(len(solvers)))
+    assert [u.lo for u in units] == [0] + [u.hi for u in units[:-1]]
+    assert units[-1].hi == plan.offsets[-1]
+    receivers = np.repeat(np.arange(len(solvers)), np.diff(plan.offsets))
+    for u in units:
+        donors = plan.donors[u.lo:u.hi]
+        np.testing.assert_array_equal(
+            u.early_rows, np.flatnonzero(donors < u.members[0]))
+        np.testing.assert_array_equal(
+            u.late_rows, np.flatnonzero(donors > receivers[u.lo:u.hi]))
+        np.testing.assert_array_equal(
+            u.input_rows, np.union1d(u.early_rows, u.late_rows))
+        inside = (donors >= u.members[0]) & (donors < receivers[u.lo:u.hi])
+        np.testing.assert_array_equal(
+            np.setdiff1d(np.arange(u.hi - u.lo), u.input_rows),
+            np.flatnonzero(inside))
+        if isinstance(u, Visit):
+            np.testing.assert_array_equal(u.input_rows,
+                                          np.arange(u.hi - u.lo))
+    assert isinstance(units[0], ReducedBlock)
+    assert units[0].input_rows.size < units[0].hi - units[0].lo
+    spans = [u.late_span for u in units]
+    assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
+    assert spans[-1].stop == plan.prediction.shape[0] > 0
+    # With one anchor the prediction is the window-start sample.
+    sampled = plan.operator @ plan.coordinates()
+    for u in units:
+        np.testing.assert_array_equal(plan.prediction[u.late_span],
+                                      sampled[u.lo + u.late_rows])
 
 
 def test_reduced_block_composes_gathers_from_member_traces():
