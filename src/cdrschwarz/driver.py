@@ -242,7 +242,6 @@ def cmd_run_schwarz(cfg, out_dir=None):
 
 @dataclass
 class TrainedSubdomain:
-    index: int
     basis: PodBasis
     ops: OpInfOperators
     lam: float
@@ -353,7 +352,7 @@ def cmd_train(cfg, out_dir=None):
         ops, = train_opinf(basis, traj.states, traj.boundary_traces,
                            cfg.dt, (spec.rom_lambda,))
         trained[i] = TrainedSubdomain(
-            index=i, basis=basis, ops=ops, lam=spec.rom_lambda,
+            basis=basis, ops=ops, lam=spec.rom_lambda,
             energy=_retained_energy(basis.svals, spec.rom_dim))
     train_seconds = time.perf_counter() - t0
     result = TrainingResult(
@@ -417,8 +416,7 @@ def load_trained(cfg, out_dir):
                              fhat=matio.load_matrix(paths["fhat"]).ravel(),
                              lam=float(meta.get("lambda", "0")))
         trained[i] = TrainedSubdomain(
-            index=i, basis=basis, ops=ops,
-            lam=float(meta.get("lambda", "0")),
+            basis=basis, ops=ops, lam=float(meta.get("lambda", "0")),
             energy=float(meta.get("retained_energy", "nan")))
     return trained
 

@@ -2,8 +2,8 @@
 process's BLAS thread policy.
 
 ``all_finite`` and ``relative_sup_change`` are the finiteness and
-convergence checks ``schwarz_window`` runs once per sweep, on the
-concatenated values of every subdomain.
+convergence checks ``schwarz_window`` runs once per sweep, on the arrays
+its plan holds for every subdomain.
 ``csr_matvec`` has no caller in the package; it stays only while the
 study benchmark (``studybench/``) reports a ``kernels.csr_matvec`` layer,
 since its tracer patches all three names here. Array methods skip the
@@ -48,9 +48,9 @@ def csr_matvec(data, indices, indptr, x):
     return out
 
 
-def all_finite(x):
-    """True when every entry of a 1-D array is finite."""
-    return bool(np.isfinite(x).all())
+def all_finite(*arrays):
+    """True when every entry of every array is finite."""
+    return all(np.isfinite(x).all() for x in arrays)
 
 
 def relative_sup_change(new, prev, starts=None):

@@ -173,7 +173,9 @@ def fit_operators(Y, Ydot, G, lams):
                 f"regularization must be >= 0, got {lam}")
     r, n_t = Y.shape
     m = G.shape[0]
-    data = np.hstack([Y.T, G.T, np.ones((n_t, 1))])
+    # Column-major whatever the layout of ``G``, so that the products below
+    # round alike for a row view of any history.
+    data = np.asfortranarray(np.hstack([Y.T, G.T, np.ones((n_t, 1))]))
     target = Ydot.T
     u, s, vt = np.linalg.svd(data, full_matrices=False)
     coef = u.T @ target

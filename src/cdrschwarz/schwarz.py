@@ -9,22 +9,26 @@ Physical-boundary data are read through
 :func:`~cdrschwarz.fem.profile_closure`, so data that do not depend on
 time are evaluated once per solver.
 
-A :class:`GatherPlan`, built once per coupled run, holds the solvers and
-one sampling operator for every Gamma row, and splits the sweep into
-units, ``plan.units``, that all follow one protocol:
+A :class:`GatherPlan`, built once per coupled run, owns the solvers'
+storage: ``plan.coordinates`` concatenates every solver's ``[state;
+g_cur]`` and ``plan.window`` its ``[last_states; last_traces]``, and each
+solver's four arrays are views of its rows, written in place and never
+rebound. The plan holds one sampling operator for every Gamma row and
+splits the sweep into units, ``plan.units``, that all follow one protocol:
 
-- ``lo``/``hi``: the unit's rows of the sweep's concatenated Gamma values;
-  its input rows are the *early* ones, fed by a donor ahead of the unit,
-  and the *late* ones, fed by a donor later in the sweep, which in a
-  window's first sweep would see that donor's window-start state, one
-  window behind. ``inputs(first)`` gathers them by one row slice of the
-  plan's operator, except that in a first sweep the late rows take the
-  plan's polynomial extrapolation of their values at the last few window
-  starts (see :meth:`GatherPlan.start_window`).
-- ``start_window(t_n)``, ``sweep(first, gamma)``, which advances the unit
-  once, fills ``gamma``, its slice of the sweep's Gamma values, and
-  returns what the sweep checks for finiteness, ``finish(sweeps)``, which
-  records the window after the final sweep, and ``first_failure(gamma)``.
+- ``lo``/``hi``: the unit's rows of the sweep's concatenated Gamma values,
+  ``plan.coordinates[plan.gamma_rows]``; its input rows are the *early*
+  ones, fed by a donor ahead of the unit, and the *late* ones, fed by a
+  donor later in the sweep, which in a window's first sweep would see
+  that donor's window-start state, one window behind. ``inputs(first)``
+  gathers them by one row slice of the plan's operator, except that in a
+  first sweep the late rows take the plan's polynomial extrapolation of
+  their values at the last few window starts (see
+  :meth:`GatherPlan.start_window`).
+- ``start_window(t_n)``, ``sweep(first)``, which advances the unit once,
+  leaving its members' states and traces in the plan's coordinates,
+  ``finish(sweeps)``, which records the window after the final sweep, and
+  ``first_failure()``.
 
 A :class:`Visit` advances one subdomain on its own: a window's first sweep
 calls its solver's ``advance_window``, later sweeps its ``respond``, and
@@ -32,7 +36,7 @@ calls its solver's ``advance_window``, later sweeps its ``respond``, and
 maximal run of consecutive reduced subdomains by one dense map, composed
 once per run, sized by the run's reduced ranks and Gamma rows but not by
 the substeps per window. Finiteness and convergence are checked once per
-sweep on the concatenated values. No solver is snapshot or rewound.
+sweep on the plan's arrays. No solver is snapshot or rewound.
 
 A window is ``steps`` substeps of ``dt``, both fixed per run and given to
 every solver when it is built; solvers keep no clock, and
@@ -44,7 +48,7 @@ duck-typed, so tests can instrument the sweep:
   ``boundary_map``: boundary node ids, whose count sizes the recorded
   traces; ``dt`` and ``steps``: the substep and the substeps per window.
 - ``g_cur``: the whole boundary trace, in boundary-node order;
-  ``set_interface_values(vals)`` / ``interface_values()``: its Gamma part.
+  ``set_interface_values(vals)`` writes its Gamma part.
 - ``advance_window(t_n, values)``: take the current ``(state, g_cur)`` as
   the window start, impose Gamma values ``values``, and integrate the
   ``steps`` substeps from ``t_n`` with them held fixed, leaving
@@ -65,6 +69,11 @@ duck-typed, so tests can instrument the sweep:
   ``RunResult.coordinates``, in the plan's coordinates, and lifts
   nothing; :attr:`RunResult.trajectories` lifts a reduced solver's rows
   of it by its Psi on each read.
+
+``state``, ``g_cur``, ``last_states`` and ``last_traces`` are allocated
+when a solver is built and only ever written in place, so a plan can take
+them over as views; a value that must outlive a write, such as a window
+start, is copied.
 
 A :class:`RomSubdomainSolver` in a block is never visited on its own: the
 block reads its propagators and leaves ``state``, the trace and, after the
@@ -193,7 +202,6 @@ class SubdomainInterfaces:
     ``gamma_points[k]``.
     """
 
-    index: int
     gamma_positions: np.ndarray
     gamma_points: np.ndarray
     donors: np.ndarray
@@ -252,7 +260,7 @@ def build_interfaces(config):
                     f"too small")
             donors[k] = best
         entries.append(SubdomainInterfaces(
-            index=i, gamma_positions=gamma_pos, gamma_points=gamma_pts,
+            gamma_positions=gamma_pos, gamma_points=gamma_pts,
             donors=donors))
     return InterfaceTable(entries=tuple(entries), meshes=meshes)
 
@@ -287,18 +295,23 @@ def _stack_rows(pieces, shape):
 
 
 class GatherPlan:
-    """One sparse sampling operator for every receiver's Gamma values, and
-    the sweep's units.
+    """The solvers' storage, one sparse sampling operator for every
+    receiver's Gamma values, and the sweep's units.
+
+    The plan takes over its solvers' arrays: ``coordinates`` concatenates
+    every solver's ``[state; g_cur]`` and ``window``, column-major, its
+    ``[last_states; last_traces]``, one column per substep, and each
+    solver's four arrays become views of its ``columns`` rows. A solver
+    list serves one plan, the last built on it, for the whole coupled run.
 
     For each (receiver, donor) pair the bilinear interpolation matrix from
     the donor's nodes to the receiver's Gamma points is fixed. The plan
     hands each matrix to its donor's :meth:`coordinate_operator`, which
     folds it into the donor's coordinates ``[state; g_cur]``, and stacks the
-    results into one CSR ``operator`` from the concatenated coordinates of
-    ``solvers`` to the sweep's concatenated Gamma values. A gather is a row
-    slice of it times the current coordinates, so a reduced donor is
-    sampled without lifting its state. The plan serves the solvers it was
-    built with, for the whole coupled run.
+    results into one CSR ``operator`` from ``coordinates`` to the sweep's
+    concatenated Gamma values. A gather is a row slice of it times the
+    current coordinates, so a reduced donor is sampled without lifting its
+    state.
 
     A *late row* of receiver ``i`` is one whose donor ``j > i`` has not
     been advanced yet when a window's first sweep reaches ``i``, so its
@@ -324,6 +337,18 @@ class GatherPlan:
             self.donors > np.repeat(np.arange(counts.shape[0]), counts))
         #: Solver ``k``'s coordinates are ``columns[k]:columns[k + 1]``.
         self.columns = coordinate_columns(solvers)
+        self.coordinates = np.concatenate(
+            [a for s in solvers for a in (s.state, s.g_cur)])
+        self.window = np.asfortranarray(np.concatenate(
+            [a for s in solvers for a in (s.last_states, s.last_traces)]))
+        for s, a, b in zip(solvers, self.columns[:-1], self.columns[1:]):
+            split = [s.state.shape[0]]
+            s.state, s.g_cur = np.split(self.coordinates[a:b], split)
+            s.last_states, s.last_traces = np.split(self.window[a:b], split)
+        #: The rows of ``coordinates`` that hold the sweep's Gamma values.
+        self.gamma_rows = np.concatenate(
+            [a + s.state.shape[0] + s.gamma_positions
+             for s, a in zip(solvers, self.columns)])
         pieces = []
         for i, entry in enumerate(table.entries):
             for j in sorted(set(entry.donors.tolist())):
@@ -351,15 +376,10 @@ class GatherPlan:
             else:
                 self.units.extend(Visit(i, self) for i in run)
 
-    def coordinates(self):
-        """The solvers' current ``[state; g_cur]``, concatenated."""
-        return np.concatenate(
-            [a for s in self.solvers for a in (s.state, s.g_cur)])
-
     def gather(self, i):
         """Gamma values for receiver ``i`` from the donors' current states."""
         return (self.operator[self.offsets[i]:self.offsets[i + 1]]
-                @ self.coordinates())
+                @ self.coordinates)
 
     def start_window(self, t_n):
         """Start the window from ``t_n`` where the solvers stand: sample
@@ -368,7 +388,7 @@ class GatherPlan:
         the first sweep moves any solver; with no earlier anchor the
         prediction is the sample."""
         self._anchors[1:] = self._anchors[:-1]
-        self._anchors[0] = self._late_sample @ self.coordinates()
+        self._anchors[0] = self._late_sample @ self.coordinates
         self._held = min(self._held + 1, PREDICTOR_DEPTH + 1)
         k = self._held - 1
         # Summed anchor by anchor, newest first, in numpy rather than by a
@@ -410,11 +430,11 @@ class _SweepUnit:
         coordinates, except in a window's first sweep, where the late rows
         take the plan's prediction and only the early ones are gathered."""
         if not first:
-            return self._sample @ self._plan.coordinates()
+            return self._sample @ self._plan.coordinates
         vals = np.empty(self.input_rows.shape[0])
         vals[self._late] = self._plan.prediction[self.late_span]
         if self.early_rows.size:
-            vals[~self._late] = self._early_sample @ self._plan.coordinates()
+            vals[~self._late] = self._early_sample @ self._plan.coordinates
         return vals
 
 
@@ -430,25 +450,22 @@ class Visit(_SweepUnit):
     def start_window(self, t_n):
         self._t_n = t_n
 
-    def sweep(self, first, gamma):
+    def sweep(self, first):
         vals = self.inputs(first)
-        gamma[:] = vals
         if first:
             self.solver.advance_window(self._t_n, vals)
-            return self.solver.last_states.ravel()
-        self.solver.respond(vals)
-        return self.solver.state
+        else:
+            self.solver.respond(vals)
 
     def finish(self, sweeps):
         if sweeps > 1:
             self.solver.finish_window(self._t_n)
 
-    def first_failure(self, gamma):
-        """``(subdomain, gathered)`` if the Gamma values ``gamma``
-        (``gathered``) or the state the last sweep left are not finite,
-        else None."""
+    def first_failure(self):
+        """``(subdomain, gathered)`` if the Gamma values (``gathered``) or
+        the states the last sweep left are not finite, else None."""
         s = self.solver
-        if not np.isfinite(gamma).all():
+        if not np.isfinite(s.g_cur[s.gamma_positions]).all():
             return self.members[0], True
         if not (np.isfinite(s.state).all()
                 and np.isfinite(s.last_states).all()):
@@ -459,12 +476,15 @@ class Visit(_SweepUnit):
 class _SubdomainSolverBase:
     """Shared trace, sampling, and snapshot bookkeeping of subdomain solvers.
 
-    Subclasses keep their own coordinates in ``state`` and map them to
-    interior nodal values with ``lift``. A window is ``steps`` substeps
-    of ``dt``.
+    Subclasses keep their own coordinates, ``n_state`` of them, in
+    ``state`` and map them to interior nodal values with ``lift``. A window
+    is ``steps`` substeps of ``dt``. ``state``, ``g_cur``, ``last_states``
+    and ``last_traces`` are written in place, never rebound, so a
+    :class:`GatherPlan` can own them.
     """
 
-    def __init__(self, spec, mesh, params, dt, steps, gamma_positions):
+    def __init__(self, spec, mesh, params, dt, steps, gamma_positions,
+                 n_state):
         self.spec = spec
         self.mesh = mesh
         self.dt = float(dt)
@@ -482,9 +502,9 @@ class _SubdomainSolverBase:
             params.dirichlet, xy[:, 0], xy[:, 1])
         self.g_cur = np.zeros(n_b)
         self.g_cur[self.physical_positions] = self._physical_trace(0.0)
-        self.state = None
-        self.last_states = None
-        self.last_traces = None
+        self.state = np.zeros(n_state)
+        self.last_states = np.zeros((n_state, self.steps))
+        self.last_traces = np.zeros((n_b, self.steps))
 
     # -- interface trace handling ------------------------------------
 
@@ -495,9 +515,6 @@ class _SubdomainSolverBase:
                 f"expected {self.gamma_positions.shape[0]} interface "
                 f"values, got {values.shape}")
         self.g_cur[self.gamma_positions] = values
-
-    def interface_values(self):
-        return self.g_cur[self.gamma_positions].copy()
 
     # -- sampling ------------------------------------------------------
 
@@ -516,13 +533,11 @@ class _SubdomainSolverBase:
     # boundary trace)`` serve visit-by-visit reference sweeps only.
 
     def snapshot_state(self):
-        # The state by reference: ``state`` arrays are replaced, never
-        # written in place; the trace is written in place.
-        return (self.state, self.g_cur.copy())
+        return (self.state.copy(), self.g_cur.copy())
 
     def restore_state(self, snap):
-        self.state = snap[0]
-        self.g_cur = snap[1].copy()
+        self.state[:] = snap[0]
+        self.g_cur[:] = snap[1]
 
 
 class FESubdomainSolver(_SubdomainSolverBase):
@@ -537,10 +552,10 @@ class FESubdomainSolver(_SubdomainSolverBase):
     """
 
     def __init__(self, spec, mesh, params, dt, steps, gamma_positions):
-        super().__init__(spec, mesh, params, dt, steps, gamma_positions)
+        super().__init__(spec, mesh, params, dt, steps, gamma_positions,
+                         mesh.interior_node_ids.shape[0])
         self.system = system = assemble(mesh, params)
         self.stepper = timestep.ImplicitEulerStepper(system, dt)
-        self.state = np.zeros(system.n_interior)
         # Y, the window-end state's derivative in the Gamma values. The
         # first substep sees them in the stiffness and moving-boundary mass
         # terms (the window-start trace is fixed); later substeps hold them, so
@@ -551,8 +566,8 @@ class FESubdomainSolver(_SubdomainSolverBase):
         for _ in range(1, self.steps):
             y = self.stepper.solve(system.M @ y - stiffness)
         self._response = y
-        #: The last advance's start ``(state, trace)`` and its anchor ``(end
-        #: state, Gamma values)``.
+        #: Copies of the last advance's start ``(state, trace)`` and of its
+        #: anchor ``(end state, Gamma values)``.
         self._start = self._anchor = None
 
     def lift(self, states):
@@ -596,16 +611,15 @@ class FESubdomainSolver(_SubdomainSolverBase):
         The window starts from the current state and trace, which the first
         substep's moving-boundary mass term reads. Physical boundary values
         follow the prescribed data at each substep time. The substep history
-        is kept on the solver for the orchestrator to record, and the window
-        end anchors :meth:`respond`.
+        is written into ``last_states``/``last_traces`` for the orchestrator
+        to record, and the window end anchors :meth:`respond`.
         """
-        self._start = (self.state, self.g_cur.copy())
+        self._start = (self.state.copy(), self.g_cur.copy())
         self.set_interface_values(values)
-        states = np.empty((self.state.shape[0], self.steps))
-        traces = np.empty((self.boundary_map.shape[0], self.steps))
-        self.state = self._substeps(t_n, *self._start, states, traces)
-        self.last_states, self.last_traces = states, traces
-        self._anchor = (self.state, self.g_cur.take(self.gamma_positions))
+        self.state[:] = self._substeps(t_n, *self._start, self.last_states,
+                                       self.last_traces)
+        self._anchor = (self.state.copy(),
+                        self.g_cur.take(self.gamma_positions))
 
     def respond(self, values):
         """Impose Gamma ``values`` on the window the last
@@ -614,7 +628,7 @@ class FESubdomainSolver(_SubdomainSolverBase):
         ``last_traces`` wait for :meth:`finish_window`."""
         self.set_interface_values(values)
         state, gamma = self._anchor
-        self.state = state + self._response @ (
+        self.state[:] = state + self._response @ (
             self.g_cur.take(self.gamma_positions) - gamma)
 
     def finish_window(self, t_n):
@@ -624,14 +638,11 @@ class FESubdomainSolver(_SubdomainSolverBase):
         advance's start with the final Gamma values; the window end is the
         last response.
         """
-        end = self.g_cur.copy()
-        states = np.empty((self.state.shape[0], self.steps))
-        traces = np.empty((end.shape[0], self.steps))
-        self._substeps(t_n, *self._start, states[:, :-1], traces[:, :-1])
-        states[:, -1] = self.state
-        traces[:, -1] = end
-        self.g_cur = end
-        self.last_states, self.last_traces = states, traces
+        self.last_states[:, -1] = self.state
+        self.last_traces[:, -1] = self.g_cur
+        self._substeps(t_n, *self._start, self.last_states[:, :-1],
+                       self.last_traces[:, :-1])
+        self.g_cur[:] = self.last_traces[:, -1]
 
 
 class RomSubdomainSolver(_SubdomainSolverBase):
@@ -645,7 +656,8 @@ class RomSubdomainSolver(_SubdomainSolverBase):
 
     def __init__(self, spec, mesh, params, dt, steps, gamma_positions, basis,
                  ops):
-        super().__init__(spec, mesh, params, dt, steps, gamma_positions)
+        super().__init__(spec, mesh, params, dt, steps, gamma_positions,
+                         ops.r)
         n_interior = self.interior_map.shape[0]
         n_b = self.boundary_map.shape[0]
         if basis.n != n_interior:
@@ -664,7 +676,6 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         self._P, Q, self._q = RomStepper(ops, dt).propagators()
         self._Q_gamma = Q[:, self.gamma_positions]
         self._Q_physical = Q[:, self.physical_positions]
-        self.state = np.zeros(ops.r)
 
     def lift(self, states):
         return self.basis.Psi @ states
@@ -678,14 +689,13 @@ class RomSubdomainSolver(_SubdomainSolverBase):
 
     def _prepare_window(self, t_n):
         # Everything but the Gamma values is fixed within a window, so the
-        # physical traces and their reduced forcing are computed once per
-        # window and reused by every sweep.
+        # physical traces, written into ``last_traces``, and their reduced
+        # forcing are computed once per window and reused by every sweep.
         physical = np.column_stack(
             [self._physical_trace(t_n + (j + 1) * self.dt)
              for j in range(self.steps)])
         self._forcing = self._Q_physical @ physical + self._q[:, None]
-        self._traces = np.empty((self.boundary_map.shape[0], self.steps))
-        self._traces[self.physical_positions] = physical
+        self.last_traces[self.physical_positions] = physical
 
     def _substeps(self, vhat, gamma, states):
         """Step ``vhat`` through the prepared window's first substeps, one
@@ -708,13 +718,10 @@ class RomSubdomainSolver(_SubdomainSolverBase):
         self.set_interface_values(values)
         self._prepare_window(t_n)
         gamma = self.g_cur.take(self.gamma_positions)
-        states = np.empty((self.state.shape[0], self.steps))
-        self.state = self._substeps(self.state, gamma, states)
-        traces = self._traces.copy()
-        traces[self.gamma_positions] = gamma[:, None]
+        self.state[:] = self._substeps(self.state, gamma, self.last_states)
+        self.last_traces[self.gamma_positions] = gamma[:, None]
         self.g_cur[self.physical_positions] = \
-            traces[self.physical_positions, -1]
-        self.last_states, self.last_traces = states, traces
+            self.last_traces[self.physical_positions, -1]
 
 
 class ReducedBlock(_SweepUnit):
@@ -738,7 +745,7 @@ class ReducedBlock(_SweepUnit):
     is, fed by a donor ahead of the run or later in the sweep. Inputs are
     read through :meth:`~_SweepUnit.inputs` before any member moves. The
     substep states before the window end are replayed once, after the final
-    sweep, from the window-start states :meth:`start_window` keeps.
+    sweep, from the copies of the window-start states in ``_w``.
     """
 
     def __init__(self, members, plan):
@@ -751,12 +758,6 @@ class ReducedBlock(_SweepUnit):
         self._so = np.concatenate(
             ([0], np.cumsum([s.state.shape[0] for s in self.solvers])))
         self._R = int(self._so[-1])
-        #: Member ``m``'s rows in the stacked boundary traces, and the Gamma
-        #: rows among them in the order of the run's Gamma values.
-        self._boff = np.concatenate(
-            ([0], np.cumsum([s.boundary_map.shape[0] for s in self.solvers])))
-        self._trace_gamma = np.concatenate(
-            [b + s.gamma_positions for b, s in zip(self._boff, self.solvers)])
         self._steady = all(s._steady for s in self.solvers)
         # The map, composed once: every window has the run's ``n`` substeps.
         R, so, goff = self._R, self._so, self._goff
@@ -808,9 +809,8 @@ class ReducedBlock(_SweepUnit):
         self._fixed = None
 
     def start_window(self, t_n):
-        """Prepare the members' window and the inputs fixed within it, and
-        keep their window-start states, by reference: ``state`` arrays are
-        replaced, never written in place."""
+        """Prepare the members' window and copy the inputs fixed within it,
+        their window-start states first, into ``_w``."""
         if self._fixed is None or not self._steady:
             folded = []
             for s in self.solvers:
@@ -820,30 +820,25 @@ class ReducedBlock(_SweepUnit):
                     f = s._P @ f + s._forcing[:, k]
                 folded.append(f)
             # Each member's folded forcing, then the physical trace values
-            # at the window end that in-run gathers read; and the members'
-            # substep traces, stacked, for the record.
+            # at the window end that in-run gathers read.
             self._fixed = np.concatenate(
-                folded + [s._traces[h, -1] for s, h in zip(self.solvers,
-                                                           self._h_used)])
-            self._traces = np.concatenate([s._traces for s in self.solvers])
-        self._starts = [s.state for s in self.solvers]
-        self._w = np.concatenate(self._starts + [self._fixed])
+                folded + [s.last_traces[h, -1] for s, h in zip(self.solvers,
+                                                               self._h_used)])
+        self._w = np.concatenate([s.state for s in self.solvers]
+                                 + [self._fixed])
 
-    def sweep(self, first, gamma):
-        """Advance every member once, filling ``gamma``, the run's slice of
-        the sweep's Gamma values, and leaving each member's new ``state``
-        and trace in place for the gathers that follow; returns the
-        members' window-end states."""
+    def sweep(self, first):
+        """Advance every member once, leaving its new ``state`` and trace
+        in place for the gathers that follow."""
         self._z = np.concatenate((self._w, self.inputs(first)))
-        self._y = y = self._M @ self._z
-        gamma[:] = y[self._R:]
+        y = self._M @ self._z
+        gamma = y[self._R:]
         for m, s in enumerate(self.solvers):
-            s.state = y[self._so[m]:self._so[m + 1]]
+            s.state[:] = y[self._so[m]:self._so[m + 1]]
             s.g_cur[s.gamma_positions] = gamma[self._goff[m]:self._goff[m + 1]]
             if not s._steady:
                 s.g_cur[s.physical_positions] = \
-                    s._traces[s.physical_positions, -1]
-        return y[:self._R]
+                    s.last_traces[s.physical_positions, -1]
 
     def finish(self, sweeps):
         """Record the last sweep's substep states and traces on the members,
@@ -851,23 +846,21 @@ class ReducedBlock(_SweepUnit):
 
         The substeps before the window end are replayed by the members'
         own recurrence from the final Gamma values; the window end is the
-        last sweep's.
+        last sweep's. The physical trace rows were written when the window
+        was prepared.
         """
-        traces = self._traces.copy()
-        traces[self._trace_gamma] = self._y[self._R:, None]
         for m, s in enumerate(self.solvers):
-            states = np.empty((self._so[m + 1] - self._so[m], s.steps))
-            states[:, -1] = s.state
+            gamma = s.g_cur.take(s.gamma_positions)
+            s.last_traces[s.gamma_positions] = gamma[:, None]
+            s.last_states[:, -1] = s.state
             if s.steps > 1:
-                s._substeps(self._starts[m],
-                            s.g_cur.take(s.gamma_positions), states[:, :-1])
-            s.last_states = states
-            s.last_traces = traces[self._boff[m]:self._boff[m + 1]]
+                s._substeps(self._w[self._so[m]:self._so[m + 1]], gamma,
+                            s.last_states[:, :-1])
 
-    def first_failure(self, gamma):
+    def first_failure(self):
         """``(subdomain, gathered)`` of the first member whose Gamma values
-        (``gathered``, which the map recomputes, so ``gamma`` is not read)
-        or window-end state the last sweep left non-finite, or None.
+        (``gathered``, which the map recomputes) or window-end state the
+        last sweep left non-finite, or None.
 
         An output counts as non-finite only through inputs it depends on,
         as in a visit-by-visit sweep; in the dense product a zero weight
@@ -886,14 +879,15 @@ class ReducedBlock(_SweepUnit):
         return None
 
 
-def _raise_divergence(plan, gamma, t_n):
+def _raise_divergence(plan, t_n):
     """Raise :class:`DivergenceError` for the sweep's first subdomain, in
-    sweep order, with non-finite gathered Gamma values or states; the
-    message names the end of the window that starts at ``t_n``."""
+    sweep order, with non-finite gathered Gamma values or states, or, if
+    no unit claims the non-finite value, for the coordinates as a whole;
+    the message names the end of the window that starts at ``t_n``."""
     s = plan.solvers[0]
     t_next = t_n + s.dt * s.steps
     for unit in plan.units:
-        hit = unit.first_failure(gamma[unit.lo:unit.hi])
+        hit = unit.first_failure()
         if hit is not None and hit[1]:
             raise DivergenceError(
                 f"non-finite interface values gathered for subdomain "
@@ -902,6 +896,7 @@ def _raise_divergence(plan, gamma, t_n):
             raise DivergenceError(
                 f"subdomain {hit[0] + 1} produced a non-finite state at "
                 f"t={t_next}")
+    raise DivergenceError(f"non-finite coordinates at t={t_next}")
 
 
 def schwarz_window(plan, t_n, tol, max_iters):
@@ -921,26 +916,30 @@ def schwarz_window(plan, t_n, tol, max_iters):
     Converged once the relative sup-norm change of every subdomain's Gamma
     values drops to ``tol``; the first sweep's change is measured against
     the values imposed in the previous window. Finiteness and convergence
-    are checked once per sweep, on the concatenated values; a non-finite
-    value raises :class:`DivergenceError` naming the first subdomain, in
-    sweep order, whose gathered values or states are not finite.
+    are checked once per sweep, on the plan's arrays: its coordinates, and
+    in the first sweep also its window, which holds every advanced
+    solver's substeps. A non-finite value raises :class:`DivergenceError`
+    naming the first subdomain, in sweep order, whose gathered values or
+    states are not finite, or else the window end alone.
 
     Returns ``(iterations, converged)``; the converged states live in the
-    solvers, at the window end, with ``last_states``/``last_traces`` from
-    the final sweep.
+    plan's coordinates, at the window end, and its ``window`` holds the
+    final sweep's ``last_states``/``last_traces``.
     """
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
-    prev = np.concatenate([s.interface_values() for s in plan.solvers])
+    prev = plan.coordinates[plan.gamma_rows]
     plan.start_window(t_n)
     converged = False
     for iteration in range(1, max_iters + 1):
-        gamma = np.empty(prev.shape[0])
-        checked = [gamma] + [unit.sweep(iteration == 1,
-                                        gamma[unit.lo:unit.hi])
-                             for unit in plan.units]
-        if not kernels.all_finite(np.concatenate(checked)):
-            _raise_divergence(plan, gamma, t_n)
+        first = iteration == 1
+        for unit in plan.units:
+            unit.sweep(first)
+        checked = (plan.coordinates, plan.window) if first else (
+            plan.coordinates,)
+        if not kernels.all_finite(*checked):
+            _raise_divergence(plan, t_n)
+        gamma = plan.coordinates[plan.gamma_rows]
         change = kernels.relative_sup_change(gamma, prev, plan.starts)
         prev = gamma
         if change <= tol:
@@ -1040,13 +1039,10 @@ def run_coupled(config, params, trained=None):
 
     n_steps = timestep.n_steps_for(0.0, config.t_end, config.dt)
     times = config.dt * np.arange(n_steps + 1)
-    # One record in the plan's coordinates: each solver's substep states in
-    # its own coordinates, then its traces. Nothing is lifted.
-    columns = plan.columns
-    coordinates = np.empty((int(columns[-1]), n_steps + 1))
-    coordinates[:, 0] = plan.coordinates()
-    rows = [(slice(a, a + s.state.shape[0]), slice(a + s.state.shape[0], b))
-            for s, a, b in zip(solvers, columns[:-1], columns[1:])]
+    # One record in the plan's coordinates, column-major, so each window's
+    # columns are one contiguous copy of ``plan.window``. Nothing is lifted.
+    coordinates = np.empty((int(plan.columns[-1]), n_steps + 1), order="F")
+    coordinates[:, 0] = plan.coordinates
 
     n_windows = config.n_windows
     iterations = np.zeros(n_windows, dtype=np.int64)
@@ -1060,9 +1056,7 @@ def run_coupled(config, params, trained=None):
         iterations[w] = iters
         window_converged[w] = ok
         lo = 1 + w * spw
-        for s, (state_rows, trace_rows) in zip(solvers, rows):
-            coordinates[state_rows, lo:lo + spw] = s.last_states
-            coordinates[trace_rows, lo:lo + spw] = s.last_traces
+        coordinates[:, lo:lo + spw] = plan.window
     solve_seconds = time.perf_counter() - t1
 
     for s in solvers:  # stitching needs no Gamma response

@@ -330,7 +330,7 @@ def test_converged_strips_match_monolithic_steady_solution():
     steady[system.interior_map] = spsolve(system.A_II.tocsc(),
                                           system.load(0.0))
     stitched = StitchPlan(config, global_mesh, solvers).apply(
-        plan.coordinates())
+        plan.coordinates)
     assert np.max(np.abs(stitched - steady)) <= 1e-6
 
 
@@ -384,7 +384,7 @@ def test_divergent_state_raises():
     class PoisonedSolver(FESubdomainSolver):
         def advance_window(self, t_n, values):
             super().advance_window(t_n, values)
-            self.last_states = self.last_states * np.nan
+            self.last_states[:] = np.nan
 
     config, params, table, _ = steady_strip_setup(overlap=0.2)
     solvers = [PoisonedSolver(spec, table.meshes[i], params, config.dt,
@@ -405,6 +405,31 @@ def test_divergent_reduced_state_raises():
     with pytest.raises(DivergenceError, match="subdomain 1 .*non-finite"):
         schwarz_window(GatherPlan(table, solvers), 0.0, config.tol,
                        config.max_iters)
+
+
+def test_non_finite_physical_trace_row_raises():
+    # A NaN left in a physical row of a boundary trace, far from the
+    # overlap so that no gather reads it, with the state, substeps and
+    # Gamma values finite: no unit claims it, and the check on the plan's
+    # coordinates raises in that window all the same.
+    class LeakySolver(FESubdomainSolver):
+        def advance_window(self, t_n, values):
+            super().advance_window(t_n, values)
+            x = self.mesh.coords[self.boundary_map[self.physical_positions],
+                                 0]
+            self.g_cur[self.physical_positions[np.argmax(x)]] = np.nan
+
+    config, params, table, solvers = steady_strip_setup(overlap=0.2)
+    solvers[1] = LeakySolver(config.subdomains[1], table.meshes[1], params,
+                             config.dt, config.steps_per_window,
+                             table.entries[1].gamma_positions)
+    plan = GatherPlan(table, solvers)
+    with pytest.raises(DivergenceError,
+                       match=r"^non-finite coordinates at t=1000000\.0$"):
+        schwarz_window(plan, 0.0, config.tol, config.max_iters)
+    s = solvers[1]
+    assert np.isfinite(s.state).all() and np.isfinite(s.last_states).all()
+    assert np.isfinite(s.g_cur[s.gamma_positions]).all()
 
 
 @pytest.mark.parametrize("steps_per_window", [1, 3])
@@ -545,7 +570,7 @@ def test_late_row_history_extrapolates_polynomials_exactly(degree):
     def move_to(w):
         coords = sum(c * float(w) ** d for d, c in enumerate(coeffs))
         for k, s in enumerate(solvers):
-            s.state, s.g_cur = np.split(
+            s.state[:], s.g_cur[:] = np.split(
                 coords[plan.columns[k]:plan.columns[k + 1]],
                 [s.state.shape[0]])
 
@@ -705,7 +730,7 @@ def per_visit_window(plan, t_n, tol, max_iters, history):
     reproduce."""
     solvers = plan.solvers
     snapshots = [s.snapshot_state() for s in solvers]
-    prev = [s.interface_values() for s in solvers]
+    prev = [s.g_cur[s.gamma_positions].copy() for s in solvers]
     for iteration in range(1, max_iters + 1):
         change = 0.0
         for i, s in enumerate(solvers):
@@ -908,7 +933,7 @@ def test_unit_table_tiles_rows_and_prediction(layout):
     assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
     assert spans[-1].stop == plan.prediction.shape[0] > 0
     # With one anchor the prediction is the window-start sample.
-    sampled = plan.operator @ plan.coordinates()
+    sampled = plan.operator @ plan.coordinates
     for u in units:
         np.testing.assert_array_equal(plan.prediction[u.late_span],
                                       sampled[u.lo + u.late_rows])
@@ -990,14 +1015,14 @@ def test_fe_response_equals_a_genuine_window(steps_per_window):
     solver.advance_window(t_n, rng.standard_normal(n_gamma))
     solver.respond(gamma)
     solver.finish_window(t_n)
-    responded = (solver.state, solver.last_states, solver.last_traces,
-                 solver.g_cur.copy())
+    responded = (solver.state.copy(), solver.last_states.copy(),
+                 solver.last_traces.copy(), solver.g_cur.copy())
     responded += (next_start(),)
 
     solver.restore_state(snap)
     solver.advance_window(t_n, gamma)
-    genuine = (solver.state, solver.last_states, solver.last_traces,
-               solver.g_cur.copy())
+    genuine = (solver.state.copy(), solver.last_states.copy(),
+               solver.last_traces.copy(), solver.g_cur.copy())
     genuine += (next_start(),)
     scale = max(np.max(np.abs(x)) for x in genuine)
     for got, want in zip(responded, genuine):
@@ -1158,14 +1183,16 @@ def test_consecutive_windows_reproduce_run_coupled(small_trained,
     assert isinstance(block, ReducedBlock)
     maps = []
     for w in range(2):
-        starts = [s.state for s in solvers]
+        starts = [s.state.copy() for s in solvers]
         result = schwarz_window(plan, w * config.window_dt, config.tol,
                                 config.max_iters)
-        # The block and the finite element solver kept their window-start
-        # states, by reference.
-        kept = block._starts + [solvers[3]._start[0]]
+        # The block and the finite element solver kept copies of their
+        # window-start states.
+        kept = np.split(block._w[:block._so[-1]], block._so[1:-1]) + [
+            solvers[3]._start[0]]
         assert len(kept) == len(starts)
-        assert all(a is b for a, b in zip(kept, starts))
+        for a, b in zip(kept, starts):
+            np.testing.assert_array_equal(a, b)
         maps.append(block._M)
         want, records = recorded[w]
         assert result == want
@@ -1174,6 +1201,60 @@ def test_consecutive_windows_reproduce_run_coupled(small_trained,
             np.testing.assert_array_equal(s.last_traces, traces)
     assert maps[0] is maps[1]
     assert max(recorded[w][0][0] for w in range(2)) > 1
+
+
+@pytest.mark.parametrize("case", ["all-fe", "hybrid", "two-substeps"])
+def test_plan_owns_every_solvers_coordinates(small_trained, monkeypatch,
+                                             case):
+    # The plan's two arrays hold every solver's [state; g_cur] and
+    # [last_states; last_traces] at its ``columns`` rows; each window's
+    # record columns are one copy of the plan's window, the last of them
+    # its coordinates; and a snapshot outlives the in-place writes of an
+    # advance.
+    cfg = small_cfg(t_end=0.3,
+                    steps_per_window=2 if case == "two-substeps" else 1)
+    trained = None if case == "all-fe" else small_trained
+    config = cfg.schwarz_config(force_model="fe" if case == "all-fe"
+                                else None)
+    table = build_interfaces(config)
+    solvers = build_solvers(config, table, cfg.params(), trained)
+    plan = GatherPlan(table, solvers)
+    for s, a, b in zip(solvers, plan.columns[:-1], plan.columns[1:]):
+        split = a + s.state.shape[0]
+        for owner, rows in ((plan.coordinates, (s.state, s.g_cur)),
+                            (plan.window, (s.last_states, s.last_traces))):
+            for x, lo, hi in zip(rows, (a, split), (split, b)):
+                assert np.shares_memory(x, owner[lo:hi])
+                assert not np.shares_memory(x, owner[:lo])
+                assert not np.shares_memory(x, owner[hi:])
+
+    rng = np.random.default_rng(3)
+    for i, s in enumerate(solvers):
+        s.set_interface_values(plan.gather(i))
+        before = (s.state.copy(), s.g_cur.copy())
+        snap = s.snapshot_state()
+        s.advance_window(0.0, rng.standard_normal(s.gamma_positions.size))
+        assert not np.array_equal(s.state, before[0])
+        s.restore_state(snap)
+        np.testing.assert_array_equal(s.state, before[0])
+        np.testing.assert_array_equal(s.g_cur, before[1])
+        assert np.shares_memory(s.state, plan.coordinates)
+
+    seen = []
+
+    def recording_window(plan, *args):
+        result = schwarz_window(plan, *args)
+        seen.append((plan.window.copy(), plan.coordinates.copy()))
+        return result
+
+    monkeypatch.setattr(schwarz, "schwarz_window", recording_window)
+    run = run_coupled(config, cfg.params(), trained)
+    spw = config.steps_per_window
+    assert len(seen) == config.n_windows
+    for w, (window, coordinates) in enumerate(seen):
+        record = run.coordinates[:, 1 + w * spw:1 + (w + 1) * spw]
+        np.testing.assert_array_equal(record, window)
+        np.testing.assert_array_equal(record[:, -1], coordinates)
 
 
 def test_runs_never_snapshot_or_rewind_a_solver(small_trained, monkeypatch):
