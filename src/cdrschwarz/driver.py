@@ -111,6 +111,26 @@ def error_metric(model, reference):
     return error_metric_detail(model, reference)[0]
 
 
+def self_error(history):
+    """``error_metric(history, history)``, from the norms its first score
+    kept, reading only the columns whose norm is not finite.
+
+    ``x - x`` is 0 for finite ``x``, and NaN for an infinite or NaN one,
+    so a time's error norm is 0 when all its entries are finite and NaN
+    otherwise. A time with a finite norm has only finite entries; the
+    others, which hold a non-finite entry or squares that overflow, are
+    read. A history not yet scored is scored against itself.
+    """
+    norms = history.norms
+    if norms is None:
+        return error_metric(history, history)
+    diff = np.zeros_like(norms)
+    for j in np.flatnonzero(~np.isfinite(norms)):
+        if not np.isfinite(history.column(j)).all():
+            diff[j] = np.nan
+    return _mean_relative(diff, norms)[0]
+
+
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
@@ -162,10 +182,29 @@ class NodalHistory:
             if basis is not None:
                 states = basis.Psi @ states
             full = np.empty((system.mesh.n_nodes,) + states.shape[1:])
-            full[system.interior_map] = states
-            full[system.boundary_map] = trajectory.boundary_traces[:, key]
+            _scatter_rows(full, system.interior_map, states)
+            _scatter_rows(full, system.boundary_map,
+                          trajectory.boundary_traces[:, key])
             return full
         return cls(trajectory.times, system.mesh.n_nodes, read)
+
+
+#: Columns :func:`_scatter_rows` copies at a time. Each column of a
+#: column-major history is one read stream, and a whole block's 64 outrun
+#: the hardware prefetcher: on a 2-vCPU Xeon a merged read of the default
+#: reference took about 1.3x as long as 32 at a time, or as a row-major
+#: history.
+_SCATTER_COLUMNS = 32
+
+
+def _scatter_rows(full, rows, block):
+    """``full[rows] = block``, for a matrix ``block`` a few columns at a
+    time."""
+    if block.ndim == 1:
+        full[rows] = block
+        return
+    for c in range(0, block.shape[1], _SCATTER_COLUMNS):
+        full[rows, c:c + _SCATTER_COLUMNS] = block[:, c:c + _SCATTER_COLUMNS]
 
 
 def _export_stitched_fields(cfg, stitched, global_mesh, out_dir, prefix):
@@ -504,8 +543,14 @@ class _TrainingProjection:
     def of(cls, basis, states, traces):
         coords = basis.Psi.T @ states
         residual = states - basis.Psi @ coords
+        # Squares in row-major order whatever the layout of ``states``, so
+        # that the rows are summed one after another, as
+        # ``np.linalg.norm(states, axis=0)`` sums row-major snapshots; it
+        # sums a column-major block's pairwise.
+        norms = np.sqrt(np.add.reduce(np.multiply(states, states, order="C"),
+                                      axis=0))
         return cls(coords=coords, residual_sq=np.sum(residual ** 2, axis=0),
-                   norms=np.linalg.norm(states, axis=0), traces=traces)
+                   norms=norms, traces=traces)
 
 
 def _march(ops, dt, vhat0, traces):
@@ -731,7 +776,7 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
         err_mono, abs_mono = float("inf"), False
     else:
         err_mono, abs_mono, _ = error_metric_detail(mono.history(), ref)
-    self_error = error_metric(ref, ref)
+    reference_self_error = self_error(ref)
 
     models = [
         ModelReport(
@@ -762,7 +807,7 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
                   f"monolithic lambda = {mono.lam:g}")),
     ]
     report = ComparisonReport(
-        models=models, reference_self_error=self_error,
+        models=models, reference_self_error=reference_self_error,
         reference_solve_seconds=fom.timings["solve_seconds"],
         environment=_environment_note())
     if out_dir is not None:

@@ -118,7 +118,8 @@ class SemiDiscreteSystem:
 
     ``M_IB`` couples interior rows to boundary values through the
     consistent mass matrix; its term in a step vanishes when the boundary
-    trace is steady.
+    trace is steady. ``steady_load``: ``load`` returns the same vector at
+    every time.
     """
 
     M: csr_matrix
@@ -129,6 +130,7 @@ class SemiDiscreteSystem:
     boundary_map: np.ndarray
     load: Callable[[float], np.ndarray]
     mesh: object = None
+    steady_load: bool = False
 
     @property
     def n_interior(self):
@@ -192,7 +194,8 @@ def profile_closure(data, x, y):
 
 
 def _forcing_closure(mesh, params, interior_map):
-    """Interior load vector F(t), assembled once for steady forcing."""
+    """``(load, steady)``: the interior load vector F(t), assembled once
+    for steady forcing."""
     pts, wts, n_tab, _, _ = _quad_tables(mesh.hx, mesh.hy)
     phiw = n_tab * wts[:, None]
     conn = mesh.connectivity
@@ -209,8 +212,8 @@ def _forcing_closure(mesh, params, interior_map):
 
     if steady:
         const = load(0.0)
-        return lambda t: const
-    return load
+        return (lambda t: const), True
+    return load, False
 
 
 def assemble(mesh, params):
@@ -225,10 +228,11 @@ def assemble(mesh, params):
     a_ii = a_full[interior][:, interior].tocsr()
     a_ib = a_full[interior][:, boundary].tocsr()
     m_ib = m_full[interior][:, boundary].tocsr()
+    load, steady = _forcing_closure(mesh, params, interior)
     return SemiDiscreteSystem(
         M=m_ii, A_II=a_ii, A_IB=a_ib, M_IB=m_ib,
         interior_map=interior, boundary_map=boundary,
-        load=_forcing_closure(mesh, params, interior), mesh=mesh)
+        load=load, mesh=mesh, steady_load=steady)
 
 
 def boundary_values(system, params):

@@ -26,7 +26,8 @@ BLOCK_COLUMNS = 64
 
 def save_matrix(path, matrix):
     """Write a 2-D (or 1-D, saved as a column) array of doubles, a block of
-    columns at a time: their column-major bytes are the whole array's."""
+    columns at a time: their column-major bytes are the whole array's. A
+    column-major array is written from its own memory, with no copy."""
     arr = np.asarray(matrix, dtype="<f8")
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -36,7 +37,9 @@ def save_matrix(path, matrix):
         handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION,
                                   arr.shape[0], arr.shape[1]))
         for a in range(0, arr.shape[1], BLOCK_COLUMNS):
-            handle.write(arr[:, a:a + BLOCK_COLUMNS].tobytes(order="F"))
+            # The transpose of a column-major block is row-major, so its
+            # buffer holds the block's column-major bytes in order.
+            handle.write(np.asfortranarray(arr[:, a:a + BLOCK_COLUMNS]).T)
 
 
 def load_matrix(path):

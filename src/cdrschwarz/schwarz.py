@@ -548,27 +548,30 @@ class FESubdomainSolver(_SubdomainSolverBase):
     :meth:`advance_window` from the window start has taken Gamma values
     ``gamma_1`` to the window-end state ``v_1``, any other Gamma values
     ``gamma`` give ``v_1 + Y (gamma - gamma_1)``: :meth:`respond`, with no
-    sparse solve. ``Y``, the Gamma response, is computed once per solver.
+    sparse solve. ``Y``, the Gamma response, is computed once per solver,
+    as columns of one solve per operator set (:func:`set_gamma_responses`).
+
+    ``peers`` are the finite element solvers of the same run built before
+    this one: the stepper shares the operator set of a peer whose assembled
+    matrices equal this one's bitwise (see
+    :class:`~cdrschwarz.timestep.ImplicitEulerStepper`), and the caller
+    then sets every ``Y`` by :func:`set_gamma_responses`. Without
+    ``peers`` the solver stands alone and sets its own. The load, the
+    trace, the maps and the state stay per solver.
     """
 
-    def __init__(self, spec, mesh, params, dt, steps, gamma_positions):
+    def __init__(self, spec, mesh, params, dt, steps, gamma_positions,
+                 peers=None):
         super().__init__(spec, mesh, params, dt, steps, gamma_positions,
                          mesh.interior_node_ids.shape[0])
         self.system = system = assemble(mesh, params)
-        self.stepper = timestep.ImplicitEulerStepper(system, dt)
-        # Y, the window-end state's derivative in the Gamma values. The
-        # first substep sees them in the stiffness and moving-boundary mass
-        # terms (the window-start trace is fixed); later substeps hold them, so
-        # only the stiffness term and the carried state depend on them.
-        stiffness = self.dt * system.A_IB[:, self.gamma_positions].toarray()
-        y = self.stepper.solve(
-            -stiffness - system.M_IB[:, self.gamma_positions].toarray())
-        for _ in range(1, self.steps):
-            y = self.stepper.solve(system.M @ y - stiffness)
-        self._response = y
+        self.stepper = timestep.ImplicitEulerStepper(
+            system, dt, [p.stepper for p in peers or ()])
         #: Copies of the last advance's start ``(state, trace)`` and of its
         #: anchor ``(end state, Gamma values)``.
         self._start = self._anchor = None
+        if peers is None:
+            set_gamma_responses([self])
 
     def lift(self, states):
         return states
@@ -998,16 +1001,40 @@ def check_rank(index, spec, basis):
             f"rank {basis.r}; retrain with the current config")
 
 
+def set_gamma_responses(solvers):
+    """Give every :class:`FESubdomainSolver` of ``solvers`` its Gamma
+    response ``Y``, the window-end state's derivative in its Gamma values,
+    by one solve per operator set and window length: over the union of the
+    Gamma columns of the solvers that share them, each taking its own
+    columns, Fortran-ordered. Columns are solved independently, so each
+    ``Y`` is bitwise that of its own columns solved alone."""
+    groups = {}
+    for s in solvers:
+        groups.setdefault((id(s.stepper.operators), s.steps), []).append(s)
+    for group in groups.values():
+        columns = np.unique(np.concatenate(
+            [s.gamma_positions for s in group]))
+        y = group[0].stepper.trace_response(columns, group[0].steps)
+        for s in group:
+            s._response = np.asfortranarray(
+                y[:, np.searchsorted(columns, s.gamma_positions)])
+
+
 def build_solvers(config, table, params, trained=None):
     """One solver per subdomain of ``config``, by ``spec.model``: finite
     element, or reduced on the ``basis`` and ``ops`` of ``trained[index]``.
+
+    Finite element subdomains whose assembled matrices are bitwise equal
+    share one operator set and one Gamma-response solve (see
+    :class:`FESubdomainSolver`).
     """
-    solvers = []
+    solvers, fe = [], []
     for i, spec in enumerate(config.subdomains):
         args = (spec, table.meshes[i], params, config.dt,
                 config.steps_per_window, table.entries[i].gamma_positions)
         if spec.model == "fe":
-            solvers.append(FESubdomainSolver(*args))
+            fe.append(FESubdomainSolver(*args, peers=tuple(fe)))
+            solvers.append(fe[-1])
             continue
         if i not in (trained or {}):
             raise ConfigurationError(
@@ -1016,6 +1043,7 @@ def build_solvers(config, table, params, trained=None):
         check_rank(i, spec, trained[i].basis)
         solvers.append(RomSubdomainSolver(*args, trained[i].basis,
                                           trained[i].ops))
+    set_gamma_responses(fe)
     return solvers
 
 

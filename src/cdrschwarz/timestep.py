@@ -9,13 +9,13 @@ with the boundary trace taken fully implicitly at the new time level. The
 last term is the consistent-mass contribution of a moving boundary trace;
 it vanishes for a steady trace, and it is what keeps a subdomain step
 identical to the matching rows of a monolithic step. ``M + dt * A_II`` is
-factored once per stepper and reused for every step at that ``dt``: by
-LAPACK's band LU when its half-bandwidth is at most :data:`BAND_LIMIT`, by
-SuperLU otherwise. The symmetric part of these matrices is positive
-definite, and on every system of the study band LU makes no row
-interchange, so the stepper keeps its factors as two band triangles and a
-solve is two triangular band solves; a band LU that does interchange rows
-falls back to SuperLU.
+factored once per :class:`OperatorSet` and reused for every step at that
+``dt``: by LAPACK's band LU when its half-bandwidth is at most
+:data:`BAND_LIMIT`, by SuperLU otherwise. The symmetric part of these
+matrices is positive definite, and on every system of the study band LU
+makes no row interchange, so the set keeps its factors as two band
+triangles and a solve is two triangular band solves; a band LU that does
+interchange rows falls back to SuperLU.
 :meth:`ImplicitEulerStepper.solve` serves both, for one right-hand side or
 a matrix of them.
 
@@ -23,9 +23,11 @@ The right-hand side apart from the load is one sparse product,
 
     [M, -dt * A_IB, -M_IB] @ [v_n; g_{n+1}; g_{n+1} - g_n],
 
-with the block operator built once per stepper; the load ``dt *
-F(t_{n+1})`` is evaluated at every step, since consecutive steps of a
-stepper are never at the same time.
+with the block operator built once per operator set. Steppers whose
+systems' matrices are bitwise equal, at the same ``dt``, share one set
+(see :class:`ImplicitEulerStepper`); each keeps its own system, so its own
+load. The load ``dt * F(t_{n+1})`` is scaled once per stepper when the
+system's load is steady, and at every step otherwise.
 """
 
 import math
@@ -65,22 +67,37 @@ class Trajectory:
         return self.times.shape[0]
 
 
-class ImplicitEulerStepper:
-    """Reusable backward-Euler stepper for one semi-discrete system."""
+def same_matrices(a, b):
+    """True when systems ``a`` and ``b`` have bitwise equal ``M``, ``A_II``,
+    ``A_IB`` and ``M_IB``: the same shapes and the same bytes of ``data``,
+    ``indices`` and ``indptr``. No tolerance: only then does a step of one
+    give the bits of a step of the other."""
+    for name in ("M", "A_II", "A_IB", "M_IB"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.shape != y.shape or any(
+                getattr(x, f).dtype != getattr(y, f).dtype
+                or getattr(x, f).tobytes() != getattr(y, f).tobytes()
+                for f in ("data", "indices", "indptr")):
+            return False
+    return True
+
+
+class OperatorSet:
+    """What an implicit Euler step of a system at ``dt`` needs besides the
+    load: ``M + dt * A_II`` factored, as two band ``triangles`` or, when it
+    has none, SuperLU factors ``lu``, and ``rhs_operator``, ``[M, -dt *
+    A_IB, -M_IB]``.
+    """
 
     def __init__(self, system, dt):
-        if not (np.isfinite(dt) and dt > 0.0):
-            raise ConfigurationError(f"time step must be > 0, got {dt}")
-        self.system = system
-        self.dt = float(dt)
         # A sum of sparse matrices is canonical: no duplicate entries.
-        matrix = (system.M + self.dt * system.A_II).tocoo()
+        matrix = (system.M + dt * system.A_II).tocoo()
         offset = matrix.row - matrix.col
         # ``initial``: a matrix with no stored entry has bandwidth 0.
         kl = int(np.max(offset, initial=0))
         ku = int(np.max(-offset, initial=0))
         n = matrix.shape[0]
-        self._triangles = None
+        self.triangles = self.lu = None
         failure = None
         if max(kl, ku) <= BAND_LIMIT:
             # LAPACK band storage, with kl extra rows for the pivoting fill;
@@ -94,13 +111,13 @@ class ImplicitEulerStepper:
                 # No row interchange, so no fill: the unit lower triangle
                 # (kl subdiagonals) and the upper one (ku superdiagonals),
                 # each in triangular band storage, are the whole factor.
-                self._triangles = (np.asfortranarray(lu[kl + ku:]),
-                                   np.asfortranarray(lu[kl:kl + ku + 1]))
-        if self._triangles is None and failure is None:
+                self.triangles = (np.asfortranarray(lu[kl + ku:]),
+                                  np.asfortranarray(lu[kl:kl + ku + 1]))
+        if self.triangles is None and failure is None:
             try:
                 # Beyond BAND_LIMIT this ordering solves 1.2-1.7x and
                 # factors about 2x faster than SuperLU's default COLAMD.
-                self._lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                self.lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 failure = exc
         if failure is not None:
@@ -110,21 +127,63 @@ class ImplicitEulerStepper:
         # One operator for the whole right-hand side but the load: a single
         # sparse product per step instead of one per term, which dominated
         # the cost of small subdomain steps.
-        self._rhs_operator = hstack(
-            [system.M, -self.dt * system.A_IB, -system.M_IB], format="csr")
+        self.rhs_operator = hstack(
+            [system.M, -dt * system.A_IB, -system.M_IB], format="csr")
+
+
+class ImplicitEulerStepper:
+    """Reusable backward-Euler stepper for one semi-discrete system.
+
+    ``peers`` are steppers built before this one. The first whose ``dt``
+    equals this one's and whose system's matrices equal ``system``'s
+    bitwise (:func:`same_matrices`) lends its :class:`OperatorSet`, so
+    equal systems are factored once and their steps share one set of
+    operators; otherwise the stepper builds its own.
+    """
+
+    def __init__(self, system, dt, peers=()):
+        if not (np.isfinite(dt) and dt > 0.0):
+            raise ConfigurationError(f"time step must be > 0, got {dt}")
+        self.system = system
+        self.dt = float(dt)
+        twin = next((p for p in peers if p.dt == self.dt
+                     and same_matrices(p.system, system)), None)
+        self.operators = (OperatorSet(system, self.dt) if twin is None
+                          else twin.operators)
+        #: ``dt * F``, scaled once, for a steady load; None otherwise.
+        self._scaled_load = (self.dt * system.load(0.0)
+                             if system.steady_load else None)
 
     def solve(self, rhs):
         """``(M + dt * A_II)^-1 rhs`` for a vector or a matrix of columns,
         as a new array; ``rhs`` is only read."""
-        if self._triangles is None:
-            return self._lu.solve(rhs)
+        ops = self.operators
+        if ops.triangles is None:
+            return ops.lu.solve(rhs)
         if rhs.size == 0:
             # scipy's dtbtrs wrapper corrupts the heap on an empty matrix
             # of right-hand sides (a subdomain with no Gamma values).
             return np.zeros(rhs.shape)
-        lower, upper = self._triangles
+        lower, upper = ops.triangles
         y = dtbtrs(lower, rhs, uplo="L", diag="U")[0]
         return dtbtrs(upper, y, overwrite_b=True)[0]
+
+    def trace_response(self, columns, steps):
+        """The derivative of the state after ``steps`` steps in the boundary
+        trace entries ``columns``, held from the first step on, with the
+        trace before it fixed: one column per entry, Fortran-ordered.
+
+        The first step sees them in the stiffness and moving-boundary mass
+        terms; later steps hold them, so only the stiffness term and the
+        carried state depend on them. Columns are solved independently, so
+        each is bitwise the same whatever other columns are asked for.
+        """
+        system = self.system
+        stiffness = self.dt * system.A_IB[:, columns].toarray()
+        y = self.solve(-stiffness - system.M_IB[:, columns].toarray())
+        for _ in range(1, steps):
+            y = self.solve(system.M @ y - stiffness)
+        return y
 
     def step(self, v_n, g_next, t_next, g_prev):
         """Advance one state vector a single step to time ``t_next``.
@@ -144,9 +203,10 @@ class ImplicitEulerStepper:
             raise ConfigurationError(
                 f"previous trace has shape {g_prev.shape}, expected "
                 f"{g_next.shape}")
-        rhs = self._rhs_operator @ np.concatenate((v_n, g_next,
-                                                   g_next - g_prev))
-        rhs += self.dt * system.load(t_next)
+        rhs = self.operators.rhs_operator @ np.concatenate((v_n, g_next,
+                                                            g_next - g_prev))
+        rhs += (self._scaled_load if self._scaled_load is not None
+                else self.dt * system.load(t_next))
         return self.solve(rhs)
 
 
@@ -168,7 +228,8 @@ def n_steps_for(t0, t1, dt):
 
 
 def integrate(stepper, t0, t1, initial, boundary_fn):
-    """March a stepper from t0 to t1 and record the full history.
+    """March a stepper from t0 to t1 and record the full history, one
+    Fortran-ordered column per time.
 
     ``boundary_fn(t)`` supplies the Dirichlet trace imposed at time ``t``.
     """
@@ -176,8 +237,11 @@ def integrate(stepper, t0, t1, initial, boundary_fn):
     dt = stepper.dt
     n = n_steps_for(t0, t1, dt)
     times = t0 + dt * np.arange(n + 1)
-    states = np.empty((system.n_interior, n + 1))
-    traces = np.empty((system.n_boundary, n + 1))
+    # Column-major, like a coupled run's record: each step writes one
+    # contiguous column, so the history evicts no more of the factors than
+    # it must, and it is saved with no transposing copy.
+    states = np.empty((system.n_interior, n + 1), order="F")
+    traces = np.empty((system.n_boundary, n + 1), order="F")
     v = np.asarray(initial, dtype=float)
     if v.shape != (system.n_interior,):
         raise ConfigurationError(

@@ -324,6 +324,28 @@ def test_matrix_written_a_block_at_a_time(tmp_path):
         assert np.array_equal(loaded, other)
 
 
+def test_matrix_bytes_do_not_depend_on_layout(tmp_path):
+    # Row-major, column-major and strided arrays of the same values write
+    # the same bytes. A row-major one is copied a block of columns at a
+    # time; a column-major one is written from its own memory.
+    rng = np.random.default_rng(4)
+    matrix = rng.standard_normal((300, 3 * matio.BLOCK_COLUMNS + 9))
+    block = 8 * matrix.shape[0] * matio.BLOCK_COLUMNS
+    written, peaks = [], []
+    for k, layout in enumerate((matrix, np.asfortranarray(matrix),
+                                np.repeat(matrix, 2, axis=1)[:, ::2])):
+        path = str(tmp_path / f"m{k}.bin")
+        tracemalloc.start()
+        try:
+            matio.save_matrix(path, layout)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        written.append(open(path, "rb").read())
+    assert written[0] == written[1] == written[2]
+    assert peaks[0] >= block and peaks[1] < block // 8
+
+
 def test_matrix_format_rejections(tmp_path):
     path = str(tmp_path / "m.bin")
     matio.save_matrix(path, np.ones((2, 2)))
@@ -486,6 +508,39 @@ def test_reference_norms_are_kept_from_the_first_score():
     np.testing.assert_array_equal(diff, np.linalg.norm(second - ref, axis=0))
 
 
+@pytest.mark.parametrize("case", ["finite", "nan", "inf", "overflow"])
+def test_self_error_reads_only_times_of_non_finite_norm(case):
+    # A scored history's self error is its score against itself (NaN for
+    # NaN) and reads only the times whose kept norm is not finite: a NaN
+    # entry's time is skipped by the score, an infinite entry makes its
+    # time's error NaN, and finite entries whose squares overflow score 0.
+    rng = np.random.default_rng(7)
+    nodal = rng.standard_normal((40, 70)) + 2.0
+    nodal[5:7, 3] = {"finite": 1.0, "nan": np.nan, "inf": np.inf,
+                     "overflow": 1e200}[case]
+    reads = []
+
+    def read(key):
+        reads.append(key)
+        return nodal[:, key]
+
+    history = driver.NodalHistory(np.arange(70.0), 40, read)
+    with np.errstate(over="ignore", invalid="ignore"):
+        error_metric_detail(held(nodal + 1.0), history)
+        reads.clear()
+        got = driver.self_error(history)
+        want = error_metric(held(nodal), held(nodal))
+    np.testing.assert_array_equal(got, want)
+    if case == "inf":
+        assert np.isnan(got)
+    else:
+        assert got == 0.0
+    assert reads == ([] if case == "finite" else [3])
+    # A history not scored yet is scored against itself.
+    if case == "finite":
+        assert driver.self_error(held(nodal)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Pipeline commands (one shared small-scale study)
 
@@ -637,12 +692,13 @@ def test_compare_reads_the_reference_a_block_at_a_time(tmp_path,
     for span, got, want in reads:
         assert len(span) <= driver.BLOCK_COLUMNS
         np.testing.assert_array_equal(got, want)
-    # Three models and the self error's two sides, plus the final field.
+    # Three models, plus the final field; the self error, taken from the
+    # kept norms of a finite reference, reads nothing.
     counts = np.zeros(n_times, dtype=int)
     for span, _, _ in reads:
         counts[span.start:span.stop] += 1
-    assert counts[:-1].tolist() == [5] * (n_times - 1)
-    assert counts[-1] == 6
+    assert counts[:-1].tolist() == [3] * (n_times - 1)
+    assert counts[-1] == 4
 
 
 def test_compare_csv_round_trips_report(small_out):

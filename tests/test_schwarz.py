@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from cdrschwarz import kernels, schwarz
+from cdrschwarz import kernels, schwarz, timestep
+from cdrschwarz.config import parse_config
 from cdrschwarz.errors import ConfigurationError, DivergenceError
 from cdrschwarz.fem import CdrParams, assemble, time_independent
 from cdrschwarz.mesh import Rect, build_mesh
@@ -1426,3 +1427,87 @@ def test_stitch_of_hybrid_coordinates_matches_per_piece_average():
     got = StitchPlan(run.config, global_mesh, run.solvers).apply(
         run.coordinates)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# Operator sets shared by finite element subdomains
+
+STUDY_LAYOUTS = {
+    "defaults": (),
+    "two-substeps": ("schwarz.steps_per_window = 2",),
+    "strips": ("decomposition.layout = custom", "decomposition.count = 4")
+    + tuple(f"subdomain.{k + 1}.rect = {x0},{x1},0,1" for k, (x0, x1)
+            in enumerate(((0.0, 0.30), (0.22, 0.54), (0.46, 0.78),
+                          (0.70, 1.0)))),
+}
+
+
+def study_cfg(tmp_path, layout):
+    path = tmp_path / "study.cfg"
+    path.write_text("".join(line + "\n" for line in STUDY_LAYOUTS[layout]))
+    return parse_config(str(path))
+
+
+@pytest.mark.parametrize("layout", sorted(STUDY_LAYOUTS))
+def test_shared_operator_sets_match_subdomains_factored_alone(
+        tmp_path, monkeypatch, layout):
+    # All-FE runs of the study layouts with equal systems sharing operator
+    # sets are bitwise the runs with every subdomain factored on its own:
+    # Gamma responses, coordinates and sweep counts.
+    cfg = study_cfg(tmp_path, layout)
+    config = cfg.schwarz_config(force_model="fe")
+    table = build_interfaces(config)
+    runs, responses = [], []
+    for share in (True, False):
+        if not share:
+            monkeypatch.setattr(timestep, "same_matrices",
+                                lambda a, b: False)
+        solvers = build_solvers(config, table, cfg.params())
+        responses.append([s._response for s in solvers])
+        runs.append(run_coupled(config, cfg.params()))
+    shared, alone = runs
+    assert len({id(s.stepper.operators) for s in alone.solvers}) == 4
+    for got, want in zip(*responses):
+        assert got.flags.f_contiguous and want.flags.f_contiguous
+        assert np.array_equal(got, want)
+    assert np.array_equal(shared.coordinates, alone.coordinates)
+    assert np.array_equal(shared.iterations, alone.iterations)
+
+
+def test_default_quadrants_share_one_operator_set(tmp_path):
+    # The four quadrants' systems are bitwise equal: one factorization and
+    # one right-hand side operator serve them all, while each keeps its own
+    # system, load, Gamma response and state.
+    cfg = study_cfg(tmp_path, "defaults")
+    config = cfg.schwarz_config(force_model="fe")
+    solvers = build_solvers(config, build_interfaces(config), cfg.params())
+    first = solvers[0].stepper.operators
+    assert first.triangles is not None
+    for s in solvers:
+        assert s.stepper.operators is first
+        assert s.stepper.system is s.system
+    assert len({id(s.system) for s in solvers}) == 4
+    assert len({id(s._response) for s in solvers}) == 4
+    loads = [s.system.load(0.0) for s in solvers]
+    assert not np.array_equal(loads[0], loads[3])
+    assert not any(np.shares_memory(a.state, b.state)
+                   for a, b in zip(solvers, solvers[1:]))
+
+
+def test_strips_share_no_operator_set(tmp_path):
+    # No two strips' systems are bitwise equal, so none shares. The middle
+    # strips have one mesh size and sparsity pattern, and matrices that
+    # differ by rounding only (their cell widths differ in the last bit),
+    # so a key with a tolerance would share them.
+    cfg = study_cfg(tmp_path, "strips")
+    config = cfg.schwarz_config(force_model="fe")
+    solvers = build_solvers(config, build_interfaces(config), cfg.params())
+    assert len({id(s.stepper.operators) for s in solvers}) == 4
+    middle = [s.system for s in solvers[1:3]]
+    assert not timestep.same_matrices(*middle)
+    for name in ("M", "A_II", "A_IB", "M_IB"):
+        a, b = (getattr(m, name) for m in middle)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.max(np.abs(a.data - b.data)) <= 1e-15 * np.max(
+            np.abs(a.data))

@@ -1,5 +1,7 @@
 """Backward-Euler stepping: algebra, stability, convergence order."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -186,6 +188,56 @@ def test_load_cache_tracks_time():
     np.testing.assert_allclose(v, [5.0], rtol=1e-14)
 
 
+def test_steady_load_is_scaled_once():
+    # A stepper scales a steady load once, when it is built, and its steps
+    # are bitwise those of scaling the same vector at every step.
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 6, 5)
+    system = assemble(mesh, CdrParams(eps=0.05, sigma=0.2, b=(0.7, -0.3),
+                                      forcing=lambda x, y, t: x * y + t))
+    load = system.load(0.4)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return load
+
+    steady = replace(system, load=counted, steady_load=True)
+    stepper = ImplicitEulerStepper(steady, 0.05)
+    every_step = ImplicitEulerStepper(replace(steady, steady_load=False),
+                                      0.05, [stepper])
+    assert len(calls) == 1
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal(system.n_interior)
+    g0, g1 = rng.standard_normal((2, system.n_boundary))
+    for k in range(1, 4):
+        got = stepper.step(v, g1, 0.05 * k, g0)
+        assert np.array_equal(got, every_step.step(v, g1, 0.05 * k, g0))
+        v = got
+    assert len(calls) == 1 + 3
+
+
+def test_steppers_share_operators_of_bitwise_equal_systems_only():
+    # A stepper takes the operator set of the first peer at its dt whose
+    # system's matrices are bitwise its own; a one-ulp change, another
+    # sparsity pattern or another dt builds a new set.
+    system = q1_system()
+    first = ImplicitEulerStepper(system, 0.05)
+    twin = ImplicitEulerStepper(assemble(system.mesh, CdrParams(
+        eps=0.05, sigma=0.2, b=(0.7, -0.3), forcing=1.0)), 0.05, [first])
+    assert twin.operators is first.operators
+    assert twin.system is not first.system
+    nudged = replace(system, A_IB=system.A_IB.copy())
+    nudged.A_IB.data[7] = np.nextafter(nudged.A_IB.data[7], np.inf)
+    assert timestep.same_matrices(system, system)
+    assert not timestep.same_matrices(system, nudged)
+    assert ImplicitEulerStepper(nudged, 0.05, [first]).operators \
+        is not first.operators
+    assert ImplicitEulerStepper(system, 0.1, [first]).operators \
+        is not first.operators
+    other = q1_system(nx=7, ny=9)
+    assert not timestep.same_matrices(system, other)
+
+
 def test_n_steps_for():
     assert n_steps_for(0.0, 0.5, 5e-3) == 100
     assert n_steps_for(0.0, 0.3, 0.1) == 3
@@ -214,6 +266,33 @@ def test_integrate_records_full_history():
     assert traj.states[0, 0] == 1.0
     # Monotone decay toward zero for pure dissipation.
     assert np.all(np.diff(traj.states[0]) < 0.0)
+
+
+def test_integrate_records_column_major_histories():
+    # States and traces are recorded column-major, bitwise the history of
+    # the same march recorded row-major step by step.
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 5, 4)
+    system = assemble(mesh, CdrParams(eps=0.05, sigma=0.1, b=(1.0, 0.5),
+                                      forcing=lambda x, y, t: x + y * t))
+    xy = mesh.coords[system.boundary_map]
+
+    def boundary(t):
+        return np.sin(3.0 * t) + xy[:, 0] * xy[:, 1]
+
+    stepper = ImplicitEulerStepper(system, 0.05)
+    v0 = np.linspace(0.0, 1.0, system.n_interior)
+    traj = integrate(stepper, 0.0, 0.5, v0, boundary)
+    assert traj.states.flags.f_contiguous
+    assert traj.boundary_traces.flags.f_contiguous
+    states = np.empty((system.n_interior, 11))
+    traces = np.empty((system.n_boundary, 11))
+    states[:, 0], traces[:, 0] = v0, boundary(0.0)
+    for j in range(1, 11):
+        traces[:, j] = boundary(traj.times[j])
+        states[:, j] = stepper.step(states[:, j - 1], traces[:, j],
+                                    traj.times[j], traces[:, j - 1])
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.boundary_traces, traces)
 
 
 def test_integrate_boundary_traces_columns():
@@ -272,7 +351,8 @@ def test_band_and_sparse_factorizations_agree(monkeypatch):
     band = ImplicitEulerStepper(system, 0.05)
     monkeypatch.setattr(timestep, "BAND_LIMIT", -1)
     sparse = ImplicitEulerStepper(system, 0.05)
-    assert band._triangles is not None and sparse._triangles is None
+    assert band.operators.triangles is not None
+    assert sparse.operators.triangles is None
     rng = np.random.default_rng(2)
     n = system.n_interior
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 4))):
@@ -308,7 +388,7 @@ def test_triangle_solves_are_bitwise_band_lu():
     # same factorization, which made no row interchange.
     system = q1_system()
     stepper = ImplicitEulerStepper(system, 0.05)
-    assert stepper._triangles is not None
+    assert stepper.operators.triangles is not None
     lu, piv, info, kl, ku = band_lu(system.M + 0.05 * system.A_II)
     assert info == 0 and np.array_equal(piv, np.arange(system.n_interior))
     rng = np.random.default_rng(4)
@@ -330,7 +410,7 @@ def test_row_interchange_takes_the_sparse_path():
     _, piv, info, _, _ = band_lu(csr_matrix(dense))
     assert info == 0 and piv[0] == 1
     stepper = ImplicitEulerStepper(matrix_system(dense), 1.0)
-    assert stepper._triangles is None
+    assert stepper.operators.triangles is None
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         want = np.linalg.solve(dense, rhs)
         np.testing.assert_allclose(stepper.solve(rhs), want, rtol=0,
@@ -344,7 +424,7 @@ def test_solve_returns_a_new_array(monkeypatch, band_limit):
     monkeypatch.setattr(timestep, "BAND_LIMIT", band_limit)
     system = q1_system()
     stepper = ImplicitEulerStepper(system, 0.05)
-    assert (stepper._triangles is None) == (band_limit < 0)
+    assert (stepper.operators.triangles is None) == (band_limit < 0)
     rng = np.random.default_rng(8)
     for rhs in (rng.standard_normal(system.n_interior),
                 np.asfortranarray(rng.standard_normal((system.n_interior, 4)))):
@@ -381,4 +461,5 @@ def test_study_systems_factor_without_row_interchange(tmp_path, lines):
                 for mesh in build_interfaces(config).meshes]
     assert len(systems) == 5
     for system in systems:
-        assert ImplicitEulerStepper(system, cfg.dt)._triangles is not None
+        stepper = ImplicitEulerStepper(system, cfg.dt)
+        assert stepper.operators.triangles is not None
