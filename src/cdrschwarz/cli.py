@@ -155,12 +155,14 @@ def _dispatch(args):
         report = driver.cmd_compare(cfg, out_dir=out_dir, lambda_grid=grid)
         print(report.to_text())
         print(f"report written to {out_dir}")
+        code = _coupled_exit_code(report.training_run, _TRAINING_RUN)
         stalled = [m.name for m in report.models
                    if m.name in _COUPLED_MODELS and not m.converged]
         if stalled:
-            return _numerical_failure(
+            code = _numerical_failure(
                 f"coupled model(s) {', '.join(stalled)} did not converge "
                 f"in every window")
+        return code
     return 0
 
 

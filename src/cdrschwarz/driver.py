@@ -69,31 +69,44 @@ def error_metric_detail(model, reference):
     relative scale, so the mean absolute L2 error is returned with
     ``used_absolute`` set.
     """
-    if model.shape != reference.shape:
-        raise ConfigurationError(
-            f"trajectory shapes differ: {model.shape} vs {reference.shape}")
-    if np.max(np.abs(model.times - reference.times)) > 1e-9:
-        raise ConfigurationError("trajectory time grids differ")
-    return _mean_relative(*_column_norms(model, reference))
+    return error_metric_details([model], reference)[0]
 
 
-def _column_norms(model, reference):
-    """Per-time L2 norms of ``model - reference`` and of ``reference``, two
-    :class:`NodalHistory` objects, a block of columns at a time; bitwise
-    those of ``np.linalg.norm(x, axis=0)`` of the whole histories."""
+def error_metric_details(models, reference):
+    """:func:`error_metric_detail` of each of ``models`` against one
+    ``reference``, scored in one pass over its column blocks, so each
+    block of the reference is read once for all of them; each result is
+    bitwise that model's score alone."""
+    for model in models:
+        if model.shape != reference.shape:
+            raise ConfigurationError(
+                f"trajectory shapes differ: {model.shape} vs "
+                f"{reference.shape}")
+        if np.max(np.abs(model.times - reference.times)) > 1e-9:
+            raise ConfigurationError("trajectory time grids differ")
+    diffs, norms = _column_norms(models, reference)
+    return [_mean_relative(diff, norms) for diff in diffs]
+
+
+def _column_norms(models, reference):
+    """Per-time L2 norms of each ``model - reference`` and of
+    ``reference``, :class:`NodalHistory` objects, a block of columns at a
+    time, each block of the reference read once; bitwise those of
+    ``np.linalg.norm(x, axis=0)`` of the whole histories."""
     norms = reference.norms
-    diff_sq = np.empty(reference.shape[1])
+    diff_sq = np.empty((len(models), reference.shape[1]))
     ref_sq = np.empty(reference.shape[1])
     for a, b in column_blocks(reference.shape[1]):
         r = reference.columns(a, b)
-        d = model.columns(a, b) - r
-        d *= d
-        diff_sq[a:b] = np.add.reduce(d, axis=0)
+        for k, model in enumerate(models):
+            d = model.columns(a, b) - r
+            d *= d
+            diff_sq[k, a:b] = np.add.reduce(d, axis=0)
         if norms is None:
             ref_sq[a:b] = np.add.reduce(r * r, axis=0)
     if norms is None:
         reference.norms = norms = np.sqrt(ref_sq)
-    return np.sqrt(diff_sq), norms
+    return list(np.sqrt(diff_sq)), norms
 
 
 def _mean_relative(diff, ref):
@@ -146,7 +159,9 @@ class NodalHistory:
     ``read(key)`` gives the columns ``key`` selects, an index or a slice.
     A coupled run is stitched from its coordinates (:meth:`stitched`);
     other histories merge interior states with traces (:meth:`merged`).
-    ``norms``, its per-time L2 norms, are kept from its first score.
+    ``norms``, its per-time L2 norms, are kept from its first score. A
+    reference is read once per scoring pass, a block at a time, whatever
+    the number of models scored against it (:func:`error_metric_details`).
     """
 
     def __init__(self, times, n_nodes, read):
@@ -690,12 +705,17 @@ _REPORT_ROWS = (
 
 @dataclass
 class ComparisonReport:
-    """Three-model summary: solve-phase seconds and error vs the reference."""
+    """Three-model summary: solve-phase seconds and error vs the reference.
+
+    ``training_run`` is the all-FE run whose snapshots trained the hybrid's
+    operators, kept in memory for its convergence and not written.
+    """
 
     models: list
     reference_self_error: float
     reference_solve_seconds: float
     environment: str
+    training_run: RunResult = None
 
     def to_text(self):
         header = f"{'metric':<24}" + "".join(f"{m.name:>16}"
@@ -770,12 +790,14 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     mono = cmd_run_mono_opinf(cfg, out_dir=out_dir, fom=fom,
                               lambda_grid=lambda_grid)
 
-    err_schwarz, abs_schwarz, _ = error_metric_detail(schwarz_hist, ref)
-    err_hybrid, abs_hybrid, _ = error_metric_detail(hybrid_hist, ref)
-    if mono.diverged:
-        err_mono, abs_mono = float("inf"), False
-    else:
-        err_mono, abs_mono, _ = error_metric_detail(mono.history(), ref)
+    # One scoring pass: each block of the reference is merged once for
+    # every model scored; a diverged mono is not scored.
+    scores = error_metric_details(
+        [schwarz_hist, hybrid_hist] + ([] if mono.diverged
+                                       else [mono.history()]), ref)
+    (err_schwarz, abs_schwarz, _), (err_hybrid, abs_hybrid, _) = scores[:2]
+    err_mono, abs_mono = (float("inf"), False) if mono.diverged else \
+        scores[2][:2]
     reference_self_error = self_error(ref)
 
     models = [
@@ -809,7 +831,7 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
     report = ComparisonReport(
         models=models, reference_self_error=reference_self_error,
         reference_solve_seconds=fom.timings["solve_seconds"],
-        environment=_environment_note())
+        environment=_environment_note(), training_run=training.run)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         report.write_csv(os.path.join(out_dir, "comparison.csv"))

@@ -50,7 +50,10 @@ def csr_matvec(data, indices, indptr, x):
 
 def all_finite(*arrays):
     """True when every entry of every array is finite."""
-    return all(np.isfinite(x).all() for x in arrays)
+    for x in arrays:
+        if not np.isfinite(x).all():
+            return False
+    return True
 
 
 def relative_sup_change(new, prev, starts=None):

@@ -421,7 +421,10 @@ class _SweepUnit:
         self.early_rows = np.flatnonzero(
             plan.donors[self.lo:self.hi] < members[0])
         self.input_rows = np.union1d(self.early_rows, self.late_rows)
-        self._late = np.isin(self.input_rows, self.late_rows)
+        #: Positions of the late and of the early rows among the inputs.
+        late = np.isin(self.input_rows, self.late_rows)
+        self._late_at = np.flatnonzero(late)
+        self._early_at = np.flatnonzero(~late)
         self._sample = plan.operator[self.lo + self.input_rows]
         self._early_sample = plan.operator[self.lo + self.early_rows]
 
@@ -432,9 +435,9 @@ class _SweepUnit:
         if not first:
             return self._sample @ self._plan.coordinates
         vals = np.empty(self.input_rows.shape[0])
-        vals[self._late] = self._plan.prediction[self.late_span]
-        if self.early_rows.size:
-            vals[~self._late] = self._early_sample @ self._plan.coordinates
+        vals[self._late_at] = self._plan.prediction[self.late_span]
+        if self._early_at.size:
+            vals[self._early_at] = self._early_sample @ self._plan.coordinates
         return vals
 
 
@@ -567,9 +570,11 @@ class FESubdomainSolver(_SubdomainSolverBase):
         self.system = system = assemble(mesh, params)
         self.stepper = timestep.ImplicitEulerStepper(
             system, dt, [p.stepper for p in peers or ()])
-        #: Copies of the last advance's start ``(state, trace)`` and of its
-        #: anchor ``(end state, Gamma values)``.
-        self._start = self._anchor = None
+        #: The last advance's window start ``(state, trace)``, copied into
+        #: arrays allocated here. Its anchor, the window end, is
+        #: ``last_states[:, -1]`` and ``last_traces[:, -1]`` until
+        #: :meth:`finish_window` writes them.
+        self._start = (np.empty_like(self.state), np.empty_like(self.g_cur))
         if peers is None:
             set_gamma_responses([self])
 
@@ -617,22 +622,25 @@ class FESubdomainSolver(_SubdomainSolverBase):
         is written into ``last_states``/``last_traces`` for the orchestrator
         to record, and the window end anchors :meth:`respond`.
         """
-        self._start = (self.state.copy(), self.g_cur.copy())
+        start_state, start_trace = self._start
+        start_state[:] = self.state
+        start_trace[:] = self.g_cur
         self.set_interface_values(values)
-        self.state[:] = self._substeps(t_n, *self._start, self.last_states,
-                                       self.last_traces)
-        self._anchor = (self.state.copy(),
-                        self.g_cur.take(self.gamma_positions))
+        self.state[:] = self._substeps(t_n, start_state, start_trace,
+                                       self.last_states, self.last_traces)
 
     def respond(self, values):
         """Impose Gamma ``values`` on the window the last
-        :meth:`advance_window` integrated: its end state moved by the Gamma
-        response, its window-end physical trace kept. ``last_states`` and
-        ``last_traces`` wait for :meth:`finish_window`."""
+        :meth:`advance_window` integrated: its end state, still in
+        ``last_states[:, -1]``, moved by the Gamma response from its Gamma
+        values, still in ``last_traces[:, -1]``; its window-end physical
+        trace kept. ``last_states`` and ``last_traces`` wait for
+        :meth:`finish_window`."""
         self.set_interface_values(values)
-        state, gamma = self._anchor
-        self.state[:] = state + self._response @ (
-            self.g_cur.take(self.gamma_positions) - gamma)
+        rows = self.gamma_positions
+        np.add(self.last_states[:, -1], self._response @ (
+            self.g_cur.take(rows) - self.last_traces[:, -1].take(rows)),
+            out=self.state)
 
     def finish_window(self, t_n):
         """Record the window from ``t_n`` after :meth:`respond` moved its end.
@@ -643,9 +651,10 @@ class FESubdomainSolver(_SubdomainSolverBase):
         """
         self.last_states[:, -1] = self.state
         self.last_traces[:, -1] = self.g_cur
-        self._substeps(t_n, *self._start, self.last_states[:, :-1],
-                       self.last_traces[:, :-1])
-        self.g_cur[:] = self.last_traces[:, -1]
+        if self.steps > 1:
+            self._substeps(t_n, *self._start, self.last_states[:, :-1],
+                           self.last_traces[:, :-1])
+            self.g_cur[:] = self.last_traces[:, -1]
 
 
 class RomSubdomainSolver(_SubdomainSolverBase):
@@ -746,9 +755,16 @@ class ReducedBlock(_SweepUnit):
     physical trace values at the window end that in-run gathers read),
     then the input rows: every Gamma row not fed by an earlier member, that
     is, fed by a donor ahead of the run or later in the sweep. Inputs are
-    read through :meth:`~_SweepUnit.inputs` before any member moves. The
-    substep states before the window end are replayed once, after the final
-    sweep, from the copies of the window-start states in ``_w``.
+    read through :meth:`~_SweepUnit.inputs` before any member moves.
+
+    ``z`` and ``y`` are allocated once. A window's start copies the
+    members' states into ``z`` and, when a member's data move or in the
+    first window, the fixed inputs; each sweep writes its inputs into
+    ``z`` and scatters ``y`` into ``plan.coordinates`` by one indexed write
+    over the members' rows there, ``_rows``. After the final sweep one
+    write records ``y`` in every column of those rows of ``plan.window``,
+    and with more than one substep the states before the window end are
+    replayed from the window-start states, still in ``z``.
     """
 
     def __init__(self, members, plan):
@@ -761,7 +777,6 @@ class ReducedBlock(_SweepUnit):
         self._so = np.concatenate(
             ([0], np.cumsum([s.state.shape[0] for s in self.solvers])))
         self._R = int(self._so[-1])
-        self._steady = all(s._steady for s in self.solvers)
         # The map, composed once: every window has the run's ``n`` substeps.
         R, so, goff = self._R, self._so, self._goff
         n = self.solvers[0].steps
@@ -809,56 +824,72 @@ class ReducedBlock(_SweepUnit):
                                            & (h_used < hoff[m + 1])]
                                     - hoff[m]]
                         for m in range(len(self.solvers))]
-        self._fixed = None
+        self._z = np.empty(self._M.shape[1])
+        self._y = np.empty(self._M.shape[0])
+        #: ``z``'s window-start states, fixed inputs and input rows.
+        base = self._z.shape[0] - inputs.size
+        self._z_start, self._z_fixed, self._z_inputs = (
+            self._z[:R], self._z[R:base], self._z[base:])
+        self._fixed_written = False
+        #: The rows of ``plan.coordinates`` that ``y`` fills: every
+        #: member's state, then every member's Gamma values.
+        self._rows = np.concatenate(
+            [c + np.arange(s.state.shape[0])
+             for s, c in zip(self.solvers, columns)]
+            + [c + s.state.shape[0] + s.gamma_positions
+               for s, c in zip(self.solvers, columns)])
+        self._moving = [s for s in self.solvers if not s._steady]
 
     def start_window(self, t_n):
-        """Prepare the members' window and copy the inputs fixed within it,
-        their window-start states first, into ``_w``."""
-        if self._fixed is None or not self._steady:
-            folded = []
-            for s in self.solvers:
-                s._prepare_window(t_n)
-                f = s._forcing[:, 0]
-                for k in range(1, s.steps):
-                    f = s._P @ f + s._forcing[:, k]
-                folded.append(f)
-            # Each member's folded forcing, then the physical trace values
-            # at the window end that in-run gathers read.
-            self._fixed = np.concatenate(
-                folded + [s.last_traces[h, -1] for s, h in zip(self.solvers,
-                                                               self._h_used)])
-        self._w = np.concatenate([s.state for s in self.solvers]
-                                 + [self._fixed])
+        """Copy the members' window-start states into ``z`` and, unless
+        every member's data are steady and they are written already,
+        prepare the members' window and write the inputs fixed within it.
+        A member whose data move takes its window-end physical trace."""
+        self._plan.coordinates.take(self._rows[:self._R], out=self._z_start)
+        if self._fixed_written and not self._moving:
+            return
+        folded = []
+        for s in self.solvers:
+            s._prepare_window(t_n)
+            f = s._forcing[:, 0]
+            for k in range(1, s.steps):
+                f = s._P @ f + s._forcing[:, k]
+            folded.append(f)
+        # Each member's folded forcing, then the physical trace values at
+        # the window end that in-run gathers read.
+        self._z_fixed[:] = np.concatenate(
+            folded + [s.last_traces[h, -1] for s, h in zip(self.solvers,
+                                                           self._h_used)])
+        self._fixed_written = True
+        for s in self._moving:
+            s.g_cur[s.physical_positions] = \
+                s.last_traces[s.physical_positions, -1]
 
     def sweep(self, first):
         """Advance every member once, leaving its new ``state`` and trace
         in place for the gathers that follow."""
-        self._z = np.concatenate((self._w, self.inputs(first)))
-        y = self._M @ self._z
-        gamma = y[self._R:]
-        for m, s in enumerate(self.solvers):
-            s.state[:] = y[self._so[m]:self._so[m + 1]]
-            s.g_cur[s.gamma_positions] = gamma[self._goff[m]:self._goff[m + 1]]
-            if not s._steady:
-                s.g_cur[s.physical_positions] = \
-                    s.last_traces[s.physical_positions, -1]
+        self._z_inputs[:] = self.inputs(first)
+        np.matmul(self._M, self._z, out=self._y)
+        self._plan.coordinates[self._rows] = self._y
 
     def finish(self, sweeps):
         """Record the last sweep's substep states and traces on the members,
         after any number of ``sweeps``.
 
-        The substeps before the window end are replayed by the members'
-        own recurrence from the final Gamma values; the window end is the
-        last sweep's. The physical trace rows were written when the window
+        The last sweep's ``y`` fills every column of the members' state
+        and Gamma rows of ``plan.window``; the substeps before the window
+        end are then replayed by the members' own recurrence from the final
+        Gamma values. The physical trace rows were written when the window
         was prepared.
         """
+        self._plan.window[self._rows] = self._y[:, None]
+        if self.solvers[0].steps == 1:
+            return
+        R, so, goff = self._R, self._so, self._goff
         for m, s in enumerate(self.solvers):
-            gamma = s.g_cur.take(s.gamma_positions)
-            s.last_traces[s.gamma_positions] = gamma[:, None]
-            s.last_states[:, -1] = s.state
-            if s.steps > 1:
-                s._substeps(self._w[self._so[m]:self._so[m + 1]], gamma,
-                            s.last_states[:, :-1])
+            s._substeps(self._z_start[so[m]:so[m + 1]],
+                        self._y[R + goff[m]:R + goff[m + 1]],
+                        s.last_states[:, :-1])
 
     def first_failure(self):
         """``(subdomain, gathered)`` of the first member whose Gamma values
@@ -1076,10 +1107,11 @@ def run_coupled(config, params, trained=None):
     iterations = np.zeros(n_windows, dtype=np.int64)
     window_converged = np.zeros(n_windows, dtype=bool)
     spw = config.steps_per_window
+    window_dt = config.window_dt
 
     t1 = time.perf_counter()
     for w in range(n_windows):
-        t_w = w * config.window_dt
+        t_w = w * window_dt
         iters, ok = schwarz_window(plan, t_w, config.tol, config.max_iters)
         iterations[w] = iters
         window_converged[w] = ok

@@ -23,7 +23,11 @@ The right-hand side apart from the load is one sparse product,
 
     [M, -dt * A_IB, -M_IB] @ [v_n; g_{n+1}; g_{n+1} - g_n],
 
-with the block operator built once per operator set. Steppers whose
+with the block operator built once per operator set and its input vector
+written in place into a buffer each stepper allocates once. The product's
+result is a new array, which the two band triangle solves then overwrite
+in place, and a step checks its inputs against shapes kept when the
+stepper is built. Steppers whose
 systems' matrices are bitwise equal, at the same ``dt``, share one set
 (see :class:`ImplicitEulerStepper`); each keeps its own system, so its own
 load. The load ``dt * F(t_{n+1})`` is scaled once per stepper when the
@@ -153,10 +157,19 @@ class ImplicitEulerStepper:
         #: ``dt * F``, scaled once, for a steady load; None otherwise.
         self._scaled_load = (self.dt * system.load(0.0)
                              if system.steady_load else None)
+        n, m = system.n_interior, system.n_boundary
+        #: The shapes a step checks its state and traces against.
+        self._state_shape, self._trace_shape = (n,), (m,)
+        #: A step's ``[v_n; g_next; g_next - g_prev]``, written in place,
+        #: and its three parts.
+        self._input = np.empty(n + 2 * m)
+        self._input_parts = (self._input[:n], self._input[n:n + m],
+                             self._input[n + m:])
 
-    def solve(self, rhs):
+    def solve(self, rhs, overwrite_rhs=False):
         """``(M + dt * A_II)^-1 rhs`` for a vector or a matrix of columns,
-        as a new array; ``rhs`` is only read."""
+        as a new array with ``rhs`` only read; with ``overwrite_rhs`` the
+        band solves may write the result over ``rhs`` instead."""
         ops = self.operators
         if ops.triangles is None:
             return ops.lu.solve(rhs)
@@ -165,7 +178,8 @@ class ImplicitEulerStepper:
             # of right-hand sides (a subdomain with no Gamma values).
             return np.zeros(rhs.shape)
         lower, upper = ops.triangles
-        y = dtbtrs(lower, rhs, uplo="L", diag="U")[0]
+        y = dtbtrs(lower, rhs, uplo="L", diag="U",
+                   overwrite_b=overwrite_rhs)[0]
         return dtbtrs(upper, y, overwrite_b=True)[0]
 
     def trace_response(self, columns, steps):
@@ -186,28 +200,33 @@ class ImplicitEulerStepper:
         return y
 
     def step(self, v_n, g_next, t_next, g_prev):
-        """Advance one state vector a single step to time ``t_next``.
+        """Advance one state vector a single step to time ``t_next``, into
+        a new array.
 
         ``g_prev`` is the trace the current state was stepped into (the
         previous column of the trace history).
         """
-        system = self.system
-        if v_n.shape != (system.n_interior,):
+        if v_n.shape != self._state_shape:
             raise ConfigurationError(
-                f"state has shape {v_n.shape}, expected ({system.n_interior},)")
-        if g_next.shape != (system.n_boundary,):
+                f"state has shape {v_n.shape}, expected {self._state_shape}")
+        if g_next.shape != self._trace_shape:
             raise ConfigurationError(
                 f"boundary trace has shape {g_next.shape}, expected "
-                f"({system.n_boundary},)")
+                f"{self._trace_shape}")
         if g_prev.shape != g_next.shape:
             raise ConfigurationError(
                 f"previous trace has shape {g_prev.shape}, expected "
                 f"{g_next.shape}")
-        rhs = self.operators.rhs_operator @ np.concatenate((v_n, g_next,
-                                                            g_next - g_prev))
+        v, g, dg = self._input_parts
+        v[:] = v_n
+        g[:] = g_next
+        np.subtract(g_next, g_prev, out=dg)
+        rhs = self.operators.rhs_operator @ self._input
         rhs += (self._scaled_load if self._scaled_load is not None
-                else self.dt * system.load(t_next))
-        return self.solve(rhs)
+                else self.dt * self.system.load(t_next))
+        # ``rhs`` is the product's own new array, so the solve may
+        # overwrite it.
+        return self.solve(rhs, overwrite_rhs=True)
 
 
 def n_steps_for(t0, t1, dt):

@@ -488,7 +488,7 @@ def test_blocked_norms_equal_whole_history_norms(n_times):
     ref = rng.standard_normal((301, n_times))
     assert all(b - a <= driver.BLOCK_COLUMNS
                for a, b in driver.column_blocks(n_times))
-    diff, norms = driver._column_norms(held(model), held(ref))
+    (diff,), norms = driver._column_norms([held(model)], held(ref))
     np.testing.assert_array_equal(diff, np.linalg.norm(model - ref, axis=0))
     np.testing.assert_array_equal(norms, np.linalg.norm(ref, axis=0))
 
@@ -500,10 +500,10 @@ def test_reference_norms_are_kept_from_the_first_score():
     ref, first, second = (rng.standard_normal((301, 129)) for _ in range(3))
     reference = held(ref)
     assert reference.norms is None
-    diff, norms = driver._column_norms(held(first), reference)
+    _, norms = driver._column_norms([held(first)], reference)
     np.testing.assert_array_equal(norms, np.linalg.norm(ref, axis=0))
     assert reference.norms is norms
-    diff, again = driver._column_norms(held(second), reference)
+    (diff,), again = driver._column_norms([held(second)], reference)
     assert again is norms
     np.testing.assert_array_equal(diff, np.linalg.norm(second - ref, axis=0))
 
@@ -657,7 +657,8 @@ def test_compare_reads_the_reference_a_block_at_a_time(tmp_path,
                                                       monkeypatch):
     # The reference is never held as a nodal copy: every read of it merges
     # at most BLOCK_COLUMNS columns of its states and traces, bitwise the
-    # whole merge's, and each score reads every column once per side.
+    # whole merge's, and the one scoring pass reads every column once for
+    # all three models.
     cfg = small_cfg(t_end=1.0)
     n_times = round(cfg.t_end / cfg.dt) + 1
     assert n_times > driver.BLOCK_COLUMNS
@@ -692,13 +693,57 @@ def test_compare_reads_the_reference_a_block_at_a_time(tmp_path,
     for span, got, want in reads:
         assert len(span) <= driver.BLOCK_COLUMNS
         np.testing.assert_array_equal(got, want)
-    # Three models, plus the final field; the self error, taken from the
-    # kept norms of a finite reference, reads nothing.
+    # One scoring pass, plus the final field; the self error, taken from
+    # the kept norms of a finite reference, reads nothing.
     counts = np.zeros(n_times, dtype=int)
     for span, _, _ in reads:
         counts[span.start:span.stop] += 1
-    assert counts[:-1].tolist() == [3] * (n_times - 1)
-    assert counts[-1] == 4
+    assert counts[:-1].tolist() == [1] * (n_times - 1)
+    assert counts[-1] == 2
+
+
+@pytest.mark.parametrize("mono_diverges", [False, True],
+                         ids=["mono-stable", "mono-diverged"])
+def test_compare_scores_each_model_as_alone(monkeypatch, mono_diverges):
+    # The one scoring pass gives each model bitwise its own
+    # error_metric_detail against the reference; a diverged mono is
+    # reported as an infinite relative error and not scored.
+    cfg = small_cfg()
+    runs = {}
+
+    def keeping(name, command):
+        def kept(*args, **kwargs):
+            runs[name] = command(*args, **kwargs)
+            return runs[name]
+        return kept
+
+    for name in ("cmd_run_fom", "cmd_run_schwarz", "cmd_run_hybrid",
+                 "cmd_run_mono_opinf"):
+        monkeypatch.setattr(driver, name, keeping(name, getattr(driver, name)))
+    if mono_diverges:
+        fit = driver.train_opinf
+
+        def explosive(basis, states, traces, dt, lams):
+            # Only the monolithic model, of rank mono.r, explodes.
+            fits = fit(basis, states, traces, dt, lams)
+            if basis.r != cfg.mono_r:
+                return fits
+            return [replace(ops, Khat=(1.0 - 1e-10) / dt * np.eye(ops.r))
+                    for ops in fits]
+
+        monkeypatch.setattr(driver, "train_opinf", explosive)
+    report = cmd_compare(cfg, lambda_grid=(0.0,))
+    mono = runs["cmd_run_mono_opinf"]
+    assert mono.diverged == mono_diverges
+    gm = driver.build_global_mesh(cfg)
+    ref = reference_history(runs["cmd_run_fom"])
+    want = [error_metric_detail(driver.NodalHistory.stitched(runs[name], gm),
+                                ref)[:2]
+            for name in ("cmd_run_schwarz", "cmd_run_hybrid")]
+    want.append((float("inf"), False) if mono_diverges
+                else error_metric_detail(mono.history(), ref)[:2])
+    assert [(m.error, m.error_is_absolute) for m in report.models] == want
+    assert all(np.isfinite(m.error) for m in report.models[:2])
 
 
 def test_compare_csv_round_trips_report(small_out):
@@ -1342,6 +1387,32 @@ def test_cli_compare_names_unconverged_coupled_models(tmp_path, capsys):
     assert ("numerical failure: coupled model(s) all-fe-dd, hybrid-dd did "
             "not converge") in captured.err
     assert "mono-opinf" not in captured.err
+
+
+def test_cli_compare_exits_3_when_only_the_training_data_run_stalls(
+        tmp_path, capsys, monkeypatch):
+    # Both coupled models converge, but the data run that trained the
+    # hybrid's operators has an unconverged window: compare writes its
+    # report, names that window as train does, and exits 3.
+    train = driver.cmd_train
+
+    def stalled(*args, **kwargs):
+        result = train(*args, **kwargs)
+        result.run.window_converged[2] = False
+        return result
+
+    monkeypatch.setattr(driver, "cmd_train", stalled)
+    cfg = write_cfg(tmp_path, SMALL_CFG_TEXT)
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in
+            (out / "comparison.csv").read_text().splitlines()}
+    assert rows["converged"] == ["true", "true", "true"]
+    assert ("numerical failure: training data run: coupled window 3 of 20 "
+            "(ending at t=0.03) did not converge within max_iters = 50"
+            ) in captured.err
+    assert "coupled model(s)" not in captured.err
 
 
 def test_iteration_summary_counts_windows_by_sweeps():

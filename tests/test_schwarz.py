@@ -1,5 +1,9 @@
 """Interface construction, the multiplicative sweep, and field stitching."""
 
+import cProfile
+import os
+import pstats
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -1009,9 +1013,11 @@ def test_fe_response_equals_a_genuine_window(steps_per_window):
     gamma = rng.standard_normal(n_gamma)
 
     def next_start():
-        # The trace the next window's advance starts from.
+        # The trace the next window's advance starts from, copied: the
+        # solver keeps its window start in one array, rewritten by every
+        # advance.
         solver.advance_window(t_n + config.window_dt, gamma)
-        return solver._start[1]
+        return solver._start[1].copy()
 
     solver.advance_window(t_n, rng.standard_normal(n_gamma))
     solver.respond(gamma)
@@ -1189,7 +1195,7 @@ def test_consecutive_windows_reproduce_run_coupled(small_trained,
                                 config.max_iters)
         # The block and the finite element solver kept copies of their
         # window-start states.
-        kept = np.split(block._w[:block._so[-1]], block._so[1:-1]) + [
+        kept = np.split(block._z[:block._so[-1]], block._so[1:-1]) + [
             solvers[3]._start[0]]
         assert len(kept) == len(starts)
         for a, b in zip(kept, starts):
@@ -1511,3 +1517,35 @@ def test_strips_share_no_operator_set(tmp_path):
         assert np.array_equal(a.indptr, b.indptr)
         assert np.max(np.abs(a.data - b.data)) <= 1e-15 * np.max(
             np.abs(a.data))
+
+
+#: Per-window call counts of one default coupled run under cProfile, all-FE
+#: then hybrid: scipy sparse ``@`` dispatches, pinned, and calls into the
+#: package's own functions, at most (64.0 and 31.1 before the window's
+#: per-call allocations and shape checks were taken out).
+OPERATIONS_PER_WINDOW = {"all-fe": (9.644, 49.786), "hybrid": (4.079, 22.603)}
+
+
+def test_per_window_operation_counts(study):
+    # Call counts depend only on the code and the sweeps, never on the
+    # machine, so they pin what a window costs in operations.
+    cfg = study["cfg"]
+    params = cfg.params()
+    package = os.path.dirname(schwarz.__file__) + os.sep
+    sparse = os.sep + os.path.join("scipy", "sparse") + os.sep
+    for name, config, trained in (
+            ("all-fe", cfg.schwarz_config(force_model="fe"), None),
+            ("hybrid", cfg.schwarz_config(), study["training"].trained)):
+        profile = cProfile.Profile()
+        profile.enable()
+        run = run_coupled(config, params, trained)
+        profile.disable()
+        calls = pstats.Stats(profile).stats
+        windows = run.iterations.shape[0]
+        products = sum(v[1] for (path, _, function), v in calls.items()
+                       if sparse in path and function == "__matmul__")
+        own = sum(v[1] for (path, _, _), v in calls.items()
+                  if path.startswith(package))
+        matmuls, most = OPERATIONS_PER_WINDOW[name]
+        assert round(products / windows, 3) == matmuls, name
+        assert round(own / windows, 3) <= most, name

@@ -11,7 +11,8 @@ from scipy.sparse.linalg import spsolve
 from cdrschwarz import driver, timestep
 from cdrschwarz.config import parse_config
 from cdrschwarz.errors import ConfigurationError, FactorizationError
-from cdrschwarz.fem import CdrParams, SemiDiscreteSystem, assemble
+from cdrschwarz.fem import (CdrParams, SemiDiscreteSystem, assemble,
+                            time_independent)
 from cdrschwarz.mesh import Rect, build_mesh
 from cdrschwarz.schwarz import (FESubdomainSolver, SchwarzConfig,
                                 build_interfaces)
@@ -435,6 +436,53 @@ def test_solve_returns_a_new_array(monkeypatch, band_limit):
     # A subdomain with no Gamma values has an empty Gamma response.
     assert stepper.solve(np.zeros((system.n_interior, 0))).shape == (
         system.n_interior, 0)
+
+
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "moving"])
+@pytest.mark.parametrize("band_limit", [timestep.BAND_LIMIT, -1],
+                         ids=["band", "superlu"])
+def test_step_input_buffer_never_leaks(monkeypatch, band_limit, steady):
+    # A step writes [v_n; g_next; g_next - g_prev] into the stepper's own
+    # buffer and lets the solves overwrite the product's fresh result: it
+    # is bitwise the solve of the right-hand side built afresh, its result
+    # shares no memory with the buffer or the step before, and the public
+    # solve still leaves its right-hand side as it found it.
+    monkeypatch.setattr(timestep, "BAND_LIMIT", band_limit)
+    mesh = build_mesh(Rect(0.0, 1.0, 0.0, 1.0), 9, 7)
+    forcing = (time_independent(lambda x, y, t: x * y) if steady
+               else (lambda x, y, t: x * y + t))
+    system = assemble(mesh, CdrParams(eps=0.05, sigma=0.2, b=(0.7, -0.3),
+                                      forcing=forcing))
+    assert system.steady_load == steady
+    dt = 0.05
+    stepper = ImplicitEulerStepper(system, dt)
+    assert (stepper.operators.triangles is None) == (band_limit < 0)
+
+    def fresh(v, g, t, g_prev):
+        return stepper.solve(
+            stepper.operators.rhs_operator @ np.concatenate((v, g, g - g_prev))
+            + dt * system.load(t))
+
+    rng = np.random.default_rng(12)
+    v0 = rng.standard_normal(system.n_interior)
+    g0, g1, g2 = rng.standard_normal((3, system.n_boundary))
+    inputs = [x.copy() for x in (v0, g0, g1, g2)]
+    first = stepper.step(v0, g1, dt, g0)
+    kept = first.copy()
+    assert np.array_equal(first, fresh(v0, g1, dt, g0))
+    second = stepper.step(first, g2, 2 * dt, g1)
+    assert np.array_equal(second, fresh(kept, g2, 2 * dt, g1))
+    assert not np.shares_memory(second, first)
+    assert np.array_equal(first, kept)
+    for result in (first, second):
+        assert not np.shares_memory(result, stepper._input)
+    for x, x_kept in zip((v0, g0, g1, g2), inputs):
+        assert np.array_equal(x, x_kept)
+    rhs = rng.standard_normal(system.n_interior)
+    rhs_kept = rhs.copy()
+    got = stepper.solve(rhs)
+    assert not np.shares_memory(got, rhs)
+    assert np.array_equal(rhs, rhs_kept)
 
 
 STRIPS = ((0.0, 0.30), (0.22, 0.54), (0.46, 0.78), (0.70, 1.0))
