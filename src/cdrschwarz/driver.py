@@ -102,6 +102,9 @@ def _column_norms(models, reference):
             d = model.columns(a, b) - r
             d *= d
             diff_sq[k, a:b] = np.add.reduce(d, axis=0)
+            # Freed before the next model's block is read, so the pass
+            # holds one difference block at a time.
+            del d
         if norms is None:
             ref_sq[a:b] = np.add.reduce(r * r, axis=0)
     if norms is None:
@@ -792,12 +795,13 @@ def cmd_compare(cfg, out_dir=None, lambda_grid=None):
 
     # One scoring pass: each block of the reference is merged once for
     # every model scored; a diverged mono is not scored.
-    scores = error_metric_details(
-        [schwarz_hist, hybrid_hist] + ([] if mono.diverged
-                                       else [mono.history()]), ref)
+    histories = [schwarz_hist, hybrid_hist]
+    if not mono.diverged:
+        histories.append(mono.history())
+    scores = error_metric_details(histories, ref)
     (err_schwarz, abs_schwarz, _), (err_hybrid, abs_hybrid, _) = scores[:2]
-    err_mono, abs_mono = (float("inf"), False) if mono.diverged else \
-        scores[2][:2]
+    err_mono, abs_mono = (scores[2][:2] if not mono.diverged
+                          else (float("inf"), False))
     reference_self_error = self_error(ref)
 
     models = [

@@ -27,10 +27,9 @@ with the block operator built once per operator set and its input vector
 written in place into a buffer each stepper allocates once. The product's
 result is a new array, which the two band triangle solves then overwrite
 in place, and a step checks its inputs against shapes kept when the
-stepper is built. Steppers whose
-systems' matrices are bitwise equal, at the same ``dt``, share one set
-(see :class:`ImplicitEulerStepper`); each keeps its own system, so its own
-load. The load ``dt * F(t_{n+1})`` is scaled once per stepper when the
+stepper is built. Steppers whose systems' matrices are bitwise equal, at
+the same ``dt``, share one set (see :class:`ImplicitEulerStepper`); each
+keeps its own system, so its own load. The load ``dt * F(t_{n+1})`` is scaled once per stepper when the
 system's load is steady, and at every step otherwise.
 """
 
