@@ -89,7 +89,7 @@ to the global nodes with the overlap average folded in.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Optional
 
@@ -993,6 +993,12 @@ class RunResult:
     rows ``columns[k]:columns[k + 1]`` of ``columns =
     coordinate_columns(solvers)``, the run's :attr:`GatherPlan.columns`.
     No lifted state is held: :attr:`trajectories` are built from it.
+    ``config`` and ``params`` are the problem the run solved.
+
+    A run returned as another's first windows (``run_coupled(...,
+    prefix_of=...)``) holds read-only views of that run's ``times`` and
+    ``coordinates`` and shares its ``solvers``; its ``iterations`` and
+    ``window_converged`` are its own copies, and its timings read 0.
     """
 
     times: np.ndarray
@@ -1002,6 +1008,7 @@ class RunResult:
     timings: dict
     solvers: list
     config: SchwarzConfig
+    params: object
 
     @property
     def converged(self):
@@ -1078,7 +1085,37 @@ def build_solvers(config, table, params, trained=None):
     return solvers
 
 
-def run_coupled(config, params, trained=None):
+def _first_windows(config, params, run):
+    """``run``'s first windows as the run of ``config`` and ``params``, or
+    None unless ``run`` solved the same all-FE problem over at least
+    ``config``'s horizon: equal :class:`SchwarzConfig` but for ``t_end``,
+    equal ``params``, and every subdomain finite element, so that no
+    trained operator enters either run.
+
+    The windows are bitwise those ``run_coupled(config, params)`` would
+    compute, since every window depends only on the windows before it.
+    """
+    other = run.config
+    if not (params == run.params
+            and all(getattr(config, f.name) == getattr(other, f.name)
+                    for f in fields(SchwarzConfig) if f.name != "t_end")
+            and all(s.model == "fe" for s in config.subdomains)
+            and config.n_windows <= other.n_windows):
+        return None
+    n_windows = config.n_windows
+    n_times = timestep.n_steps_for(0.0, config.t_end, config.dt) + 1
+    times = run.times[:n_times]
+    coordinates = run.coordinates[:, :n_times]
+    times.flags.writeable = False
+    coordinates.flags.writeable = False
+    return RunResult(times=times, coordinates=coordinates,
+                     iterations=run.iterations[:n_windows].copy(),
+                     window_converged=run.window_converged[:n_windows].copy(),
+                     timings={"setup_seconds": 0.0, "solve_seconds": 0.0},
+                     solvers=run.solvers, config=config, params=params)
+
+
+def run_coupled(config, params, trained=None, prefix_of=None):
     """March coupled subdomains over the full horizon, window by window.
 
     The solvers come from :func:`build_solvers`. Every substep state and
@@ -1087,7 +1124,17 @@ def run_coupled(config, params, trained=None):
     phase. The :class:`GatherPlan` and its units span the run: its
     gathers impose the initial Gamma values, and its prediction seeds
     every window's first sweep.
+
+    ``prefix_of``, a :class:`RunResult`, is a run that may already hold
+    this one: when it solved the same all-FE problem over at least as long
+    a horizon and no ``trained`` operators are given, its first windows
+    are returned as views, with nothing set up or solved (see
+    :func:`_first_windows`). Otherwise the run is computed.
     """
+    if prefix_of is not None and not trained:
+        run = _first_windows(config, params, prefix_of)
+        if run is not None:
+            return run
     t0 = time.perf_counter()
     table = build_interfaces(config)
     solvers = build_solvers(config, table, params, trained)
@@ -1126,7 +1173,7 @@ def run_coupled(config, params, trained=None):
                      iterations=iterations, window_converged=window_converged,
                      timings={"setup_seconds": setup_seconds,
                               "solve_seconds": solve_seconds},
-                     solvers=solvers, config=config)
+                     solvers=solvers, config=config, params=params)
 
 
 class StitchPlan:

@@ -545,10 +545,9 @@ def test_self_error_reads_only_times_of_non_finite_norm(case):
 # Pipeline commands (one shared small-scale study)
 
 
-@pytest.fixture(scope="module")
-def small_out(tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("small_out"))
-    cfg = small_cfg()
+def compare_keeping(cfg, out):
+    """``cmd_compare(cfg, out)``, keeping the all-FE run, the training
+    result and the hybrid run it made."""
     runs = {}
 
     def keeping(name, command):
@@ -559,10 +558,17 @@ def small_out(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         for prefix, name in (("schwarz", "cmd_run_schwarz"),
+                             ("training", "cmd_train"),
                              ("hybrid", "cmd_run_hybrid")):
             mp.setattr(driver, name, keeping(prefix, getattr(driver, name)))
         report = cmd_compare(cfg, out_dir=out)
     return {"cfg": cfg, "out": out, "report": report, "runs": runs}
+
+
+@pytest.fixture(scope="module")
+def small_out(tmp_path_factory):
+    return compare_keeping(small_cfg(),
+                           str(tmp_path_factory.mktemp("small_out")))
 
 
 def assert_field_files_hold(cfg, out_dir, prefix, run):
@@ -588,6 +594,72 @@ def test_compare_report_structure(small_out):
     assert "lambda" in mono.note
     text = report.to_text()
     assert "error vs reference" in text and "all-fe-dd" in text
+
+
+@pytest.mark.parametrize("steps_per_window", [1, 2])
+def test_compare_trains_what_train_trains(steps_per_window, small_out,
+                                          tmp_path):
+    # At one step per window the data run is the all-FE run's first 20
+    # windows, shared; at two it is computed, as train computes it. The
+    # operators are bitwise the same either way.
+    study = (small_out if steps_per_window == 1 else compare_keeping(
+        small_cfg(steps_per_window=2), str(tmp_path / "compare")))
+    cfg, runs, report = study["cfg"], study["runs"], study["report"]
+    training, all_fe = runs["training"], runs["schwarz"]
+    assert report.training_run is training.run
+    shared = steps_per_window == 1
+    assert np.shares_memory(training.run.coordinates,
+                            all_fe.coordinates) == shared
+    assert (training.timings["data_run_seconds"] == 0.0) == shared
+    note = ("hybrid training data: the first 20 windows of all-fe-dd"
+            if shared else "hybrid training data: a data run of its own, "
+                           "20 windows of one step")
+    assert report.models[1].note == note
+    for text in (report.to_text(),
+                 open(os.path.join(study["out"], "comparison.txt")).read()):
+        assert f"note: {note}\n" in text
+    assert "note" not in open(os.path.join(study["out"],
+                                           "comparison.csv")).read()
+
+    out = str(tmp_path / "train")
+    alone = cmd_train(cfg, out_dir=out)
+    assert not np.shares_memory(alone.run.coordinates, all_fe.coordinates)
+    assert sorted(alone.trained) == sorted(training.trained) == [0, 1, 2]
+    for i, item in alone.trained.items():
+        kept = training.trained[i]
+        assert np.array_equal(item.basis.Psi, kept.basis.Psi)
+        for name in ("Khat", "Bhat", "fhat"):
+            assert np.array_equal(getattr(item.ops, name),
+                                  getattr(kept.ops, name)), name
+    files = sorted(f for f in os.listdir(out) if f.startswith("sub"))
+    assert len(files) == 18
+    for name in files:
+        with open(os.path.join(out, name), "rb") as a, \
+                open(os.path.join(study["out"], name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_default_training_data_are_the_all_fe_runs_first_windows(study,
+                                                                  tmp_path):
+    # The default study's all-FE run holds its training data run: trained
+    # from its first windows, the operators and their files are bitwise
+    # those of a data run computed on its own.
+    cfg, all_fe = study["cfg"], study["schwarz_run"]
+    shared = cmd_train(cfg, out_dir=str(tmp_path / "shared"),
+                       data_run=all_fe)
+    alone = cmd_train(cfg, out_dir=str(tmp_path / "alone"))
+    assert np.shares_memory(shared.run.coordinates, all_fe.coordinates)
+    assert not np.shares_memory(alone.run.coordinates, all_fe.coordinates)
+    assert np.array_equal(shared.run.iterations, alone.run.iterations)
+    for i, item in alone.trained.items():
+        for name in ("Khat", "Bhat", "fhat"):
+            assert np.array_equal(getattr(item.ops, name),
+                                  getattr(shared.trained[i].ops, name))
+    names = sorted(os.listdir(tmp_path / "alone"))
+    assert names == sorted(os.listdir(tmp_path / "shared"))
+    for name in names:
+        assert ((tmp_path / "alone" / name).read_bytes()
+                == (tmp_path / "shared" / name).read_bytes()), name
 
 
 def test_compare_outputs_on_disk(small_out):

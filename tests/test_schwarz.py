@@ -3,6 +3,7 @@
 import cProfile
 import os
 import pstats
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -546,6 +547,100 @@ def test_coupled_max_iters_one_reports_unconverged():
     run = run_coupled(config, cfg.params())
     assert not run.converged
     assert not run.window_converged.all()
+
+
+def assert_same_run(a, b):
+    """Two coupled runs' records, bitwise."""
+    for name in ("times", "coordinates", "iterations", "window_converged"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_run_coupled_returns_the_first_windows_of_the_same_problem():
+    cfg = small_cfg(t_end=0.2, dt=0.01, training_t_end=0.1)
+    params = cfg.params()
+    full = run_coupled(cfg.schwarz_config(force_model="fe"), params)
+    config = replace(full.config, t_end=0.1)
+    part = run_coupled(config, params, prefix_of=full)
+    plain = run_coupled(config, params)
+    assert_same_run(part, plain)
+    assert part.config == config and part.params == params
+    assert part.solvers is full.solvers
+    assert part.timings == {"setup_seconds": 0.0, "solve_seconds": 0.0}
+    for name in ("times", "coordinates"):
+        view = getattr(part, name)
+        assert np.shares_memory(view, getattr(full, name)), name
+        assert not view.flags.writeable, name
+    for name in ("iterations", "window_converged"):
+        assert not np.shares_memory(getattr(part, name),
+                                    getattr(full, name)), name
+    # The whole horizon is a prefix of itself.
+    assert_same_run(run_coupled(full.config, params, prefix_of=full), full)
+
+
+@pytest.fixture(scope="module")
+def prefix_runs(small_trained):
+    """``small_cfg(t_end=0.3)`` with an all-FE run to 0.2 and a hybrid
+    run on ``small_trained`` to 0.3."""
+    cfg = small_cfg(t_end=0.3)
+    params = cfg.params()
+    full = run_coupled(replace(cfg.schwarz_config(force_model="fe"),
+                               t_end=0.2), params)
+    hybrid = run_coupled(cfg.schwarz_config(), params, small_trained)
+    return cfg, full, hybrid
+
+
+def _moved(config, k, **changes):
+    """``config`` with subdomain ``k``'s spec changed."""
+    specs = list(config.subdomains)
+    specs[k] = replace(specs[k], **changes)
+    return replace(config, subdomains=tuple(specs))
+
+
+@pytest.mark.parametrize("case", [
+    "tol", "max_iters", "dt", "steps_per_window", "rect", "mesh", "model",
+    "params", "t_end", "trained", "trained_hybrid"])
+def test_run_coupled_computes_any_other_problem(case, prefix_runs,
+                                                small_trained):
+    cfg, full, hybrid = prefix_runs
+    params = cfg.params()
+    config = replace(full.config, t_end=0.1)
+    prefix, trained = full, None
+    if case == "tol":
+        config = replace(config, tol=1e-6)
+    elif case == "max_iters":
+        config = replace(config, max_iters=40)
+    elif case == "dt":
+        config = replace(config, dt=0.005)
+    elif case == "steps_per_window":
+        config = replace(config, steps_per_window=2)
+    elif case == "rect":
+        config = _moved(config, 3, rect=Rect(0.42, 1.0, 0.42, 1.0))
+    elif case == "mesh":
+        config = _moved(config, 3, nx=config.subdomains[3].nx + 1)
+    elif case == "model":
+        prefix = hybrid   # reduced where ``config`` is finite element
+    elif case == "params":
+        params = replace(params, eps=2.0 * params.eps)
+    elif case == "t_end":
+        config = replace(config, t_end=0.3)
+    elif case == "trained":
+        trained = small_trained
+    else:
+        config = replace(hybrid.config, t_end=0.1)
+        prefix, trained = hybrid, small_trained
+    run = run_coupled(config, params, trained, prefix_of=prefix)
+    assert run.solvers is not prefix.solvers
+    assert not np.shares_memory(run.coordinates, prefix.coordinates)
+    assert_same_run(run, run_coupled(config, params, trained))
+
+
+def test_run_coupled_slices_no_run_with_reduced_subdomains(prefix_runs):
+    # The hybrid run used trained operators, so it holds no untrained run
+    # of its own problem: one is computed, and fails without operators.
+    _, _, hybrid = prefix_runs
+    with pytest.raises(ConfigurationError, match="run training first"):
+        run_coupled(replace(hybrid.config, t_end=0.1), hybrid.params,
+                    prefix_of=hybrid)
 
 
 def three_strip_specs(h=0.05):
